@@ -5,8 +5,10 @@ of a representative barrier kernel, so regressions in the simulation
 core show up as real-time numbers in pytest-benchmark's report.
 
 ``test_engine_mode_throughput`` additionally races the fast-path engine
-(``engine_mode="fast"``, see docs/engine.md) against the reference
-oracle on the canonical workload set and persists the comparison as
+(``engine_mode="fast"``: the reference heap plus the epoch-jump pump and
+the flag index, see docs/engine.md) against the reference oracle on the
+canonical workload set with :func:`repro.harness.perf.compare` and
+persists the comparison as
 schema-versioned ``benchmarks/out/BENCH_engine.json`` — the artifact
 CI's ``engine-equiv`` job checks so the fast engine stays fast.
 """
@@ -14,7 +16,7 @@ CI's ``engine-equiv`` job checks so the fast engine stays fast.
 from benchmarks.conftest import OUT_DIR
 from repro.algorithms import MeanMicrobench
 from repro.harness import run
-from repro.harness.perf import ENGINE_WORKLOADS, compare_modes, render_bench
+from repro.harness.perf import ENGINE_WORKLOADS, compare, render_bench
 from repro.simcore import Delay, Engine
 
 
@@ -40,18 +42,19 @@ def test_engine_mode_throughput(benchmark):
     """Fast engine vs reference on the canonical workloads.
 
     Shapes (see :mod:`repro.harness.perf`): the epoch-jump pump carries
-    pure-Delay chains, the calendar queue carries same-time wake bursts,
-    and the flag index turns the paper's spin wall — the O(spinners x
-    stores) predicate-poll explosion — into one cell probe per store;
-    that workload is the headline (>= 10x measured here).
-    ``compare_modes`` refuses to report if the two engines' event counts
-    or final clocks diverge, so this bench is also an equivalence check.
+    the pure-Delay chain, the barrier storm mixes fires with same-time
+    wake bursts of declared waiters, and the flag index turns the
+    paper's spin wall — the O(spinners x stores) predicate-poll
+    explosion — into one cell probe per store; that workload is the
+    headline (>= 10x measured here).  ``compare`` refuses to report if
+    the two engines' event counts or final clocks diverge, so this bench
+    is also an equivalence check.
     """
 
     def race():
         return {
-            name: compare_modes(build)
-            for name, build in ENGINE_WORKLOADS.items()
+            name: compare(workload)
+            for name, workload in ENGINE_WORKLOADS.items()
         }
 
     results = benchmark.pedantic(race, rounds=1, iterations=1)

@@ -10,7 +10,7 @@ import time
 
 from benchmarks.conftest import OUT_DIR, save_report
 from repro.harness import experiments, report
-from repro.harness.perf import compare_micro, render_bench
+from repro.harness.perf import compare, micro_cell, render_bench
 from repro.simcore import use_engine_mode
 
 ROUNDS = 200  # paper: 10 000; per-round quantities are unchanged
@@ -83,7 +83,9 @@ def test_fig11_engine_modes(benchmark):
     assert ref_sweep.to_json() == fast_sweep.to_json()
 
     workloads = {
-        f"{strategy}@30": compare_micro(strategy, 30, grid["rounds"])
+        f"{strategy}@30": compare(
+            micro_cell(strategy, 30, grid["rounds"]), repeats=2
+        )
         for strategy in ("gpu-simple", "gpu-tree-2", "gpu-lockfree")
     }
     workloads["fig11_sweep"] = {

@@ -65,7 +65,6 @@ from repro.gpu import (
     Stream,
     Topology,
     get_preset,
-    gtx280,
     preset_names,
 )
 from repro.api import run
@@ -157,7 +156,6 @@ __all__ = [
     "fault_plans",
     "get_preset",
     "get_strategy",
-    "gtx280",
     "preset_names",
     "run",
     "sanitize_run",

@@ -20,7 +20,7 @@ helpers (``compute``, ``gread``, ``gwrite``, ``atomic_add``,
 ``spin_until``, ``syncthreads``) to interact with the device.
 """
 
-from repro.gpu.config import DeviceConfig, gtx280
+from repro.gpu.config import DeviceConfig
 from repro.gpu.context import BlockCtx
 from repro.gpu.costmodel import StageCostModel
 from repro.gpu.device import Device
@@ -45,7 +45,6 @@ __all__ = [
     "Stream",
     "Topology",
     "get_preset",
-    "gtx280",
     "preset_names",
     "register_preset",
 ]

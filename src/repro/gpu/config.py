@@ -2,13 +2,11 @@
 
 Preset construction lives in :mod:`repro.gpu.presets` behind the
 ``get_preset(name)`` registry; this module holds the
-:class:`DeviceConfig` dataclass itself plus the deprecated
-:func:`gtx280` spelling.
+:class:`DeviceConfig` dataclass itself.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -16,7 +14,7 @@ from repro.errors import ConfigError
 from repro.gpu.topology import Topology
 from repro.model.calibration import CalibratedTimings, default_timings
 
-__all__ = ["DeviceConfig", "gtx280"]
+__all__ = ["DeviceConfig"]
 
 
 @dataclass(frozen=True)
@@ -135,21 +133,3 @@ class DeviceConfig:
     def with_timings(self, timings: CalibratedTimings) -> "DeviceConfig":
         """A copy of this config with different timing parameters."""
         return replace(self, timings=timings)
-
-
-def gtx280(timings: Optional[CalibratedTimings] = None) -> DeviceConfig:
-    """Deprecated spelling of the paper's testbed GPU.
-
-    Use :func:`repro.gpu.presets.get_preset`\\ ``("gtx280")`` — preset
-    construction is consolidated behind one registry.  This shim
-    forwards unchanged and emits a :class:`DeprecationWarning`.
-    """
-    warnings.warn(
-        "gtx280() is deprecated; use "
-        "repro.gpu.presets.get_preset('gtx280', timings=...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.gpu.presets import get_preset
-
-    return get_preset("gtx280", timings=timings)

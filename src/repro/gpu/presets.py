@@ -42,7 +42,6 @@ walks through the topology model behind the last three):
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import ConfigError
@@ -51,7 +50,6 @@ from repro.gpu.topology import Topology
 from repro.model.calibration import CalibratedTimings
 
 __all__ = [
-    "fermi_class",
     "get_preset",
     "preset_names",
     "register_preset",
@@ -260,17 +258,3 @@ register_preset("fermi_class", _fermi_class)
 register_preset("grid_sync", _grid_sync)
 register_preset("dual_gpu", _dual_gpu)
 register_preset("riscv_cluster_1024", _riscv_cluster_1024)
-
-
-def fermi_class() -> DeviceConfig:
-    """Deprecated spelling of the Fermi-class preset.
-
-    Use :func:`get_preset`\\ ``("fermi_class")``.  This shim forwards
-    unchanged and emits a :class:`DeprecationWarning`.
-    """
-    warnings.warn(
-        "fermi_class() is deprecated; use get_preset('fermi_class') instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return get_preset("fermi_class")

@@ -16,7 +16,7 @@
 """
 
 from repro.harness.autotune import TuneResult, autotune, probe_barrier_cost
-from repro.harness.perf import compare_modes, load_bench, measure_workload, render_bench
+from repro.harness.perf import compare, load_bench, measure, render_bench
 from repro.harness.phases import Breakdown, breakdown, compute_only, sync_time_ns
 from repro.harness.resilient import DegradePolicy, RetryPolicy
 from repro.harness.runner import RaceMonitor, RecoveryEvent, RunResult, run
@@ -33,10 +33,10 @@ __all__ = [
     "TuneResult",
     "autotune",
     "breakdown",
-    "compare_modes",
+    "compare",
     "compute_only",
     "load_bench",
-    "measure_workload",
+    "measure",
     "probe_barrier_cost",
     "render_bench",
     "repeat_run",

@@ -5,12 +5,13 @@ number: events simulated per second of host wall-clock.  This module
 owns everything needed to produce and consume that number honestly:
 
 * canonical engine-level workloads (:data:`ENGINE_WORKLOADS`) that pin
-  down the shapes the two engines differ on — pure ``Delay`` chains
-  (epoch jumping), per-round barrier storms (calendar-queue bucketing)
-  and the paper's spin wall, many parked spinners polled by a trickle of
-  stores (flag indexing);
-* :func:`measure_workload` / :func:`compare_modes`, which time one
-  workload under an engine mode and refuse to report a comparison whose
+  down the shapes the two engines differ on — a pure ``Delay`` chain
+  (the epoch-jump pump), per-round barrier storms (fires and declared
+  waits interleaved across many processes) and the paper's spin wall,
+  many parked spinners polled by a trickle of stores (the flag index);
+* :func:`micro_cell`, one Fig. 11 cell through the full device stack;
+* :func:`measure` / :func:`compare`, which time a :data:`Runnable`
+  under an engine mode and refuse to report a comparison whose
   observables (event count, final virtual clock) diverge between modes
   — a benchmark of two engines that did different work is meaningless;
 * :func:`render_bench` / :func:`load_bench`, the schema-versioned JSON
@@ -35,6 +36,7 @@ from repro.errors import ExperimentError
 from repro.serialization import dump_result, parse_result, require
 from repro.simcore import (
     Delay,
+    Engine,
     Fire,
     Signal,
     WaitSpec,
@@ -45,11 +47,10 @@ from repro.simcore import (
 __all__ = [
     "BENCH_KIND",
     "ENGINE_WORKLOADS",
-    "compare_micro",
-    "compare_modes",
+    "compare",
     "load_bench",
-    "measure_micro",
-    "measure_workload",
+    "measure",
+    "micro_cell",
     "render_bench",
     "workload_barrier_storm",
     "workload_pingpong",
@@ -59,30 +60,44 @@ __all__ = [
 #: ``kind`` tag of the bench envelope (``{"schema": .., "kind": "bench"}``).
 BENCH_KIND = "bench"
 
-#: a workload is a builder: given a fresh engine, spawn its processes.
-WorkloadBuilder = Callable[[Any], None]
+#: one timed unit of work: given an engine mode, run it to completion
+#: and return the engine that ran it (its event count and final clock
+#: are what :func:`compare` checks across modes).
+Runnable = Callable[[str], Engine]
 
 
 # ---------------------------------------------------------------------------
-# Canonical engine workloads
+# Canonical workloads
 # ---------------------------------------------------------------------------
 
-def workload_pingpong(n_events: int = 100_000) -> WorkloadBuilder:
-    """Pure ``Delay`` chain — isolates the epoch-jump/pump fast path."""
+def _on_fresh_engine(build: Callable[[Engine], None]) -> Runnable:
+    """A runnable that spawns ``build``'s processes on a new engine."""
 
-    def build(engine: Any) -> None:
+    def run(mode: str) -> Engine:
+        engine = make_engine(mode)
+        build(engine)
+        engine.run()
+        return engine
+
+    return run
+
+
+def workload_pingpong(n_events: int = 100_000) -> Runnable:
+    """One process running a pure ``Delay`` chain (the epoch-jump pump)."""
+
+    def build(engine: Engine) -> None:
         def proc():
             for _ in range(n_events):
                 yield Delay(10)
 
         engine.spawn(proc(), "pingpong")
 
-    return build
+    return _on_fresh_engine(build)
 
 
 def workload_spin_wall(
     spinners: int = 200, stores: int = 2_000
-) -> WorkloadBuilder:
+) -> Runnable:
     """The paper's shape: ``spinners`` processes parked on one mutex cell
     while ``stores`` increments trickle in.
 
@@ -91,7 +106,7 @@ def workload_spin_wall(
     store with one cell read, so this is the headline fast-path win.
     """
 
-    def build(engine: Any) -> None:
+    def build(engine: Engine) -> None:
         data = np.zeros(1, dtype=np.int64)
         signal = Signal("mutex", source=data)
 
@@ -114,18 +129,21 @@ def workload_spin_wall(
             engine.spawn(spinner(), f"spin{i}")
         engine.spawn(storer(), "storer")
 
-    return build
+    return _on_fresh_engine(build)
 
 
 def workload_barrier_storm(
     blocks: int = 64, rounds: int = 100
-) -> WorkloadBuilder:
+) -> Runnable:
     """gpu-simple's accumulating barrier at engine level: every process
-    bumps the shared cell, fires, and spins for ``round * blocks`` —
-    same-timestamp wake bursts that exercise the calendar-queue buckets.
+    bumps the shared cell, fires, and spins for ``round * blocks``.
+
+    Each round mixes short ``Delay`` hops, ``blocks`` fires and a
+    same-timestamp wake burst of every declared waiter, so the pump
+    rarely runs far and the flag index wakes a whole barrier at once.
     """
 
-    def build(engine: Any) -> None:
+    def build(engine: Engine) -> None:
         data = np.zeros(1, dtype=np.int64)
         signal = Signal("mutex", source=data)
 
@@ -145,25 +163,49 @@ def workload_barrier_storm(
         for i in range(blocks):
             engine.spawn(block(i), f"blk{i}")
 
-    return build
+    return _on_fresh_engine(build)
 
 
-#: name -> (builder factory, kwargs) for the standard bench set.
-ENGINE_WORKLOADS: Dict[str, WorkloadBuilder] = {
+#: name -> runnable for the standard bench set.
+ENGINE_WORKLOADS: Dict[str, Runnable] = {
     "pingpong": workload_pingpong(),
     "barrier_storm": workload_barrier_storm(),
     "spin_wall": workload_spin_wall(),
 }
 
 
+def micro_cell(strategy: str, num_blocks: int, rounds: int) -> Runnable:
+    """One Fig. 11 cell through the full device stack, as a runnable.
+
+    Runs the micro-benchmark under ``strategy`` and returns the run's
+    device engine.
+    """
+
+    def run(mode: str) -> Engine:
+        # Late imports: repro.harness re-exports this module, so importing
+        # the runner at module load would cycle.
+        from repro.algorithms import MeanMicrobench
+        from repro.harness.runner import run as run_config
+
+        result = run_config(
+            MeanMicrobench(rounds=rounds),
+            strategy,
+            num_blocks,
+            keep_device=True,
+            engine_mode=mode,
+        )
+        assert result.device is not None
+        return result.device.engine
+
+    return run
+
+
 # ---------------------------------------------------------------------------
 # Measurement
 # ---------------------------------------------------------------------------
 
-def measure_workload(
-    build: WorkloadBuilder, mode: str, repeats: int = 3
-) -> Dict[str, Any]:
-    """Best-of-``repeats`` wall-clock for one workload under one engine.
+def measure(run: Runnable, mode: str, repeats: int = 3) -> Dict[str, Any]:
+    """Best-of-``repeats`` wall-clock for ``run`` under one engine mode.
 
     Returns ``events`` (dispatched), ``now_ns`` (final virtual clock),
     ``seconds`` and ``events_per_sec``.  Best-of — not mean — because
@@ -175,20 +217,13 @@ def measure_workload(
     best: Optional[float] = None
     events = now_ns = 0
     for _ in range(repeats):
-        engine = make_engine(mode)
-        build(engine)
         start = time.perf_counter()
-        engine.run()
+        engine = run(mode)
         elapsed = time.perf_counter() - start
         events, now_ns = engine.events_dispatched, engine.now
         if events == 0:
-            # The workload factories (workload_pingpong(...)) return the
-            # builder; passing the factory itself spawns nothing and
-            # would "measure" an empty engine.
-            raise ExperimentError(
-                "workload spawned no events - pass the builder "
-                "(e.g. workload_pingpong()), not the factory"
-            )
+            # Timing an engine that did nothing measures nothing.
+            raise ExperimentError("runnable dispatched no events")
         if best is None or elapsed < best:
             best = elapsed
     assert best is not None
@@ -201,19 +236,19 @@ def measure_workload(
     }
 
 
-def compare_modes(
-    build: WorkloadBuilder,
+def compare(
+    run: Runnable,
     modes: Sequence[str] = ("reference", "fast"),
     repeats: int = 3,
 ) -> Dict[str, Any]:
-    """Measure one workload under every mode and the fast/ref speedup.
+    """:func:`measure` ``run`` under every mode, plus the fast/ref speedup.
 
     Refuses (typed :class:`~repro.errors.ExperimentError`) when the
     modes disagree on event count or final clock — a throughput
     comparison is only meaningful between engines that provably did the
     same work.
     """
-    results = {mode: measure_workload(build, mode, repeats) for mode in modes}
+    results = {mode: measure(run, mode, repeats) for mode in modes}
     baseline = results[modes[0]]
     for mode in modes[1:]:
         other = results[mode]
@@ -222,92 +257,7 @@ def compare_modes(
             baseline["now_ns"],
         ):
             raise ExperimentError(
-                f"engine modes diverged on the bench workload: "
-                f"{modes[0]} dispatched {baseline['events']} events to "
-                f"t={baseline['now_ns']}, {mode} dispatched "
-                f"{other['events']} to t={other['now_ns']}"
-            )
-    out: Dict[str, Any] = dict(results)
-    if "reference" in results and "fast" in results:
-        ref_s = results["reference"]["seconds"]
-        fast_s = results["fast"]["seconds"]
-        out["speedup"] = round(ref_s / fast_s, 2) if fast_s > 0 else 0.0
-    return out
-
-
-def measure_micro(
-    strategy: str,
-    num_blocks: int,
-    rounds: int,
-    mode: str,
-    repeats: int = 2,
-) -> Dict[str, Any]:
-    """Best-of-``repeats`` wall-clock for one Fig. 11 cell (the
-    micro-benchmark under ``strategy``) through the full device stack.
-
-    Same fields as :func:`measure_workload` plus the cell coordinates;
-    ``events``/``now_ns`` come from the run's own device engine.
-    """
-    # Late imports: repro.harness re-exports this module, so importing
-    # the runner at module load would cycle.
-    from repro.algorithms import MeanMicrobench
-    from repro.harness.runner import run as run_config
-
-    if repeats < 1:
-        raise ExperimentError(f"repeats must be >= 1, got {repeats}")
-    best: Optional[float] = None
-    events = now_ns = 0
-    for _ in range(repeats):
-        algorithm = MeanMicrobench(rounds=rounds)
-        start = time.perf_counter()
-        result = run_config(
-            algorithm,
-            strategy,
-            num_blocks,
-            keep_device=True,
-            engine_mode=mode,
-        )
-        elapsed = time.perf_counter() - start
-        assert result.device is not None
-        events = result.device.engine.events_dispatched
-        now_ns = result.device.engine.now
-        if best is None or elapsed < best:
-            best = elapsed
-    assert best is not None
-    return {
-        "engine_mode": mode,
-        "strategy": strategy,
-        "num_blocks": num_blocks,
-        "rounds": rounds,
-        "events": events,
-        "now_ns": now_ns,
-        "seconds": round(best, 6),
-        "events_per_sec": round(events / best, 1) if best > 0 else 0.0,
-    }
-
-
-def compare_micro(
-    strategy: str,
-    num_blocks: int,
-    rounds: int,
-    modes: Sequence[str] = ("reference", "fast"),
-    repeats: int = 2,
-) -> Dict[str, Any]:
-    """Per-mode :func:`measure_micro` plus the fast/ref speedup, with
-    the same did-the-same-work refusal as :func:`compare_modes`."""
-    results = {
-        mode: measure_micro(strategy, num_blocks, rounds, mode, repeats)
-        for mode in modes
-    }
-    baseline = results[modes[0]]
-    for mode in modes[1:]:
-        other = results[mode]
-        if (other["events"], other["now_ns"]) != (
-            baseline["events"],
-            baseline["now_ns"],
-        ):
-            raise ExperimentError(
-                f"engine modes diverged on {strategy}@{num_blocks}: "
+                f"engine modes diverged: "
                 f"{modes[0]} dispatched {baseline['events']} events to "
                 f"t={baseline['now_ns']}, {mode} dispatched "
                 f"{other['events']} to t={other['now_ns']}"
@@ -327,7 +277,7 @@ def compare_micro(
 def render_bench(name: str, workloads: Dict[str, Dict[str, Any]]) -> str:
     """Render a bench report as versioned, deterministic JSON.
 
-    ``workloads`` maps workload name to a :func:`compare_modes` result
+    ``workloads`` maps workload name to a :func:`compare` result
     (or any dict of per-mode measurements).
     """
     return dump_result(BENCH_KIND, {"bench": name, "workloads": workloads})

@@ -36,7 +36,6 @@ from repro.simcore.engine import Engine
 from repro.simcore.fastpath import (
     ENGINE_MODE_ENV,
     ENGINE_MODES,
-    CalendarQueue,
     FastEngine,
     FlagIndex,
     make_engine,
@@ -52,7 +51,6 @@ __all__ = [
     "ENGINE_MODE_ENV",
     "ENGINE_MODES",
     "Acquire",
-    "CalendarQueue",
     "Cancelled",
     "Delay",
     "Effect",

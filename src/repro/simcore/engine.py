@@ -67,6 +67,9 @@ class Engine:
         #: count of live (non-tombstoned) pending entries.
         self._live = 0
         self._running = False
+        #: horizon of the current run() (None: run to quiescence); kept
+        #: on the instance so a ``_step`` override can respect it.
+        self._until: Optional[int] = None
 
     # -- public API ----------------------------------------------------------
 
@@ -108,6 +111,7 @@ class Engine:
         if self._running:
             raise SimulationError("engine.run() is not reentrant")
         self._running = True
+        self._until = until
         try:
             while self._heap:
                 entry = heapq.heappop(self._heap)
@@ -184,7 +188,8 @@ class Engine:
         if entry is not None:
             process._entry = None
             self._live -= 1
-            self._tombstone(entry)
+            entry[3] = None
+            entry[4] = None
         process.state = ProcessState.CANCELLED
         process.result = Cancelled(reason)
         process.finished_at = self.now
@@ -251,9 +256,9 @@ class Engine:
         """Timestamp of the next live scheduled wakeup, or ``None``.
 
         The step-driver API (:mod:`repro.cudaapi`) uses this with
-        ``run(until=...)`` to advance the clock one event at a time;
-        both engine modes implement it.  Tombstoned (cancelled) entries
-        at the head are pruned as a side effect.
+        ``run(until=...)`` to advance the clock one event at a time.
+        Tombstoned (cancelled) entries at the head are pruned as a side
+        effect.
         """
         heap = self._heap
         while heap and heap[0][3] is None:
@@ -280,11 +285,6 @@ class Engine:
         process._entry = entry
         self._live += 1
         heapq.heappush(self._heap, entry)
-
-    def _tombstone(self, entry: List[Any]) -> None:
-        """Mark a pending entry dead in place (already uncounted)."""
-        entry[3] = None
-        entry[4] = None
 
     def _step(self, process: Process, value: Any) -> None:
         """Resume ``process`` with ``value`` and dispatch its next effect."""

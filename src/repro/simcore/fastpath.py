@@ -1,22 +1,18 @@
-"""The fast-path simulation core: calendar queue + epoch-jumping engine.
+"""The fast-path simulation core: epoch-jumping engine plus flag index.
 
-The reference :class:`~repro.simcore.engine.Engine` replays every event
-through one global ``heapq`` and re-evaluates every parked spin predicate
+The reference :class:`~repro.simcore.engine.Engine` pays a heap
+round-trip for every event and re-evaluates every parked spin predicate
 on every store.  Both costs are avoidable in the common case this
-repository simulates — thousands of same-priority events and thousands of
-spin polls whose outcome is analytically known:
+repository simulates — long ``Delay`` chains and thousands of spin polls
+whose outcome is analytically known.  :class:`FastEngine` keeps the
+reference engine's event heap and run loop and adds two mechanisms:
 
-* :class:`CalendarQueue` buckets pending wakeups by timestamp.  Within a
-  bucket the common same-priority case is a plain FIFO append (scheduling
-  order *is* dispatch order), so push/pop skip the global heap entirely;
-  only distinct timestamps pay a (much smaller) heap.
-* :class:`FastEngine` adds an **epoch jump**: when a resumed process only
-  yields ``Delay`` effects and its next wakeup still precedes every other
-  pending event, the engine advances the clock and resumes it in place —
-  no queue round-trip at all.  When a process blocks, the queue head is
-  by construction the wake horizon, and the engine hops there in one
-  step.
-* :class:`FlagIndex` indexes spin waiters that declare their wait
+* an **epoch jump** (the pump in :meth:`FastEngine._step`): when a
+  resumed process only yields ``Delay`` or ``Fire`` effects and its next
+  wakeup still precedes every other pending event (and the run horizon),
+  the engine advances the clock and resumes it in place — no heap
+  round-trip at all.
+* :class:`FlagIndex`, which indexes spin waiters that declare their wait
   predicate (:class:`~repro.simcore.effects.WaitSpec`) by cell and
   threshold.  A store then wakes exactly the satisfied waiters via heap
   peeks instead of evaluating every parked lambda — the quiescence rule:
@@ -35,11 +31,10 @@ from __future__ import annotations
 
 import heapq
 import os
-from collections import deque
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.errors import ConfigError, DeadlockError, SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.simcore.effects import Delay, Effect, Fire, WaitSpec, WaitUntil
 from repro.simcore.engine import Engine
 from repro.simcore.process import Process, ProcessState
@@ -48,7 +43,6 @@ from repro.simcore.signal import Signal
 __all__ = [
     "ENGINE_MODES",
     "ENGINE_MODE_ENV",
-    "CalendarQueue",
     "FastEngine",
     "FlagIndex",
     "make_engine",
@@ -117,121 +111,6 @@ def make_engine(
     return Engine(max_events=max_events, tiebreak=tiebreak)
 
 
-class CalendarQueue:
-    """Timestamp-bucketed event queue, bit-compatible with the global heap.
-
-    Entries are the engine's mutable ``[when, priority, seq, process,
-    value]`` lists.  Buckets are keyed by ``when``; a small heap of the
-    distinct timestamps yields the next bucket.  With ``ordered=False``
-    (no tiebreak installed) every entry in a bucket shares priority 0.0
-    and arrives in ascending ``seq``, so a deque append/popleft *is*
-    ``(when, priority, seq)`` order.  With a tiebreak active
-    (``ordered=True``) each bucket is its own priority heap.
-
-    Cancellation tombstones the entry in place (``process`` slot set to
-    ``None``); dead entries are skipped lazily at the bucket head.
-    """
-
-    __slots__ = ("_buckets", "_times", "_size", "_ordered")
-
-    def __init__(self, ordered: bool = False) -> None:
-        self._buckets: Dict[int, Any] = {}
-        self._times: List[int] = []
-        self._size = 0
-        self._ordered = ordered
-
-    def __len__(self) -> int:
-        return self._size
-
-    def push(self, entry: List[Any]) -> None:
-        """Insert an entry (appended FIFO, or heap-ranked under tiebreak)."""
-        when = entry[0]
-        bucket = self._buckets.get(when)
-        if bucket is None:
-            heapq.heappush(self._times, when)
-            if self._ordered:
-                self._buckets[when] = [entry]
-            else:
-                fifo: deque[List[Any]] = deque()
-                fifo.append(entry)
-                self._buckets[when] = fifo
-        elif self._ordered:
-            # Same-when entries compare on (priority, seq); seq is unique
-            # so the process slot is never reached.
-            heapq.heappush(bucket, entry)
-        else:
-            bucket.append(entry)
-        self._size += 1
-
-    def pushback(self, entry: List[Any]) -> None:
-        """Re-insert an entry just popped (horizon push-back).
-
-        The entry was the queue head, so in FIFO mode it must return to
-        the *front* of its bucket (a plain append would put the oldest
-        seq behind newer ones).
-        """
-        when = entry[0]
-        bucket = self._buckets.get(when)
-        if bucket is None or self._ordered:
-            self.push(entry)
-            return
-        bucket.appendleft(entry)
-        self._size += 1
-
-    def peek(self) -> Optional[List[Any]]:
-        """The next live entry in ``(when, priority, seq)`` order, or None.
-
-        Prunes tombstones and exhausted buckets from the head as a side
-        effect (amortized O(1) per cancelled entry).
-        """
-        buckets = self._buckets
-        times = self._times
-        ordered = self._ordered
-        while times:
-            when = times[0]
-            bucket = buckets[when]
-            if ordered:
-                while bucket and bucket[0][3] is None:
-                    heapq.heappop(bucket)
-            else:
-                while bucket and bucket[0][3] is None:
-                    bucket.popleft()
-            if bucket:
-                head: List[Any] = bucket[0]
-                return head
-            del buckets[when]
-            heapq.heappop(times)
-        return None
-
-    def peek_time(self) -> Optional[int]:
-        """Timestamp of the next live entry, or None when drained."""
-        head = self.peek()
-        return None if head is None else head[0]
-
-    def pop(self) -> Optional[List[Any]]:
-        """Remove and return the next live entry, or None when drained."""
-        head = self.peek()
-        if head is None:
-            return None
-        when = head[0]
-        bucket = self._buckets[when]
-        if self._ordered:
-            heapq.heappop(bucket)
-        else:
-            bucket.popleft()
-        if not bucket:
-            del self._buckets[when]
-            heapq.heappop(self._times)
-        self._size -= 1
-        return head
-
-    def cancel(self, entry: List[Any]) -> None:
-        """Tombstone an entry in O(1); it is pruned when it reaches a head."""
-        entry[3] = None
-        entry[4] = None
-        self._size -= 1
-
-
 class FlagIndex:
     """Threshold index over a signal's declared (:class:`WaitSpec`) waiters.
 
@@ -240,7 +119,7 @@ class FlagIndex:
     cell-with-waiters pops exactly the satisfied waiters.  Whole-array
     and slice waits sit in a side list and are evaluated per fire (their
     predicates read many cells anyway).  Cancelled waiters are
-    tombstoned in place, mirroring the event queue.
+    tombstoned in place, mirroring the event heap.
     """
 
     __slots__ = ("count", "_cells", "_ranges", "_by_proc")
@@ -333,11 +212,12 @@ class FlagIndex:
 
 
 class FastEngine(Engine):
-    """Drop-in engine with the calendar queue, epoch jump and flag index.
+    """Drop-in engine: the reference heap plus epoch jump and flag index.
 
     Dispatch order, virtual timestamps, poll counts and tiebreak PRNG
     draws are bit-identical to :class:`~repro.simcore.engine.Engine`;
-    only wall-clock cost differs.  Select it with
+    only wall-clock cost differs.  The run loop, horizon push-back and
+    deadlock check are the inherited :meth:`Engine.run`.  Select it with
     ``engine_mode="fast"`` (see :func:`make_engine`).
     """
 
@@ -347,78 +227,22 @@ class FastEngine(Engine):
         tiebreak: Optional[Callable[[], float]] = None,
     ):
         super().__init__(max_events=max_events, tiebreak=tiebreak)
-        self._queue = CalendarQueue(ordered=tiebreak is not None)
         # Global park order: lets fire() merge declared and generic
         # waiters back into the reference engine's wake order.
         self._park_seq = 0
 
-    # -- event queue plumbing ----------------------------------------------
-
-    def _schedule_entry(
-        self, process: Process, when: int, priority: float, value: Any
-    ) -> None:
-        self._seq += 1
-        entry: List[Any] = [when, priority, self._seq, process, value]
-        process._entry = entry
-        self._live += 1
-        self._queue.push(entry)
-
-    def _tombstone(self, entry: List[Any]) -> None:
-        self._queue.cancel(entry)
-
-    def next_event_time(self) -> Optional[int]:
-        """See :meth:`Engine.next_event_time` (calendar-queue head here)."""
-        return self._queue.peek_time()
-
-    # -- main loop ----------------------------------------------------------
-
-    def run(self, until: Optional[int] = None) -> int:
-        """Run to quiescence (see :meth:`Engine.run` for the contract)."""
-        if self._running:
-            raise SimulationError("engine.run() is not reentrant")
-        self._running = True
-        queue = self._queue
-        try:
-            while True:
-                entry = queue.pop()
-                if entry is None:
-                    break
-                when = entry[0]
-                if until is not None and when > until:
-                    # Push back and stop at the horizon.
-                    queue.pushback(entry)
-                    self.now = until
-                    return self.now
-                process = entry[3]
-                process._entry = None
-                self._live -= 1
-                if when < self.now:
-                    raise SimulationError("time went backwards (engine bug)")
-                # Epoch jump: the queue head is by construction the wake
-                # horizon — everything runnable before `when` has already
-                # run, so hop the clock there in one step.
-                self.now = when
-                self._pump(process, entry[4], until)
-        finally:
-            self._running = False
-
-        blocked = [
-            (p.name, p.waiting_on or "unknown") for p in self._processes if p.alive
-        ]
-        if blocked:
-            raise DeadlockError(blocked)
-        return self.now
-
-    def _pump(self, process: Process, value: Any, until: Optional[int]) -> None:
+    def _step(self, process: Process, value: Any) -> None:
         """Resume ``process`` and keep resuming it while it only sleeps.
 
         A ``Delay`` whose wakeup precedes every other pending event (and
         the horizon) would be the very next dispatch anyway — so skip
-        the queue round-trip and resume in place.  A timestamp tie goes
-        to the queue head: the pending entry holds an older seq (or a
+        the heap round-trip and resume in place.  A timestamp tie goes
+        to the heap head: the pending entry holds an older seq (or a
         smaller tiebreak priority), exactly as the reference heap orders
         it.  One tiebreak draw is burned per pumped event to keep the
         fuzzer's PRNG stream aligned with the reference engine.
+        :meth:`Engine.run` has already counted the first resumption;
+        each pumped one is counted here.
         """
         if not process.alive:
             raise SimulationError(f"resumed finished process {process.name!r}")
@@ -427,18 +251,12 @@ class FastEngine(Engine):
         process.state = ProcessState.RUNNING
         process.waiting_on = None
         process.blocked_on = None
-        queue = self._queue
-        times = queue._times
+        heap = self._heap
+        until = self._until
         tiebreak = self._tiebreak
         max_events = self._max_events
         send = process.generator.send
         while True:
-            self._events_dispatched += 1
-            if self._events_dispatched > max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events}; "
-                    "likely a runaway simulation"
-                )
             try:
                 effect = send(value)
             except StopIteration as stop:
@@ -464,20 +282,25 @@ class FastEngine(Engine):
             if until is not None and wake > until:
                 self._schedule_entry(process, wake, priority, None)
                 return
-            # `times` empty means no pending entry at all — pump freely.
-            if times:
-                head = queue.peek()
-                if head is not None:
-                    head_when = head[0]
-                    if wake > head_when or (
-                        wake == head_when and priority >= head[1]
-                    ):
-                        # The pending entry dispatches first (older seq
-                        # wins priority ties) — fall back to the queue.
-                        self._schedule_entry(process, wake, priority, None)
-                        return
+            # Prune cancelled entries so the head is the next live event.
+            while heap and heap[0][3] is None:
+                heapq.heappop(heap)
+            if heap:
+                head = heap[0]
+                head_when = head[0]
+                if wake > head_when or (wake == head_when and priority >= head[1]):
+                    # The pending entry dispatches first (older seq wins
+                    # priority ties) — fall back to the heap.
+                    self._schedule_entry(process, wake, priority, None)
+                    return
             self.now = wake
             value = None
+            self._events_dispatched += 1
+            if self._events_dispatched > max_events:
+                raise SimulationError(
+                    f"exceeded max_events={max_events}; "
+                    "likely a runaway simulation"
+                )
 
     # -- effects and wakeups -------------------------------------------------
 

@@ -52,25 +52,6 @@ def test_register_preset_extends_the_registry():
         del presets._REGISTRY["test-tiny"]
 
 
-# -- deprecation shims ------------------------------------------------------
-
-
-def test_gtx280_shim_warns_and_forwards():
-    from repro.gpu.config import gtx280
-
-    with pytest.warns(DeprecationWarning, match="get_preset"):
-        cfg = gtx280()
-    assert cfg == get_preset("gtx280")
-
-
-def test_fermi_class_shim_warns_and_forwards():
-    from repro.gpu.presets import fermi_class
-
-    with pytest.warns(DeprecationWarning, match="get_preset"):
-        cfg = fermi_class()
-    assert cfg == get_preset("fermi_class")
-
-
 # -- fermi_class ------------------------------------------------------------
 
 

@@ -1,8 +1,5 @@
 """Tests for process cancellation in the engine."""
 
-
-import pytest
-
 from repro.simcore import (
     Acquire,
     Cancelled,
@@ -15,7 +12,6 @@ from repro.simcore import (
     Signal,
     Spawn,
     WaitUntil,
-    make_engine,
 )
 
 
@@ -293,11 +289,9 @@ def test_cancelling_a_join_blocked_process_detaches_it():
 # the heap, visible to nothing but still popped and compared.  Both
 # engines now tombstone the entry in place; these regressions pin the
 # observable consequences — cancel-then-reschedule at the *same*
-# timestamp, and pending_events counting live wakeups only.
-
-@pytest.fixture(params=["reference", "fast"])
-def any_engine(request):
-    return make_engine(request.param)
+# timestamp, and pending_events counting live wakeups only.  The
+# ``any_engine`` fixture (tests/simcore/conftest.py) runs each of them
+# under both event cores.
 
 
 def test_cancel_then_respawn_at_same_timestamp(any_engine):

@@ -1,9 +1,12 @@
 """Unit tests for the discrete-event engine."""
 
+import random
+
 import pytest
 
 from repro.errors import DeadlockError, ProcessError, SimulationError
 from repro.simcore import (
+    ENGINE_MODES,
     Acquire,
     Delay,
     Engine,
@@ -15,6 +18,7 @@ from repro.simcore import (
     Signal,
     Spawn,
     WaitUntil,
+    make_engine,
 )
 
 
@@ -335,15 +339,16 @@ def test_spawn_non_generator_raises():
 
 
 def test_run_until_horizon_stops_early():
-    eng = Engine()
+    for mode in ENGINE_MODES:
+        eng = make_engine(mode)
 
-    def proc():
-        yield Delay(100)
+        def proc():
+            yield Delay(100)
 
-    eng.spawn(proc())
-    assert eng.run(until=50) == 50
-    # remaining work still completes on a follow-up run
-    assert eng.run() == 100
+        eng.spawn(proc())
+        assert eng.run(until=50) == 50
+        # remaining work still completes on a follow-up run
+        assert eng.run() == 100
 
 
 def test_run_not_reentrant():
@@ -491,55 +496,101 @@ def test_cancelled_wakeups_do_not_inflate_final_time():
 
 def test_cancelled_wakeup_beyond_horizon_does_not_pause_run():
     """A dead entry past the horizon is skipped, not treated as progress."""
-    eng = Engine()
-    done = []
+    for mode in ENGINE_MODES:
+        eng = make_engine(mode)
+        done = []
 
-    def sleeper():
-        yield Delay(1_000_000)
+        def sleeper():
+            yield Delay(1_000_000)
 
-    def worker():
-        yield Delay(5)
-        done.append(eng.now)
+        def worker():
+            yield Delay(5)
+            done.append(eng.now)
 
-    s = eng.spawn(sleeper())
-    eng.cancel(s, "immediately")
-    eng.spawn(worker())
-    assert eng.run(until=100) == 5
-    assert done == [5]
+        s = eng.spawn(sleeper())
+        eng.cancel(s, "immediately")
+        eng.spawn(worker())
+        assert eng.run(until=100) == 5
+        assert done == [5]
 
 
 def test_blocked_processes_lists_parked_only():
-    eng = Engine()
-    sig = Signal("s")
+    for mode in ENGINE_MODES:
+        eng = make_engine(mode)
+        sig = Signal("s")
 
-    def waiter():
-        yield WaitUntil(sig, lambda: False, "the flag")
+        def waiter():
+            yield WaitUntil(sig, lambda: False, "the flag")
 
-    def sleeper():
-        yield Delay(500)
+        def sleeper():
+            yield Delay(500)
 
-    eng.spawn(waiter(), name="w")
-    eng.spawn(sleeper(), name="zz")
-    eng.run(until=100)
-    blocked = eng.blocked_processes
-    assert len(blocked) == 1
-    name, reason = blocked[0]
-    assert name == "w" and "the flag" in reason
+        eng.spawn(waiter(), name="w")
+        eng.spawn(sleeper(), name="zz")
+        eng.run(until=100)
+        blocked = eng.blocked_processes
+        assert len(blocked) == 1
+        name, reason = blocked[0]
+        assert name == "w" and "the flag" in reason
 
 
 def test_pending_events_counts_live_wakeups_and_ignores():
-    eng = Engine()
-    sig = Signal("s")
+    for mode in ENGINE_MODES:
+        eng = make_engine(mode)
+        sig = Signal("s")
 
-    def waiter():
-        yield WaitUntil(sig, lambda: False, "forever")
+        def waiter():
+            yield WaitUntil(sig, lambda: False, "forever")
 
-    def sleeper():
-        yield Delay(500)
+        def sleeper():
+            yield Delay(500)
 
-    eng.spawn(waiter(), name="w")
-    zz = eng.spawn(sleeper(), name="zz")
-    eng.run(until=100)
-    # The sleeper's 500 ns wakeup is pending; the waiter has none.
-    assert eng.pending_events() == 1
-    assert eng.pending_events(ignore=(zz,)) == 0
+        eng.spawn(waiter(), name="w")
+        zz = eng.spawn(sleeper(), name="zz")
+        eng.run(until=100)
+        # The sleeper's 500 ns wakeup is pending; the waiter has none.
+        assert eng.pending_events() == 1
+        assert eng.pending_events(ignore=(zz,)) == 0
+
+
+def test_pumped_delay_chain_across_horizon_matches_reference():
+    """A Delay chain the fast engine pumps in place, paused mid-chain.
+
+    A rival wakes at t=50, the same timestamp as the chain's fifth
+    wakeup, so the pump meets a tie at the heap head; the seeded
+    tiebreak decides who goes first.  After the rival finishes the
+    chain runs alone (pumped) until its next wakeup crosses ``until``.
+    Both engines must pause with the same next event, then finish with
+    the same clock, event count, dispatch log and PRNG position.
+    """
+
+    def drive(mode, seed, until):
+        rng = random.Random(seed)
+        eng = make_engine(mode, tiebreak=rng.random)
+        log = []
+
+        def chain():
+            for _ in range(20):
+                yield Delay(10)
+                log.append(("chain", eng.now))
+
+        def rival():
+            yield Delay(50)
+            log.append(("rival", eng.now))
+
+        eng.spawn(rival(), name="rival")
+        eng.spawn(chain(), name="chain")
+        paused = eng.run(until=until)
+        head = eng.next_event_time()
+        final = eng.run()
+        return paused, head, final, eng.events_dispatched, log, rng.random()
+
+    orders = set()
+    for seed in range(8):
+        for until in (120, 125):
+            ref = drive("reference", seed, until)
+            assert drive("fast", seed, until) == ref
+            assert ref[:4] == (until, 130, 200, 23)
+            log = ref[4]
+            orders.add(log.index(("rival", 50)) < log.index(("chain", 50)))
+    assert orders == {True, False}  # the tie went each way at least once

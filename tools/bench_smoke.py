@@ -4,7 +4,7 @@ Races ``engine_mode="fast"`` against the reference oracle on every
 canonical engine workload (:data:`repro.harness.perf.ENGINE_WORKLOADS`)
 and exits non-zero when any speedup falls below the noise band — the
 ``engine-equiv`` job's tripwire for "the fast path quietly became a slow
-path".  ``compare_modes`` itself refuses to report if the two engines
+path".  ``compare`` itself refuses to report if the two engines
 disagree on event count or final virtual clock, so a correctness
 regression fails this script too.
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 import sys
 
 from repro.errors import ExperimentError
-from repro.harness.perf import ENGINE_WORKLOADS, compare_modes
+from repro.harness.perf import ENGINE_WORKLOADS, compare
 
 #: minimum acceptable fast/reference speedup on any workload.
 NOISE_FLOOR = 0.9
@@ -29,9 +29,9 @@ NOISE_FLOOR = 0.9
 
 def main() -> int:
     failures = []
-    for name, build in ENGINE_WORKLOADS.items():
+    for name, workload in ENGINE_WORKLOADS.items():
         try:
-            result = compare_modes(build)
+            result = compare(workload)
         except ExperimentError as exc:
             print(f"{name}: DIVERGED - {exc}", file=sys.stderr)
             failures.append(name)
