@@ -11,9 +11,8 @@ makes it the best *decentralized* barrier.
 """
 
 from benchmarks.conftest import save_report
-from repro.algorithms import MeanMicrobench, PrefixSum
-from repro.harness import run
-from repro.harness.phases import compute_only, sync_time_ns
+from repro.algorithms import PrefixSum
+from repro.harness import probe_barrier_cost, run
 from repro.harness.report import format_table
 
 ROUNDS = 100
@@ -33,14 +32,11 @@ def test_extension_barriers_micro(benchmark):
     """Per-round barrier cost of all six device barriers at 30 blocks."""
 
     def measure():
-        micro = MeanMicrobench(rounds=ROUNDS, num_blocks_hint=BLOCKS)
-        null = compute_only(micro, BLOCKS)
-        costs = {}
-        for strat in DEVICE_BARRIERS:
-            result = run(micro, strat, BLOCKS)
-            assert result.verified
-            costs[strat] = sync_time_ns(result, null) / ROUNDS
-        return costs
+        # The probe verifies every run; a wrong answer raises.
+        return {
+            strat: probe_barrier_cost(strat, BLOCKS, probe_rounds=ROUNDS)
+            for strat in DEVICE_BARRIERS
+        }
 
     costs = benchmark.pedantic(measure, rounds=1, iterations=1)
     # The expected ranking at 30 blocks.

@@ -15,12 +15,9 @@ expectations, which this bench asserts:
 """
 
 from benchmarks.conftest import save_report
-from repro.algorithms import MeanMicrobench
 from repro.gpu.presets import get_preset
-from repro.gpu.presets import get_preset
-from repro.harness.phases import compute_only, sync_time_ns
+from repro.harness.phases import probe_barrier_cost
 from repro.harness.report import format_table
-from repro.harness.runner import run
 
 ROUNDS = 100
 STRATEGIES = ("cpu-implicit", "gpu-simple", "gpu-tree-2", "gpu-lockfree")
@@ -28,14 +25,11 @@ STRATEGIES = ("cpu-implicit", "gpu-simple", "gpu-tree-2", "gpu-lockfree")
 
 def _barrier_costs(config):
     blocks = config.num_sms  # each device's full co-residency
-    micro = MeanMicrobench(rounds=ROUNDS, num_blocks_hint=blocks)
-    null = compute_only(micro, blocks, config=config)
-    out = {}
-    for strat in STRATEGIES:
-        result = run(micro, strat, blocks, config=config)
-        assert result.verified
-        out[strat] = sync_time_ns(result, null) / ROUNDS
-    return blocks, out
+    # The probe verifies every run; a wrong answer raises.
+    return blocks, {
+        strat: probe_barrier_cost(strat, blocks, config, ROUNDS)
+        for strat in STRATEGIES
+    }
 
 
 def test_generations(benchmark):

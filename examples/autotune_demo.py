@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
-"""Strategy selection three ways: model, probe, and brute force.
+"""Strategy selection two ways: the cost model and brute force.
 
 For a workload/grid configuration, compare:
 
-1. the **advisor** (pure Eq. 2–9 model, zero measurement);
-2. the **auto-tuner** (probe each barrier for a few rounds, predict the
-   rest);
-3. **brute force** (run the full workload under every strategy).
+1. the **model** (:func:`repro.model.tune.predict_all`: Eqs. 3–9 over
+   the workload's per-round compute profile, zero measurement);
+2. **brute force** (run the full workload under every strategy).
 
-All three should agree on the winner; the point is the cost: the model
-is free, the probe costs microseconds of simulated time, brute force
-costs the whole workload × strategies.
+Both should agree on the winner; the point is the cost: the model is
+free, brute force costs the whole workload × strategies.  ``repro tune
+--measure`` is the same check from the command line.
 
 Usage::
 
@@ -18,9 +17,8 @@ Usage::
 """
 
 from repro import PrefixSum, run
-from repro.harness.autotune import autotune
 from repro.harness.report import format_table
-from repro.model.advisor import recommend
+from repro.model.tune import MODELED_STRATEGIES, predict_all
 
 NUM_BLOCKS = 30
 
@@ -29,45 +27,34 @@ def main() -> None:
     scan = PrefixSum(n=2**13)
     rounds = scan.num_rounds()
 
-    # 1. the analytic advisor
+    # 1. the model, over the slowest block's cost in each round
     per_round = [
         max(scan.round_cost(r, b, NUM_BLOCKS) for b in range(NUM_BLOCKS))
         for r in range(rounds)
     ]
-    advised = recommend(rounds, per_round, NUM_BLOCKS)
+    predicted = predict_all(rounds, per_round, NUM_BLOCKS)
+    model_pick = min(predicted, key=predicted.get)
 
-    # 2. the probing auto-tuner
-    tuned = autotune(scan, NUM_BLOCKS)
-
-    # 3. brute force
+    # 2. brute force
     measured = {
         name: run(scan, name, num_blocks=NUM_BLOCKS).total_ns
-        for name, _ in tuned.ranking()
+        for name in MODELED_STRATEGIES
     }
     brute = min(measured, key=measured.get)
 
-    rows = []
-    for name, predicted in tuned.ranking():
-        rows.append(
-            [
-                name,
-                f"{dict(advised.ranking).get(name, float('nan'))/1e6:.3f}",
-                f"{predicted/1e6:.3f}",
-                f"{measured[name]/1e6:.3f}",
-            ]
-        )
+    rows = [
+        [name, f"{predicted[name]/1e6:.3f}", f"{measured[name]/1e6:.3f}"]
+        for name in sorted(predicted, key=predicted.get)
+    ]
     print(
         format_table(
-            ["strategy", "advisor (ms)", "autotune (ms)", "measured (ms)"],
+            ["strategy", "model (ms)", "measured (ms)"],
             rows,
             title=f"Prefix scan n={scan.n}, {NUM_BLOCKS} blocks, {rounds} rounds",
         )
     )
-    print(
-        f"\nadvisor picks {advised.strategy!r}, auto-tuner picks "
-        f"{tuned.strategy!r}, brute force confirms {brute!r}"
-    )
-    assert advised.strategy == tuned.strategy == brute
+    print(f"\nmodel picks {model_pick!r}, brute force confirms {brute!r}")
+    assert model_pick == brute
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from typing import Generator
 import numpy as np
 
 from repro import BitonicSort, FFT, SmithWaterman, run
-from repro.harness.autotune import probe_barrier_cost
+from repro.harness import probe_barrier_cost
 from repro.harness.report import format_table
 from repro.simcore.effects import WaitSpec
 from repro.sync.base import SyncStrategy, register_strategy

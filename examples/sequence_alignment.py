@@ -7,9 +7,9 @@ parallel across blocks, with a grid-wide barrier between diagonals —
 the workload where the paper measured a ~50 % synchronization share and
 a 24 % end-to-end win for the lock-free barrier.
 
-Also demonstrates the strategy *advisor* (the paper's future-work item):
-given the workload's measured per-round computation time, the Eq. 2–9
-models predict which barrier to use before running anything.
+Also demonstrates the cost model's strategy pick (the paper's
+future-work item): given the workload's per-round computation time,
+the Eq. 3–9 models predict which barrier to use before running anything.
 
 Usage::
 
@@ -21,7 +21,7 @@ import sys
 from repro import SmithWaterman, run
 from repro.harness.phases import breakdown, compute_only
 from repro.harness.report import format_table
-from repro.model.advisor import recommend
+from repro.model.tune import predict_all
 
 
 def main() -> None:
@@ -30,15 +30,17 @@ def main() -> None:
     algo = SmithWaterman(n, m)
     num_blocks = 30
 
-    # --- ask the advisor first -------------------------------------------
+    # --- ask the model first ---------------------------------------------
     per_round = [
         max(algo.round_cost(r, b, num_blocks) for b in range(num_blocks))
         for r in range(algo.num_rounds())
     ]
-    rec = recommend(algo.num_rounds(), per_round, num_blocks)
+    predicted = predict_all(algo.num_rounds(), per_round, num_blocks)
+    model_pick = min(predicted, key=predicted.get)
+    rho = sum(per_round) / predicted["cpu-implicit"]
     print(
-        f"Advisor: ρ = {rec.rho:.2f} → predicted best strategy is "
-        f"{rec.strategy!r} at {rec.predicted_ns / 1e6:.3f} ms\n"
+        f"Model: ρ = {rho:.2f} → predicted best strategy is "
+        f"{model_pick!r} at {predicted[model_pick] / 1e6:.3f} ms\n"
     )
 
     # --- then measure ------------------------------------------------------
@@ -68,7 +70,7 @@ def main() -> None:
         )
     )
     best_measured = min(rows, key=lambda r: float(r[1]))[0]
-    print(f"\nMeasured best: {best_measured!r}; advisor said {rec.strategy!r}.")
+    print(f"\nMeasured best: {best_measured!r}; model said {model_pick!r}.")
 
     # --- and the actual alignment (sequential trace-back, §6.2) -----------
     from repro.algorithms import traceback

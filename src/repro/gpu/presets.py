@@ -53,7 +53,6 @@ __all__ = [
     "get_preset",
     "preset_names",
     "register_preset",
-    "resolve_timing_context",
 ]
 
 _REGISTRY: Dict[str, Callable[[], DeviceConfig]] = {}
@@ -87,18 +86,6 @@ def get_preset(
 def preset_names() -> List[str]:
     """All registered preset names, sorted."""
     return sorted(_REGISTRY)
-
-
-def resolve_timing_context(name: str) -> "tuple[CalibratedTimings, Topology]":
-    """A preset's ``(calibrated timings, topology)`` for the model layer.
-
-    The analytic models (:mod:`repro.model`) consume exactly these two
-    ingredients of a device; resolving them through one seam keeps the
-    advisor and ``repro tune`` from re-deriving them ad hoc — and gives
-    tests a single point to stub a preset's timing context.
-    """
-    config = get_preset(name)
-    return config.timings, config.topology
 
 
 # ---------------------------------------------------------------------------

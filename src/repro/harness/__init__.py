@@ -5,7 +5,8 @@
 * :mod:`repro.harness.resilient` — retry-with-backoff and graceful
   degradation around the runner (the fault-tolerant execution path).
 * :mod:`repro.harness.phases` — the paper's §7.3 phase-accounting
-  methodology (sync time = total − compute-only run).
+  methodology (sync time = total − compute-only run) and the per-round
+  barrier-cost probe built on it.
 * :mod:`repro.harness.experiments` — drivers for Table 1, Fig. 11,
   Fig. 13a–c, Fig. 14a–c, Fig. 15, the headline speedups and the
   model-validation study.
@@ -15,9 +16,14 @@
 * :mod:`repro.harness.cli` — ``python -m repro.harness <experiment>``.
 """
 
-from repro.harness.autotune import TuneResult, autotune, probe_barrier_cost
 from repro.harness.perf import compare, load_bench, measure, render_bench
-from repro.harness.phases import Breakdown, breakdown, compute_only, sync_time_ns
+from repro.harness.phases import (
+    Breakdown,
+    breakdown,
+    compute_only,
+    probe_barrier_cost,
+    sync_time_ns,
+)
 from repro.harness.resilient import DegradePolicy, RetryPolicy
 from repro.harness.runner import RaceMonitor, RecoveryEvent, RunResult, run
 from repro.harness.stats import RunStatistics, repeat_run, summarize
@@ -30,8 +36,6 @@ __all__ = [
     "RetryPolicy",
     "RunResult",
     "RunStatistics",
-    "TuneResult",
-    "autotune",
     "breakdown",
     "compare",
     "compute_only",

@@ -137,28 +137,22 @@ def _fig13_14(args: argparse.Namespace, sync: bool, executor=None, cfg=None) -> 
 
 def _extensions_study(args: argparse.Namespace, cfg=None) -> str:
     """Compare all six device barriers on the micro-benchmark."""
-    from repro.algorithms import MeanMicrobench
-    from repro.harness.phases import compute_only, sync_time_ns
-    from repro.harness.runner import run
+    from repro.harness.phases import probe_barrier_cost
 
     cfg = cfg or get_preset("gtx280")
     limit = cfg.topology.max_co_resident_blocks(cfg)
     rounds, blocks = min(args.rounds, 200), min(30, limit)
-    micro = MeanMicrobench(rounds=rounds, num_blocks_hint=blocks)
-    null = compute_only(micro, blocks, config=cfg)
-    rows = []
-    for strat in (
-        "gpu-simple",
-        "gpu-sense-reversal",
-        "gpu-tree-2",
-        "gpu-tree-3",
-        "gpu-dissemination",
-        "gpu-lockfree",
-    ):
-        result = run(micro, strat, blocks, config=cfg)
-        rows.append(
-            (strat, sync_time_ns(result, null) / rounds)
+    rows = [
+        (strat, probe_barrier_cost(strat, blocks, cfg, rounds))
+        for strat in (
+            "gpu-simple",
+            "gpu-sense-reversal",
+            "gpu-tree-2",
+            "gpu-tree-3",
+            "gpu-dissemination",
+            "gpu-lockfree",
         )
+    ]
     rows.sort(key=lambda r: r[1])
     return report.format_table(
         ["barrier", "per-round cost (µs)"],

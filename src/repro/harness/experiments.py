@@ -27,15 +27,13 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.algorithms import (
     BitonicSort,
     FFT,
-    MeanMicrobench,
     RoundAlgorithm,
     SmithWaterman,
 )
 from repro.errors import ExperimentError
 from repro.gpu.config import DeviceConfig
 from repro.gpu.presets import get_preset
-from repro.harness.phases import Breakdown, compute_only, sync_time_ns
-from repro.harness.runner import run
+from repro.harness.phases import Breakdown, probe_barrier_cost
 from repro.model.barrier_costs import lockfree_cost, simple_cost, tree_cost
 from repro.parallel import Executor
 from repro.serialization import (
@@ -485,8 +483,9 @@ def model_validation(
     """Measured vs predicted per-round barrier cost (Eqs. 6, 7, 9).
 
     Returns ``{strategy: {N: {"measured": ns, "predicted": ns}}}``.
-    Measured cost is ``(total − compute-only) / rounds`` on the
-    micro-benchmark; predictions come from
+    Measured cost is :func:`~repro.harness.phases.probe_barrier_cost`
+    (``(total − compute-only) / rounds`` on the micro-benchmark);
+    predictions come from
     :mod:`repro.model.barrier_costs`.  The model assumes all blocks hit
     the barrier simultaneously, so measurements may fall slightly below
     predictions for unbalanced trees.
@@ -500,14 +499,13 @@ def model_validation(
         "gpu-tree-3": lambda n: tree_cost(n, 3, timings),
         "gpu-lockfree": lambda n: lockfree_cost(n, timings),
     }
-    micro = MeanMicrobench(rounds=rounds, num_blocks_hint=max(xs))
-    out: Dict[str, Dict[int, Dict[str, float]]] = {}
-    for strat, predict in predictors.items():
-        per_n: Dict[int, Dict[str, float]] = {}
-        for n in xs:
-            null = compute_only(micro, n, config=cfg)
-            result = run(micro, strat, n, config=cfg)
-            measured = sync_time_ns(result, null) / rounds
-            per_n[n] = {"measured": measured, "predicted": float(predict(n))}
-        out[strat] = per_n
-    return out
+    return {
+        strat: {
+            n: {
+                "measured": probe_barrier_cost(strat, n, cfg, rounds),
+                "predicted": float(predict(n)),
+            }
+            for n in xs
+        }
+        for strat, predict in predictors.items()
+    }

@@ -8,7 +8,9 @@ we assume its computation time is the same as the others."
 
 :func:`compute_only` is the removed-barrier run (the ``null`` strategy);
 :func:`sync_time_ns` and :func:`breakdown` derive synchronization time
-and the Fig. 15 percentage split from it.
+and the Fig. 15 percentage split from it; :func:`probe_barrier_cost`
+applies the same subtraction to a micro-benchmark to measure one
+barrier's per-round cost.
 """
 
 from __future__ import annotations
@@ -17,11 +19,19 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.algorithms.base import RoundAlgorithm
-from repro.errors import ExperimentError
+from repro.algorithms.microbench import MeanMicrobench
+from repro.errors import ConfigError, ExperimentError
 from repro.gpu.config import DeviceConfig
+from repro.gpu.presets import get_preset
 from repro.harness.runner import RunResult, run
 
-__all__ = ["Breakdown", "breakdown", "compute_only", "sync_time_ns"]
+__all__ = [
+    "Breakdown",
+    "breakdown",
+    "compute_only",
+    "probe_barrier_cost",
+    "sync_time_ns",
+]
 
 
 def compute_only(
@@ -59,6 +69,28 @@ def sync_time_ns(result: RunResult, compute_only_result: RunResult) -> int:
             f"({result.num_blocks} vs {compute_only_result.num_blocks})"
         )
     return result.total_ns - compute_only_result.total_ns
+
+
+def probe_barrier_cost(
+    strategy: str,
+    num_blocks: int,
+    config: Optional[DeviceConfig] = None,
+    probe_rounds: int = 8,
+) -> float:
+    """Measure one strategy's per-round barrier cost at ``num_blocks``.
+
+    Uses the §7.3 methodology on a minimal weak-scaled kernel: probe
+    total minus compute-only total, divided by rounds.
+    """
+    if probe_rounds < 1:
+        raise ConfigError(f"probe_rounds must be >= 1, got {probe_rounds}")
+    cfg = config or get_preset("gtx280")
+    micro = MeanMicrobench(
+        rounds=probe_rounds, num_blocks_hint=num_blocks, threads_per_block=64
+    )
+    null = compute_only(micro, num_blocks, config=cfg)
+    result = run(micro, strategy, num_blocks, config=cfg)
+    return sync_time_ns(result, null) / probe_rounds
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,15 @@
 """Workload tuning: cost-model-backed strategy advice (``repro tune``).
 
-The advisor (:mod:`repro.model.advisor`) answers "which strategy is
-fastest for this workload?"; this module turns the answer into an
-*auditable report* against the strategy a user actually configured.
-:func:`tune_workload` predicts every strategy's total time under a
-preset's calibrated, topology-resolved timings and — when the
-configured strategy diverges from the recommendation — emits an
-``SC100 suboptimal-strategy`` advisory as a regular
-:class:`~repro.staticcheck.report.StaticFinding`, so CI surfaces tuning
-drift through the same finding pipeline as the linter.
+This module is the one answer to "which strategy is fastest for this
+workload?" — the paper's future-work item, built from its own models.
+:func:`predict_all` uses Eqs. 3–9 to predict the total kernel time
+under every synchronization strategy for a device's calibrated,
+topology-resolved timings.  :func:`tune_workload` turns the fastest
+prediction into an *auditable report* against the strategy a user
+actually configured and — when the configured strategy diverges from
+the model's pick — emits an ``SC100 suboptimal-strategy`` advisory as
+a regular :class:`~repro.staticcheck.report.StaticFinding`, so CI
+surfaces tuning drift through the same finding pipeline as the linter.
 
 With ``measure=True`` the report also validates the model against the
 simulator: every modeled strategy runs the workload's microbenchmark
@@ -24,14 +25,22 @@ Serialization uses the shared schema-3 envelope under the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.errors import ConfigError
-from repro.gpu.presets import get_preset, resolve_timing_context
-from repro.model.advisor import Recommendation, recommend
+from repro.gpu.config import DeviceConfig
+from repro.gpu.presets import get_preset
+from repro.model.barrier_costs import lockfree_cost, simple_cost, tree_cost
+from repro.model.kernel_time import (
+    cpu_explicit_time,
+    cpu_implicit_time,
+    gpu_sync_time,
+)
 from repro.staticcheck.report import StaticFinding
 
-__all__ = ["MODELED_STRATEGIES", "TuneReport", "tune_workload"]
+__all__ = ["MODELED_STRATEGIES", "TuneReport", "predict_all", "tune_workload"]
+
+Number = Union[int, float]
 
 #: every strategy the cost model predicts (Eqs. 3–9); all are
 #: registered under the same names, so the measured sweep can run each.
@@ -43,6 +52,43 @@ MODELED_STRATEGIES = (
     "gpu-tree-3",
     "gpu-lockfree",
 )
+
+
+def predict_all(
+    rounds: int,
+    compute_ns: Union[Number, Sequence[Number]],
+    num_blocks: int,
+    config: Optional[DeviceConfig] = None,
+) -> Dict[str, float]:
+    """Predicted total time (ns) for every strategy at this configuration.
+
+    ``compute_ns`` is the per-round computation time, or a sequence of
+    per-round costs.  ``config`` (default: the ``gtx280`` preset) supplies
+    the calibrated timings *and* the topology, so multi-domain presets
+    (``dual_gpu``, ``riscv_cluster_1024``) charge the interconnect
+    crossings their barriers would really pay.  For a what-if on other
+    timings, pass ``dataclasses.replace(config, timings=...)``.
+    """
+    if num_blocks < 1:
+        raise ConfigError(f"num_blocks must be >= 1, got {num_blocks}")
+    cfg = config or get_preset("gtx280")
+    t, topo = cfg.timings, cfg.topology
+    return {
+        "cpu-explicit": cpu_explicit_time(rounds, compute_ns, t),
+        "cpu-implicit": cpu_implicit_time(rounds, compute_ns, t),
+        "gpu-simple": gpu_sync_time(
+            rounds, compute_ns, simple_cost(num_blocks, t, topology=topo), t
+        ),
+        "gpu-tree-2": gpu_sync_time(
+            rounds, compute_ns, tree_cost(num_blocks, 2, t, topology=topo), t
+        ),
+        "gpu-tree-3": gpu_sync_time(
+            rounds, compute_ns, tree_cost(num_blocks, 3, t, topology=topo), t
+        ),
+        "gpu-lockfree": gpu_sync_time(
+            rounds, compute_ns, lockfree_cost(num_blocks, t, topology=topo), t
+        ),
+    }
 
 
 @dataclass
@@ -216,20 +262,16 @@ def tune_workload(
             f"cannot tune unmodeled strategy {configured!r}; "
             f"modeled: {', '.join(MODELED_STRATEGIES)}"
         )
-    timings, _ = resolve_timing_context(preset)
-    config = get_preset(preset)
-    rec: Recommendation = recommend(
-        rounds, compute_ns, num_blocks, timings, config=config
-    )
-    predictions = dict(rec.ranking)
+    predictions = predict_all(rounds, compute_ns, num_blocks, get_preset(preset))
+    recommended = min(predictions, key=lambda s: predictions[s])
     advisory: Optional[StaticFinding] = None
-    if configured != rec.strategy:
-        ratio = predictions[configured] / predictions[rec.strategy]
+    if configured != recommended:
+        ratio = predictions[configured] / predictions[recommended]
         advisory = StaticFinding(
             code="SC100",
             message=(
                 f"configured strategy '{configured}' is predicted "
-                f"{ratio:.2f}x slower than '{rec.strategy}' for this "
+                f"{ratio:.2f}x slower than '{recommended}' for this "
                 f"workload on preset '{preset}'"
             ),
             file=f"<workload:{preset}>",
@@ -242,9 +284,9 @@ def tune_workload(
         num_blocks=num_blocks,
         preset=preset,
         configured=configured,
-        recommended=rec.strategy,
+        recommended=recommended,
         predictions=predictions,
-        rho=rec.rho,
+        rho=compute_ns * rounds / predictions["cpu-implicit"],
         advisory=advisory,
     )
     if measure:

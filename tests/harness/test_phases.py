@@ -3,10 +3,15 @@
 import pytest
 
 from repro.algorithms import MeanMicrobench
-from repro.errors import ExperimentError
+from repro.errors import ConfigError, ExperimentError
 from repro.harness import run
-from repro.harness.phases import breakdown, compute_only, sync_time_ns
-from repro.model.barrier_costs import lockfree_cost
+from repro.harness.phases import (
+    breakdown,
+    compute_only,
+    probe_barrier_cost,
+    sync_time_ns,
+)
+from repro.model.barrier_costs import lockfree_cost, simple_cost
 
 
 @pytest.fixture
@@ -58,3 +63,19 @@ def test_breakdown_orders_strategies(micro):
     implicit = breakdown(run(micro, "cpu-implicit", 8), null)
     lockfree = breakdown(run(micro, "gpu-lockfree", 8), null)
     assert implicit.sync_pct > lockfree.sync_pct
+
+
+def test_probe_matches_known_costs():
+    assert probe_barrier_cost("gpu-lockfree", 16) == lockfree_cost(16)
+    assert probe_barrier_cost("gpu-simple", 16) == simple_cost(16)
+
+
+def test_probe_cpu_implicit():
+    cost = probe_barrier_cost("cpu-implicit", 8, probe_rounds=10)
+    # total-minus-null attributes (R-1)/R of the boundary per round.
+    assert 5000 <= cost <= 6000
+
+
+def test_probe_validation():
+    with pytest.raises(ConfigError):
+        probe_barrier_cost("gpu-lockfree", 8, probe_rounds=0)

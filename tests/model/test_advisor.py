@@ -1,9 +1,14 @@
-"""Tests for the strategy advisor (future-work module)."""
+"""Tests for the cost model's strategy pick (``repro.model.tune``)."""
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.model.advisor import predict_all, recommend
+from repro.model.tune import predict_all, tune_workload
+
+
+def _pick(rounds, compute_ns, num_blocks):
+    """The model's report for a workload (configured strategy immaterial)."""
+    return tune_workload(rounds, compute_ns, num_blocks, "cpu-implicit")
 
 
 def test_predict_all_covers_every_strategy():
@@ -20,27 +25,28 @@ def test_predict_all_covers_every_strategy():
 
 
 def test_lockfree_recommended_for_sync_bound_workloads():
-    rec = recommend(rounds=1000, compute_ns=500, num_blocks=30)
-    assert rec.strategy == "gpu-lockfree"
-    assert rec.ranking[0][0] == "gpu-lockfree"
-    assert rec.ranking[-1][0] == "cpu-explicit"
+    report = _pick(rounds=1000, compute_ns=500, num_blocks=30)
+    assert report.recommended == "gpu-lockfree"
+    assert report.ranking()[0][0] == "gpu-lockfree"
+    assert report.ranking()[-1][0] == "cpu-explicit"
 
 
 def test_simple_recommended_for_tiny_grids():
     # At 1–3 blocks the single atomic chain beats lock-free's fixed cost.
-    rec = recommend(rounds=1000, compute_ns=500, num_blocks=2)
-    assert rec.strategy == "gpu-simple"
+    assert _pick(rounds=1000, compute_ns=500, num_blocks=2).recommended == (
+        "gpu-simple"
+    )
 
 
 def test_rho_reported_against_implicit_baseline():
-    rec = recommend(rounds=100, compute_ns=6000, num_blocks=30)
+    report = _pick(rounds=100, compute_ns=6000, num_blocks=30)
     # compute 6000/round vs implicit barrier 6000/round → ρ ≈ 0.5.
-    assert rec.rho == pytest.approx(0.5, abs=0.05)
+    assert report.rho == pytest.approx(0.5, abs=0.05)
 
 
 def test_ranking_sorted_ascending():
-    rec = recommend(rounds=50, compute_ns=1000, num_blocks=16)
-    times = [t for _name, t in rec.ranking]
+    report = _pick(rounds=50, compute_ns=1000, num_blocks=16)
+    times = [t for _name, t in report.ranking()]
     assert times == sorted(times)
 
 

@@ -1,15 +1,17 @@
 """Topology-resolved cost predictions and the ``repro tune`` layer."""
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.algorithms import MeanMicrobench, Reduction
 from repro.errors import ConfigError
-from repro.gpu.presets import get_preset, resolve_timing_context
+from repro.gpu.presets import get_preset, preset_names
 from repro.gpu.topology import Topology
-from repro.model.advisor import predict_all, recommend
+from repro.harness import run
 from repro.model.barrier_costs import lockfree_cost, simple_cost, tree_cost
-from repro.model.tune import MODELED_STRATEGIES, tune_workload
+from repro.model.tune import MODELED_STRATEGIES, predict_all, tune_workload
 
 # ---------------------------------------------------------------------------
 # Topology surcharges on the barrier cost models
@@ -56,8 +58,13 @@ def test_grid_confined_to_one_domain_pays_nothing():
 
 
 # ---------------------------------------------------------------------------
-# The advisor under a device config
+# The model's pick under a device config
 # ---------------------------------------------------------------------------
+
+
+def _recommended(rounds, compute_ns, num_blocks, preset):
+    report = tune_workload(rounds, compute_ns, num_blocks, "gpu-simple", preset)
+    return report.recommended
 
 
 def test_advisor_reproduces_fig11_ordering_on_gtx280():
@@ -65,46 +72,142 @@ def test_advisor_reproduces_fig11_ordering_on_gtx280():
     cfg = get_preset("gtx280")
     preds = predict_all(100, 5_000, 30, config=cfg)
     assert preds["gpu-lockfree"] < preds["gpu-simple"]
-    assert recommend(100, 5_000, 30, config=cfg).strategy == "gpu-lockfree"
+    assert _recommended(100, 5_000, 30, "gtx280") == "gpu-lockfree"
 
 
 def test_advisor_prefers_simple_at_tiny_grids_on_gtx280():
-    cfg = get_preset("gtx280")
-    assert recommend(100, 5_000, 4, config=cfg).strategy == "gpu-simple"
+    assert _recommended(100, 5_000, 4, "gtx280") == "gpu-simple"
 
 
 @pytest.mark.parametrize("preset", ["dual_gpu", "riscv_cluster_1024"])
 def test_recommendation_flips_on_multi_domain_presets(preset):
     """The same 4-block workload that favours gpu-simple on the paper's
     card flips to gpu-lockfree once arrivals cross an interconnect."""
-    cfg = get_preset(preset)
-    assert recommend(100, 5_000, 4, config=cfg).strategy == "gpu-lockfree"
-
-
-def test_advisor_config_resolves_preset_timings():
-    cfg = get_preset("fermi_class")
-    via_config = predict_all(10, 1_000, 8, config=cfg)
-    via_timings = predict_all(10, 1_000, 8, cfg.timings)
-    assert via_config == via_timings  # single-device: topology is a no-op
+    assert _recommended(100, 5_000, 4, preset) == "gpu-lockfree"
 
 
 def test_explicit_timings_win_over_config():
     gtx = get_preset("gtx280")
     dual = get_preset("dual_gpu")
-    preds = predict_all(10, 1_000, 8, gtx.timings, config=dual)
+    what_if = dataclasses.replace(dual, timings=gtx.timings)
+    preds = predict_all(10, 1_000, 8, config=what_if)
     # Timings from gtx280, topology from dual_gpu: lockfree pays exactly
     # the two crossings over its flat-gtx280 prediction.
-    flat = predict_all(10, 1_000, 8, gtx.timings)
+    flat = predict_all(10, 1_000, 8)
     assert preds["gpu-lockfree"] == flat["gpu-lockfree"] + 10 * 2 * 1_500
 
 
-def test_resolve_timing_context_matches_preset():
-    timings, topology = resolve_timing_context("dual_gpu")
-    cfg = get_preset("dual_gpu")
-    assert timings == cfg.timings
-    assert topology == cfg.topology
-    with pytest.raises(ConfigError):
-        resolve_timing_context("no-such-preset")
+#: ``tune_workload(100, 5_000, N, "gpu-simple", preset).predictions`` for
+#: N in {4, 30} clamped to each preset's co-residency limit.  Any change
+#: to these numbers is a change to the cost model and must say why.
+PINNED_PREDICTIONS = {
+    ("dual_gpu", 4): {
+        "cpu-explicit": 1750000.0, "cpu-implicit": 1106500.0,
+        "gpu-lockfree": 972500.0, "gpu-simple": 1093500.0,
+        "gpu-tree-2": 1027500.0, "gpu-tree-3": 1103500.0,
+    },
+    ("dual_gpu", 30): {
+        "cpu-explicit": 1750000.0, "cpu-implicit": 1106500.0,
+        "gpu-lockfree": 972500.0, "gpu-simple": 3667500.0,
+        "gpu-tree-2": 1195500.0, "gpu-tree-3": 1223500.0,
+    },
+    ("fermi_class", 4): {
+        "cpu-explicit": 1350000.0, "cpu-implicit": 904500.0,
+        "gpu-lockfree": 622500.0, "gpu-simple": 564500.0,
+        "gpu-tree-2": 626500.0, "gpu-tree-3": 672500.0,
+    },
+    ("fermi_class", 15): {
+        "cpu-explicit": 1350000.0, "cpu-implicit": 904500.0,
+        "gpu-lockfree": 622500.0, "gpu-simple": 652500.0,
+        "gpu-tree-2": 658500.0, "gpu-tree-3": 704500.0,
+    },
+    ("grid_sync", 4): {
+        "cpu-explicit": 1100000.0, "cpu-implicit": 803000.0,
+        "gpu-lockfree": 573000.0, "gpu-simple": 536000.0,
+        "gpu-tree-2": 576000.0, "gpu-tree-3": 604000.0,
+    },
+    ("grid_sync", 30): {
+        "cpu-explicit": 1100000.0, "cpu-implicit": 803000.0,
+        "gpu-lockfree": 573000.0, "gpu-simple": 640000.0,
+        "gpu-tree-2": 604000.0, "gpu-tree-3": 624000.0,
+    },
+    ("gtx280", 4): {
+        "cpu-explicit": 1750000.0, "cpu-implicit": 1106500.0,
+        "gpu-lockfree": 672500.0, "gpu-simple": 643500.0,
+        "gpu-tree-2": 727500.0, "gpu-tree-3": 803500.0,
+    },
+    ("gtx280", 30): {
+        "cpu-explicit": 1750000.0, "cpu-implicit": 1106500.0,
+        "gpu-lockfree": 672500.0, "gpu-simple": 1267500.0,
+        "gpu-tree-2": 895500.0, "gpu-tree-3": 923500.0,
+    },
+    ("riscv_cluster_1024", 4): {
+        "cpu-explicit": 900000.0, "cpu-implicit": 702000.0,
+        "gpu-lockfree": 596000.0, "gpu-simple": 627000.0,
+        "gpu-tree-2": 654000.0, "gpu-tree-3": 673000.0,
+    },
+    ("riscv_cluster_1024", 30): {
+        "cpu-explicit": 900000.0, "cpu-implicit": 702000.0,
+        "gpu-lockfree": 596000.0, "gpu-simple": 1356000.0,
+        "gpu-tree-2": 982000.0, "gpu-tree-3": 993000.0,
+    },
+}
+
+
+def test_predictions_pinned_for_every_preset():
+    got = {}
+    for preset in preset_names():
+        cfg = get_preset(preset)
+        limit = cfg.topology.max_co_resident_blocks(cfg)
+        for n in (4, 30):
+            report = tune_workload(100, 5_000, min(n, limit), "gpu-simple", preset)
+            got[(preset, min(n, limit))] = report.predictions
+    assert got == PINNED_PREDICTIONS
+
+
+# ---------------------------------------------------------------------------
+# The model's pick over an algorithm's per-round profile, against runs
+# ---------------------------------------------------------------------------
+
+
+def _model_pick(algorithm, num_blocks):
+    """(strategy, predicted total ns) the model picks for ``algorithm``.
+
+    Per-round compute is the slowest block's cost: the barrier releases
+    only when the last block arrives.
+    """
+    profile = [
+        max(algorithm.round_cost(r, b, num_blocks) for b in range(num_blocks))
+        for r in range(algorithm.num_rounds())
+    ]
+    predictions = predict_all(algorithm.num_rounds(), profile, num_blocks)
+    best = min(predictions, key=predictions.get)
+    return best, predictions[best]
+
+
+def test_model_picks_lockfree_for_sync_bound_reduction():
+    algo = Reduction(n=4096, num_blocks_hint=30)
+    assert _model_pick(algo, 30)[0] == "gpu-lockfree"
+
+
+def test_model_picks_simple_for_tiny_grid():
+    micro = MeanMicrobench(rounds=50, num_blocks_hint=2)
+    assert _model_pick(micro, 2)[0] == "gpu-simple"
+
+
+def test_model_prediction_close_to_measurement():
+    """The model's prediction for the winner must track a real run."""
+    micro = MeanMicrobench(rounds=60, num_blocks_hint=16)
+    strategy, predicted = _model_pick(micro, 16)
+    measured = run(micro, strategy, 16).total_ns
+    assert measured == pytest.approx(predicted, rel=0.05)
+
+
+def test_model_pick_is_actually_fastest():
+    """End-to-end: run every modeled strategy; the model's pick wins."""
+    micro = MeanMicrobench(rounds=40, num_blocks_hint=24)
+    totals = {name: run(micro, name, 24).total_ns for name in MODELED_STRATEGIES}
+    assert min(totals, key=totals.get) == _model_pick(micro, 24)[0]
 
 
 # ---------------------------------------------------------------------------
