@@ -13,7 +13,9 @@
 * :mod:`repro.harness.perf` — engine-throughput workloads and the
   schema-versioned ``BENCH_*.json`` protocol behind CI's bench smoke.
 * :mod:`repro.harness.report` — plain-text table/series rendering.
-* :mod:`repro.harness.cli` — ``python -m repro.harness <experiment>``.
+* :mod:`repro.harness.cli` — ``python -m repro.harness <verb>``, one
+  table of verbs; :mod:`repro.harness.params` declares their flags,
+  which the sweep service's job specs share.
 """
 
 from repro.harness.perf import compare, load_bench, measure, render_bench

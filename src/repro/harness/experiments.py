@@ -30,7 +30,7 @@ from repro.algorithms import (
     RoundAlgorithm,
     SmithWaterman,
 )
-from repro.errors import ExperimentError
+from repro.errors import ConfigError, ExperimentError
 from repro.gpu.config import DeviceConfig
 from repro.gpu.presets import get_preset
 from repro.harness.phases import Breakdown, probe_barrier_cost
@@ -329,6 +329,8 @@ def algorithm_sweep(
     Paper sweeps N = 9..30; the default here is the same range with
     ``step=3`` for tractability.
     """
+    if step < 1:
+        raise ConfigError(f"step must be >= 1, got {step}")
     cfg = config or get_preset("gtx280")
     xs = list(blocks) if blocks is not None else list(range(9, cfg.num_sms + 1, step))
     if not xs:

@@ -25,6 +25,8 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, Iterator, List
 
+from repro.errors import ConfigError
+
 __all__ = ["ScheduleFuzzer", "derive_seeds", "fuzz_schedules", "seed_payloads"]
 
 
@@ -36,7 +38,7 @@ def derive_seeds(seed: int, n: int) -> List[int]:
     of 10, so a failure found in a long campaign replays in a short one.
     """
     if n < 0:
-        raise ValueError(f"need n >= 0 schedules, got {n}")
+        raise ConfigError(f"need n >= 0 schedules, got {n}")
     rng = random.Random(seed)
     return [rng.getrandbits(63) for _ in range(n)]
 

@@ -30,26 +30,33 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Union
 
 from repro.errors import ServiceError
+from repro.harness.params import (
+    ALGORITHM,
+    BLOCKS,
+    PLANS,
+    ROUNDS,
+    SCHEDULES,
+    SEED,
+    STEP,
+    STRATEGY,
+    Param,
+)
 
 __all__ = ["RUNNERS", "execute_spec", "runner", "validate_spec"]
 
-#: experiment name -> runner(params, journal_dir, jobs) -> envelope text.
+#: experiment name -> runner(params, executor) -> envelope text.
 RUNNERS: Dict[str, Callable[..., str]] = {}
 
-#: experiment name -> {param name: type} accepted by that runner.
-_PARAM_TYPES: Dict[str, Dict[str, type]] = {
-    "fig11": {"rounds": int},
-    "algorithm-sweep": {"algorithm": str, "step": int},
-    "chaos": {"strategy": str, "plans": int, "seed": int, "blocks": int},
-    "sanitize": {"strategy": str, "schedules": int, "seed": int, "blocks": int},
-}
+#: experiment name -> {param name: the CLI flag it shares type and default with}.
+_PARAMS: Dict[str, Dict[str, Param]] = {}
 
 
-def runner(name: str) -> Callable:
-    """Register an experiment runner under ``name``."""
+def runner(name: str, *params: Param) -> Callable:
+    """Register an experiment runner under ``name``, reading ``params``."""
 
     def register(fn: Callable[..., str]) -> Callable[..., str]:
         RUNNERS[name] = fn
+        _PARAMS[name] = {p.name: p for p in params}
         return fn
 
     return register
@@ -87,7 +94,7 @@ def validate_spec(spec: Any) -> Dict[str, Any]:
             f"'params' must be a JSON object, got {type(params).__name__}",
             kind="spec",
         )
-    allowed = _PARAM_TYPES[experiment]
+    allowed = _PARAMS[experiment]
     for key, value in params.items():
         if key not in allowed:
             raise ServiceError(
@@ -96,10 +103,11 @@ def validate_spec(spec: Any) -> Dict[str, Any]:
                 kind="spec",
             )
         # bool is an int subclass but never a valid count/seed here.
-        if not isinstance(value, allowed[key]) or isinstance(value, bool):
+        kind = allowed[key].type
+        if not isinstance(value, kind) or isinstance(value, bool):
             raise ServiceError(
                 f"parameter {key!r} of experiment {experiment!r} must be "
-                f"{allowed[key].__name__}, got {value!r}",
+                f"{kind.__name__}, got {value!r}",
                 kind="spec",
             )
     return {"experiment": experiment, "params": dict(params)}
@@ -124,62 +132,60 @@ def execute_spec(
     spec = validate_spec(spec)
     cache = ResultCache(cache_dir) if cache_dir is not None else None
     executor = Executor(jobs=jobs, cache=cache, journal_dir=journal_dir)
-    fn = RUNNERS[spec["experiment"]]
-    return fn(spec["params"], executor)
+    name = spec["experiment"]
+    defaults = {key: p.default for key, p in _PARAMS[name].items()}
+    return RUNNERS[name]({**defaults, **spec["params"]}, executor)
 
 
-@runner("fig11")
+@runner("fig11", ROUNDS)
 def _fig11(params: Dict[str, Any], executor: Any) -> str:
     """The paper's micro-benchmark sweep (Fig. 11) → sweep envelope."""
     from repro.harness import experiments
 
     sweep = experiments.fig11(
-        rounds=params.get("rounds", 200), executor=executor, resume="auto"
+        rounds=params["rounds"], executor=executor, resume="auto"
     )
     return sweep.to_json()
 
 
-@runner("algorithm-sweep")
+@runner("algorithm-sweep", ALGORITHM, STEP)
 def _algorithm_sweep(params: Dict[str, Any], executor: Any) -> str:
     """One workload's block sweep (Figs. 13/14) → sweep envelope."""
     from repro.harness import experiments
 
     sweep = experiments.algorithm_sweep(
-        params.get("algorithm", "fft"),
-        step=params.get("step", 3),
-        executor=executor,
+        params["algorithm"], step=params["step"], executor=executor,
         resume="auto",
     )
     return sweep.to_json()
 
 
-@runner("chaos")
+@runner("chaos", STRATEGY, PLANS, SEED, BLOCKS)
 def _chaos(params: Dict[str, Any], executor: Any) -> str:
     """A seeded fault-plan campaign → chaos-report envelope."""
     from repro.faults import chaos_campaign
-    from repro.sanitize import DEFAULT_SEED
 
     report = chaos_campaign(
-        params.get("strategy", "gpu-lockfree"),
-        plans=params.get("plans", 50),
-        seed=params.get("seed", DEFAULT_SEED),
-        num_blocks=params.get("blocks", 8),
+        params["strategy"],
+        plans=params["plans"],
+        seed=params["seed"],
+        num_blocks=params["blocks"],
         executor=executor,
         resume="auto",
     )
     return report.to_json()
 
 
-@runner("sanitize")
+@runner("sanitize", STRATEGY, SCHEDULES, SEED, BLOCKS)
 def _sanitize(params: Dict[str, Any], executor: Any) -> str:
     """A fuzzed-schedule sanitizer run → sanitize-report envelope."""
-    from repro.sanitize import DEFAULT_SEED, sanitize_run
+    from repro.sanitize import sanitize_run
 
     report = sanitize_run(
-        strategy=params.get("strategy", "gpu-lockfree"),
-        num_blocks=params.get("blocks", 8),
-        seed=params.get("seed", DEFAULT_SEED),
-        schedules=params.get("schedules", 25),
+        strategy=params["strategy"],
+        num_blocks=params["blocks"],
+        seed=params["seed"],
+        schedules=params["schedules"],
         executor=executor,
         resume="auto",
     )

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.harness.cli import main
+from repro.harness.cli import VERBS, main
 
 
 def test_models_command(capsys):
@@ -143,12 +143,10 @@ def test_resume_flag_replays_bit_identical(tmp_path, capsys):
 
 
 def test_resume_wrong_run_id_is_typed(tmp_path, capsys):
-    from repro.errors import ExecutorError
-
     jdir = tmp_path / "journal"
-    with pytest.raises(ExecutorError, match="cannot resume"):
-        main(["fig11", "--rounds", "5", "--journal-dir", str(jdir),
-              "--resume", "0" * 16])
+    assert main(["fig11", "--rounds", "5", "--journal-dir", str(jdir),
+                 "--resume", "0" * 16]) == 1
+    assert capsys.readouterr().err.startswith("fig11: cannot resume")
 
 
 def test_interrupted_sweep_exits_130(tmp_path, capsys, monkeypatch):
@@ -228,6 +226,62 @@ def test_tune_measure_runs_the_sweep(capsys):
 
 
 def test_tune_unknown_strategy_fails(capsys):
+    assert main(["tune", "--strategy", "gpu-sense-reversal"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tune: ")
+    assert "unmodeled" in err
+
+
+# -- the verb table -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("verb", [v.name for v in VERBS])
+def test_every_verb_has_help(verb, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["tune", "--strategy", "gpu-sense-reversal"])
-    assert "unmodeled" in str(exc.value)
+        main([verb, "--help"])
+    assert exc.value.code == 0
+    assert f"repro-harness {verb}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig11", "--plans", "3"],
+        ["models", "--cache"],
+        ["serve", "--preset", "gtx280"],
+        ["table1", "--strategy", "gpu-simple"],
+        ["diff", "--jobs", "2", "--baseline", "a", "--current", "b"],
+    ],
+)
+def test_flag_of_another_verb_exits_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig11", "--rounds", "0"],
+        ["trace", "--blocks", "0"],
+        ["extensions", "--rounds", "0"],
+        ["diff", "--baseline", "/missing.json", "--current", "/missing.json"],
+        ["crashtest", "--crash-points", "nope"],
+        ["fig13", "--step", "0", "--algorithms", "fft"],
+        ["fig11", "--rounds", "2", "--jobs", "0"],
+        ["fig11", "--rounds", "2", "--jobs", "-1"],
+    ],
+)
+def test_bad_input_is_a_typed_failure(argv, capsys):
+    """A bad value exits 1 (typed error) or 2 (usage error) with a
+    one-line message naming the verb or flag, never a traceback."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (1, 2)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith(
+        f"{argv[0]}: " if code == 1 else "repro-harness"
+    )

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.algorithms import MeanMicrobench
+from repro.errors import ConfigError
 from repro.harness.runner import run
 from repro.sanitize import SanitizerProbe, ScheduleFuzzer, derive_seeds, fuzz_schedules
 
@@ -18,7 +19,7 @@ def test_derive_seeds_stable_under_count():
 
 
 def test_derive_seeds_rejects_negative_count():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         derive_seeds(0, -1)
 
 

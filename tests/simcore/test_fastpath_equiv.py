@@ -21,6 +21,7 @@ from typing import Any, Optional, Tuple
 import pytest
 
 from repro.algorithms import MeanMicrobench
+from repro.gpu.presets import get_preset, preset_names
 from repro.harness import experiments
 from repro.harness.runner import run
 from repro.sanitize import ScheduleFuzzer, derive_seeds
@@ -197,6 +198,34 @@ def test_fig13_fig14_driver_byte_identical(algorithm):
     kwargs = {"algorithm_name": algorithm, "blocks": [9, 12]}
     assert _driver_json(experiments.fig13, "reference", **kwargs) == _driver_json(
         experiments.fig13, "fast", **kwargs
+    )
+
+
+#: one strategy per barrier family: host, atomic counter, tree, lock-free
+#: and the hierarchical cluster barrier (which must also degenerate
+#: correctly on flat single-domain presets).  Every preset co-resides 4
+#: blocks, and gpu-lockfree needs block_threads >= num_blocks.
+PRESET_STRATEGIES = (
+    "cpu-implicit",
+    "gpu-simple",
+    "gpu-tree-2",
+    "gpu-lockfree",
+    "gpu-cluster-tree",
+)
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_fig11_driver_byte_identical_on_every_preset(preset):
+    """Topology cost paths (interconnect crossings, cooperative
+    co-residency, hierarchical arrivals) are engine-invariant."""
+    kwargs = {
+        "config": get_preset(preset),
+        "rounds": 3,
+        "blocks": [2, 4],
+        "strategies": PRESET_STRATEGIES,
+    }
+    assert _driver_json(experiments.fig11, "reference", **kwargs) == _driver_json(
+        experiments.fig11, "fast", **kwargs
     )
 
 
