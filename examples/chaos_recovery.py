@@ -12,8 +12,8 @@ walks the resilient runtime's full escalation ladder:
    notices that no process can ever make progress again, kills the
    kernel, and raises ``BarrierTimeoutError`` naming the injected hang
    (instead of the terminal ``DeadlockError`` an unguarded run dies of);
-3. ``repro.run(..., retry=..., degrade=...)`` — the resilient path of
-   the unified facade — retries with virtual-time backoff; the hang
+3. ``repro.run(..., retry=..., degrade=...)`` — the same entry point
+   with a recovery policy — retries with virtual-time backoff; the hang
    re-fires every attempt, so it then *degrades*: it swaps the device
    barrier for the host-side ``cpu-implicit`` barrier, which a hung
    barrier round structurally cannot deadlock (the kernel boundary

@@ -60,7 +60,7 @@ def main() -> None:
 
     # A Chrome-tracing timeline of the winner's execution.
     best = rows[0][0]
-    result = run(scan, best, num_blocks=num_blocks, trace=True)
+    result = run(scan, best, num_blocks=num_blocks, keep_device=True)
     path = write_chrome_trace(result.device.trace, "scan_trace.json")
     print(
         f"\nwrote {len(result.device.trace)} spans of the {best!r} run to "

@@ -67,12 +67,12 @@ from repro.gpu import (
     get_preset,
     preset_names,
 )
-from repro.api import run
 from repro.errors import ExecutorError
 from repro.harness import (
     DegradePolicy,
     RetryPolicy,
     RunResult,
+    run,
 )
 from repro.parallel import Executor, ResultCache
 from repro.sanitize import (

@@ -244,7 +244,8 @@ def _plan_record(
     algorithm_factory: Optional[Callable[[int, int], RoundAlgorithm]],
 ) -> ChaosRunRecord:
     """Run one seeded fault plan to its explained (or not) outcome."""
-    from repro.harness.resilient import _run_resilient
+    from repro.harness.resilient import DegradePolicy, RetryPolicy
+    from repro.harness.runner import run
 
     factory = algorithm_factory or _default_algorithm
     plan = FaultPlan.generate(
@@ -257,15 +258,15 @@ def _plan_record(
     error: Optional[str] = None
     explained = True
     try:
-        result = _run_resilient(
+        result = run(
             algorithm,
             strategy,
             num_blocks,
-            retry=retry,
-            degrade=degrade,
+            config=config,
             faults=plan,
             barrier_deadline_ns=barrier_deadline_ns,
-            config=config,
+            retry=retry or RetryPolicy(),
+            degrade=degrade or DegradePolicy(),
         )
         attempts = result.attempts
         if result.degraded:

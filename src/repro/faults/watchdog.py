@@ -111,12 +111,5 @@ class BarrierWatchdog:
                 f"{self.deadline_ns} ns without progress"
             )
             for handle in self.handles:
-                if handle.end_ns is not None or handle.killed:
-                    continue
-                handle.killed = True
-                handle.end_ns = engine.now
-                if handle.process is not None:
-                    engine.cancel(handle.process, reason)
-                for block in handle.block_processes:
-                    engine.cancel(block, reason)
+                handle.kill(engine, reason)
             return

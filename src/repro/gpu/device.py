@@ -170,19 +170,7 @@ class Device:
         if handle.end_ns is not None or handle.killed:
             return
         if self.config.watchdog_action == "kill":
-            # Abort like the real driver: kill the kernel manager and
-            # every block (freeing their SM slots), mark the handle, and
-            # let host code observe the failure via get_last_error().
-            handle.killed = True
-            handle.end_ns = self.engine.now
-            if handle.process is not None:
-                self.engine.cancel(
-                    handle.process, f"watchdog killed {handle.spec.name}"
-                )
-            for block in handle.block_processes:
-                self.engine.cancel(
-                    block, f"watchdog killed {handle.spec.name}"
-                )
+            handle.kill(self.engine, f"watchdog killed {handle.spec.name}")
         else:
             raise KernelTimeoutError(
                 handle.spec.name, watchdog_ns, handle.start_ns or 0
@@ -198,16 +186,10 @@ class Device:
         observes the failure via ``Host.get_last_error()``.
         """
         yield Delay(kill_at_ns)
-        if handle.end_ns is not None or handle.killed:
-            return  # kernel finished first; the kill dissipates
-        self.faults.note_driver_kill_fired()
         reason = f"injected driver-kill of {handle.spec.name} (fault plan)"
-        handle.killed = True
-        handle.end_ns = self.engine.now
-        if handle.process is not None:
-            self.engine.cancel(handle.process, reason)
-        for block in handle.block_processes:
-            self.engine.cancel(block, reason)
+        # A kernel that finished first makes the kill dissipate.
+        if handle.kill(self.engine, reason):
+            self.faults.note_driver_kill_fired()
 
     def _block_process(
         self, spec: KernelSpec, slots, placement, block_id: int

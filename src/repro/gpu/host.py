@@ -31,6 +31,7 @@ from repro.simcore.signal import Signal
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.device import Device
+    from repro.simcore.engine import Engine
 
 __all__ = ["Event", "Host", "KernelHandle", "Stream"]
 
@@ -50,6 +51,23 @@ class KernelHandle:
     block_processes: list = field(default_factory=list)
     #: True when the watchdog aborted this kernel.
     killed: bool = False
+
+    def kill(self, engine: "Engine", reason: str) -> bool:
+        """Abort the kernel like the driver would; False if it already ended.
+
+        Marks the handle killed, stamps ``end_ns`` and cancels the kernel
+        manager and every block (freeing their SM slots); host code
+        observes the failure via ``Host.get_last_error()``.
+        """
+        if self.end_ns is not None or self.killed:
+            return False
+        self.killed = True
+        self.end_ns = engine.now
+        if self.process is not None:
+            engine.cancel(self.process, reason)
+        for block in self.block_processes:
+            engine.cancel(block, reason)
+        return True
 
     @property
     def done(self) -> bool:

@@ -1,10 +1,9 @@
 """The resilient runtime: retry with backoff, then graceful degradation.
 
-:func:`repro.harness.runner.run` is single-attempt: an injected fault or
-a stalled barrier surfaces as one typed exception and the run is lost.
-The resilient path (reached through ``repro.run(..., retry=...,
-degrade=...)``) wraps it in the recovery policy a production driver
-stack would apply:
+Without a policy, :func:`repro.run` is single-attempt: an injected fault
+or a stalled barrier surfaces as one typed exception and the run is
+lost.  Passing ``retry=`` or ``degrade=`` wraps the attempt in the
+recovery policy a production driver stack would apply:
 
 1. **Retry with backoff** (:class:`RetryPolicy`).  A failed attempt's
    kernel has already been killed (by the barrier watchdog or the
@@ -42,9 +41,9 @@ there, with the same retry-then-contain philosophy
 
 from __future__ import annotations
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import Callable, List, Optional, Union
 
-from repro.algorithms.base import RoundAlgorithm, VerificationError
+from repro.algorithms.base import VerificationError
 from repro.errors import (
     BarrierTimeoutError,
     ConfigError,
@@ -53,8 +52,8 @@ from repro.errors import (
     OccupancyError,
     RetryExhaustedError,
 )
-from repro.harness.runner import RecoveryEvent, RunResult, run
-from repro.sync.base import SyncStrategy, get_strategy
+from repro.harness.runner import RecoveryEvent, RunResult
+from repro.sync.base import SyncStrategy
 
 __all__ = ["DegradePolicy", "RetryPolicy"]
 
@@ -103,36 +102,33 @@ class DegradePolicy:
 
 
 def _run_resilient(
-    algorithm: RoundAlgorithm,
-    strategy: Union[str, SyncStrategy],
-    num_blocks: int,
-    retry: Optional[RetryPolicy] = None,
-    degrade: Optional[DegradePolicy] = None,
-    faults=None,
-    barrier_deadline_ns: Optional[int] = None,
-    **run_kwargs,
+    attempt: Callable[[Union[str, SyncStrategy]], RunResult],
+    strategy: SyncStrategy,
+    retry: Optional[RetryPolicy],
+    degrade: Optional[DegradePolicy],
+    faults,
 ) -> RunResult:
-    """Run with retry-with-backoff and graceful degradation.
+    """Drive ``attempt`` with retry-with-backoff and graceful degradation.
 
-    Accepts every keyword :func:`repro.harness.runner.run` accepts.
-    Returns the first successful attempt's :class:`RunResult`, annotated
-    with :attr:`~RunResult.attempts`, :attr:`~RunResult.degraded`,
-    :attr:`~RunResult.retry_overhead_ns` and the full
-    :attr:`~RunResult.recovery` history; raises
+    ``attempt`` is one launch of an already validated configuration
+    under the given strategy (built by :func:`repro.harness.runner.run`
+    when ``retry=`` or ``degrade=`` is passed; a missing policy takes
+    its defaults).  Returns the first successful attempt's
+    :class:`RunResult`, annotated with :attr:`~RunResult.attempts`,
+    :attr:`~RunResult.degraded`, :attr:`~RunResult.retry_overhead_ns`
+    and the full :attr:`~RunResult.recovery` history; raises
     :class:`~repro.errors.RetryExhaustedError` when nothing worked.
     """
-    if isinstance(strategy, str):
-        strategy = get_strategy(strategy)
     retry = retry or RetryPolicy()
     degrade = degrade or DegradePolicy()
 
     events: List[RecoveryEvent] = []
     history: List[str] = []
     overhead_ns = 0
-    attempt = 0
+    attempt_no = 0
 
     def finish(result: RunResult, degraded_from: Optional[str]) -> RunResult:
-        result.attempts = attempt
+        result.attempts = attempt_no
         result.retry_overhead_ns = overhead_ns
         result.total_ns += overhead_ns
         result.recovery = events
@@ -143,32 +139,22 @@ def _run_resilient(
             result.faults_fired = len(faults.fired)
         return result
 
-    while attempt < retry.max_attempts:
-        attempt += 1
+    while attempt_no < retry.max_attempts:
+        attempt_no += 1
         try:
-            return finish(
-                run(
-                    algorithm,
-                    strategy,
-                    num_blocks,
-                    faults=faults,
-                    barrier_deadline_ns=barrier_deadline_ns,
-                    **run_kwargs,
-                ),
-                None,
-            )
+            return finish(attempt(strategy), None)
         except OccupancyError as exc:
             # The grid can never be co-resident: no relaunch helps.
-            history.append(f"attempt {attempt}: {exc}")
+            history.append(f"attempt {attempt_no}: {exc}")
             break
         except _RETRYABLE as exc:
-            history.append(f"attempt {attempt}: {exc}")
-            if attempt >= retry.max_attempts:
+            history.append(f"attempt {attempt_no}: {exc}")
+            if attempt_no >= retry.max_attempts:
                 break
-            backoff = retry.backoff_for(attempt)
+            backoff = retry.backoff_for(attempt_no)
             overhead_ns += backoff
             events.append(
-                RecoveryEvent("retry", attempt, overhead_ns, str(exc))
+                RecoveryEvent("retry", attempt_no, overhead_ns, str(exc))
             )
             if faults is not None:
                 faults.next_attempt()
@@ -178,27 +164,17 @@ def _run_resilient(
         events.append(
             RecoveryEvent(
                 "degrade",
-                attempt,
+                attempt_no,
                 overhead_ns,
                 f"{strategy.name} -> {fallback}",
             )
         )
         if faults is not None:
             faults.next_attempt()
-        attempt += 1
+        attempt_no += 1
         try:
-            return finish(
-                run(
-                    algorithm,
-                    fallback,
-                    num_blocks,
-                    faults=faults,
-                    barrier_deadline_ns=barrier_deadline_ns,
-                    **run_kwargs,
-                ),
-                strategy.name,
-            )
+            return finish(attempt(fallback), strategy.name)
         except (OccupancyError,) + _RETRYABLE as exc:
             history.append(f"fallback {fallback}: {exc}")
 
-    raise RetryExhaustedError(strategy.name, attempt, history)
+    raise RetryExhaustedError(strategy.name, attempt_no, history)

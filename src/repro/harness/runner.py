@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Generator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -102,15 +104,6 @@ class RunResult:
     retry_overhead_ns: int = 0
     #: every resilience action taken, in order.
     recovery: List[RecoveryEvent] = field(default_factory=list)
-    # -- executor-provenance fields (filled by supervised batch runs) --
-    #: process-level re-executions the parallel supervisor forced for
-    #: this task (timeouts, worker deaths) — distinct from ``attempts``,
-    #: which counts *simulated* launch attempts inside one execution.
-    retries: int = 0
-    #: run-id of the journal this result was replayed from, if any.
-    #: In-memory provenance only: excluded from serialization and
-    #: equality so a resumed run stays bit-identical to a fresh one.
-    resumed_from: Optional[str] = field(default=None, compare=False)
 
     @property
     def total_ms(self) -> float:
@@ -127,6 +120,7 @@ def run(
     algorithm: RoundAlgorithm,
     strategy: Union[str, SyncStrategy],
     num_blocks: int,
+    *,
     threads_per_block: Optional[int] = None,
     config: Optional[DeviceConfig] = None,
     verify: bool = True,
@@ -139,6 +133,8 @@ def run(
     faults=None,
     barrier_deadline_ns: Optional[int] = None,
     engine_mode: Optional[str] = None,
+    retry=None,
+    degrade=None,
 ) -> RunResult:
     """Execute ``algorithm`` under ``strategy`` on a fresh device.
 
@@ -149,7 +145,8 @@ def run(
 
     The algorithm is :meth:`~repro.algorithms.base.RoundAlgorithm.reset`
     before running and, unless ``verify=False`` or the strategy is the
-    ``null`` timing stub, verified afterwards.
+    ``null`` timing stub, verified afterwards.  ``keep_device=True``
+    keeps the simulated device (and its event trace) on the result.
 
     ``jitter_pct`` adds hardware-style run-to-run variability: each
     block's round cost is scaled by a lognormal factor with that
@@ -173,181 +170,215 @@ def run(
     :class:`~repro.errors.DeadlockError`, and a kernel killed mid-run
     (the ``driver-kill`` fault) raises
     :class:`~repro.errors.FaultError`.  Both default to off and cost
-    nothing then — this function is single-attempt; recovery (retry,
-    graceful degradation) lives in ``repro.harness.resilient`` (the
-    :func:`repro.run` facade's ``resilient=`` path).
+    nothing then.
+
+    ``retry`` (a :class:`~repro.harness.resilient.RetryPolicy`) and
+    ``degrade`` (a :class:`~repro.harness.resilient.DegradePolicy`) turn
+    on recovery: passing either one relaunches failed attempts, then
+    falls back to the strategy's declared fallback barrier, and a run
+    nothing rescues raises :class:`~repro.errors.RetryExhaustedError`
+    (:mod:`repro.harness.resilient`).  Without them a run is one
+    attempt.
 
     ``engine_mode`` selects the event core ("reference" or "fast" — see
     ``docs/engine.md``); ``None`` defers to
     :func:`repro.simcore.use_engine_mode` / ``REPRO_ENGINE_MODE`` and
     defaults to the reference engine.  Both cores produce bit-identical
     results; the fast core is just faster.
+
+    Malformed inputs raise :class:`~repro.errors.ConfigError` before
+    anything is simulated: a ``num_blocks`` that is not an ``int``,
+    ``threads_per_block`` or ``barrier_deadline_ns`` below 1, and a
+    negative or non-finite ``jitter_pct``.
     """
     if isinstance(strategy, str):
         strategy = get_strategy(strategy)
+    if isinstance(num_blocks, bool) or not isinstance(num_blocks, Integral):
+        raise ConfigError(f"num_blocks must be an int, got {num_blocks!r}")
     cfg = config or get_preset("gtx280")
-    threads = threads_per_block or algorithm.default_threads
+    threads = (
+        algorithm.default_threads if threads_per_block is None else threads_per_block
+    )
+    if threads < 1:
+        raise ConfigError(f"threads_per_block must be >= 1, got {threads}")
     if threads > cfg.max_threads_per_block:
         raise ConfigError(
             f"{threads} threads/block exceeds the device limit "
             f"{cfg.max_threads_per_block}"
         )
-    if jitter_pct < 0:
-        raise ConfigError(f"jitter_pct must be non-negative, got {jitter_pct}")
-    strategy.validate_grid(cfg, num_blocks)
-
-    algorithm.reset()
-    device = Device(cfg, engine_mode=engine_mode, fuzzer=fuzzer, faults=faults)
-    if probe is not None:
-        device.probes.append(probe)
-    host = Host(device)
-    rounds = algorithm.num_rounds()
-    monitor = RaceMonitor(rounds, num_blocks) if monitor_races else None
-
-    # Resilient path: any armed run gets the barrier watchdog, so a
-    # stall surfaces as a typed, recoverable error instead of a
-    # heap-drain DeadlockError.
-    watchdog: Optional[BarrierWatchdog] = None
-    if faults is not None or barrier_deadline_ns is not None:
-        watchdog = BarrierWatchdog(
-            device,
-            barrier_deadline_ns or DEFAULT_BARRIER_DEADLINE_NS,
-            strategy_name=strategy.name,
+    if not math.isfinite(jitter_pct) or jitter_pct < 0:
+        raise ConfigError(
+            f"jitter_pct must be finite and non-negative, got {jitter_pct}"
+        )
+    if barrier_deadline_ns is not None and barrier_deadline_ns < 1:
+        raise ConfigError(
+            f"barrier_deadline_ns must be >= 1, got {barrier_deadline_ns}"
         )
 
-    if jitter_pct > 0:
-        sigma = jitter_pct / 100.0
-        jitter_rng = np.random.default_rng(jitter_seed)
+    def attempt(strategy: Union[str, SyncStrategy]) -> RunResult:
+        """One launch of the validated configuration under ``strategy``."""
+        if isinstance(strategy, str):
+            strategy = get_strategy(strategy)
+        strategy.validate_grid(cfg, num_blocks)
 
-        def jitter(cost: float) -> float:
-            return cost * jitter_rng.lognormal(mean=0.0, sigma=sigma)
+        algorithm.reset()
+        device = Device(cfg, engine_mode=engine_mode, fuzzer=fuzzer, faults=faults)
+        if probe is not None:
+            device.probes.append(probe)
+        host = Host(device)
+        rounds = algorithm.num_rounds()
+        monitor = RaceMonitor(rounds, num_blocks) if monitor_races else None
 
-    else:
-
-        def jitter(cost: float) -> float:
-            return cost
-
-    def work_for(round_idx: int, block_id: int):
-        work = algorithm.round_work(round_idx, block_id, num_blocks)
-        if monitor is None:
-            return work
-        return monitor.wrap(round_idx, block_id, work)
-
-    if strategy.mode == "device":
-        strategy.prepare(device, num_blocks)
-
-        def program(ctx: BlockCtx) -> Generator:
-            for r in range(rounds):
-                cost = jitter(algorithm.round_cost(r, ctx.block_id, num_blocks))
-                yield from ctx.compute(cost, work_for(r, ctx.block_id), round=r)
-                yield from strategy.instrumented_barrier(ctx, r)
-
-        spec = KernelSpec(
-            name=f"{algorithm.name}:{strategy.name}",
-            program=program,
-            grid_blocks=num_blocks,
-            block_threads=threads,
-            shared_mem_per_block=strategy.shared_mem_request(cfg),
-        )
-
-        # The cudaLaunchCooperativeKernel rule: under cooperative
-        # co-residency the topology's ``max_co_resident_blocks`` is only
-        # an upper bound, so validate against the *actual* capacity of
-        # this block shape (occupancy-aware).  Exclusive topologies keep
-        # the paper's behavior untouched: validate_grid above is the
-        # guard, and bypassing it still reaches the engine's own
-        # deadlock detection.  Capacity 0 (a block that cannot be
-        # placed at all) keeps the scheduler's own error.
-        if cfg.topology.co_residency == "cooperative":
-            capacity = device.scheduler.co_resident_capacity(spec)
-            if capacity and num_blocks > capacity:
-                raise OccupancyError(
-                    f"{strategy.name}: {num_blocks} blocks of {threads} "
-                    f"threads exceed the device's co-resident capacity of "
-                    f"{capacity} blocks; a device-side barrier would "
-                    "deadlock (non-preemptive blocks)"
-                )
-
-        def host_program() -> Generator:
-            handle = yield from host.launch(spec)
-            if watchdog is not None:
-                watchdog.watch(handle)
-            yield from host.synchronize()
-            if watchdog is not None:
-                watchdog.disarm()
-
-    else:
-
-        def round_program(ctx: BlockCtx, round_idx: int) -> Generator:
-            cost = jitter(
-                algorithm.round_cost(round_idx, ctx.block_id, num_blocks)
-            )
-            yield from ctx.compute(
-                cost, work_for(round_idx, ctx.block_id), round=round_idx
+        # Resilient path: any armed run gets the barrier watchdog, so a
+        # stall surfaces as a typed, recoverable error instead of a
+        # heap-drain DeadlockError.
+        watchdog: Optional[BarrierWatchdog] = None
+        if faults is not None or barrier_deadline_ns is not None:
+            watchdog = BarrierWatchdog(
+                device,
+                barrier_deadline_ns or DEFAULT_BARRIER_DEADLINE_NS,
+                strategy_name=strategy.name,
             )
 
-        def host_program() -> Generator:
-            for r in range(rounds):
-                spec = KernelSpec(
-                    name=f"{algorithm.name}:r{r}",
-                    program=round_program,
-                    grid_blocks=num_blocks,
-                    block_threads=threads,
-                    params={"round_idx": r},
-                )
+        if jitter_pct > 0:
+            sigma = jitter_pct / 100.0
+            jitter_rng = np.random.default_rng(jitter_seed)
+
+            def jitter(cost: float) -> float:
+                return cost * jitter_rng.lognormal(mean=0.0, sigma=sigma)
+
+        else:
+
+            def jitter(cost: float) -> float:
+                return cost
+
+        def work_for(round_idx: int, block_id: int):
+            work = algorithm.round_work(round_idx, block_id, num_blocks)
+            if monitor is None:
+                return work
+            return monitor.wrap(round_idx, block_id, work)
+
+        if strategy.mode == "device":
+            strategy.prepare(device, num_blocks)
+
+            def program(ctx: BlockCtx) -> Generator:
+                for r in range(rounds):
+                    cost = jitter(algorithm.round_cost(r, ctx.block_id, num_blocks))
+                    yield from ctx.compute(cost, work_for(r, ctx.block_id), round=r)
+                    yield from strategy.instrumented_barrier(ctx, r)
+
+            spec = KernelSpec(
+                name=f"{algorithm.name}:{strategy.name}",
+                program=program,
+                grid_blocks=num_blocks,
+                block_threads=threads,
+                shared_mem_per_block=strategy.shared_mem_request(cfg),
+            )
+
+            # The cudaLaunchCooperativeKernel rule: under cooperative
+            # co-residency the topology's ``max_co_resident_blocks`` is only
+            # an upper bound, so validate against the *actual* capacity of
+            # this block shape (occupancy-aware).  Exclusive topologies keep
+            # the paper's behavior untouched: validate_grid above is the
+            # guard, and bypassing it still reaches the engine's own
+            # deadlock detection.  Capacity 0 (a block that cannot be
+            # placed at all) keeps the scheduler's own error.
+            if cfg.topology.co_residency == "cooperative":
+                capacity = device.scheduler.co_resident_capacity(spec)
+                if capacity and num_blocks > capacity:
+                    raise OccupancyError(
+                        f"{strategy.name}: {num_blocks} blocks of {threads} "
+                        f"threads exceed the device's co-resident capacity of "
+                        f"{capacity} blocks; a device-side barrier would "
+                        "deadlock (non-preemptive blocks)"
+                    )
+
+            def host_program() -> Generator:
                 handle = yield from host.launch(spec)
                 if watchdog is not None:
                     watchdog.watch(handle)
-                if strategy.explicit:
-                    yield from host.synchronize()
-            yield from host.synchronize()
-            if watchdog is not None:
-                watchdog.disarm()
+                yield from host.synchronize()
+                if watchdog is not None:
+                    watchdog.disarm()
 
-    if watchdog is not None:
-        watchdog.arm()
-    device.engine.spawn(host_program(), "host")
-    total_ns = device.run()
+        else:
 
-    if watchdog is not None and watchdog.fired:
-        raise BarrierTimeoutError(
-            strategy.name,
-            watchdog.deadline_ns,
-            watchdog.fired_at or total_ns,
-            watchdog.stuck,
-            faults=[f.description for f in faults.fired] if faults else None,
-        )
-    if faults is not None:
-        # Check the handles, not just the host's sticky error: in host
-        # mode the final synchronize joins only the *last* kernel, so a
-        # kill of an earlier launch never latches last_error.
-        killed = [h for h in host.launches if h.killed]
-        if killed:
-            detail = host.get_last_error() or (
-                f"kernel {killed[0].spec.name!r} was killed"
+            def round_program(ctx: BlockCtx, round_idx: int) -> Generator:
+                cost = jitter(
+                    algorithm.round_cost(round_idx, ctx.block_id, num_blocks)
+                )
+                yield from ctx.compute(
+                    cost, work_for(round_idx, ctx.block_id), round=round_idx
+                )
+
+            def host_program() -> Generator:
+                for r in range(rounds):
+                    spec = KernelSpec(
+                        name=f"{algorithm.name}:r{r}",
+                        program=round_program,
+                        grid_blocks=num_blocks,
+                        block_threads=threads,
+                        params={"round_idx": r},
+                    )
+                    handle = yield from host.launch(spec)
+                    if watchdog is not None:
+                        watchdog.watch(handle)
+                    if strategy.explicit:
+                        yield from host.synchronize()
+                yield from host.synchronize()
+                if watchdog is not None:
+                    watchdog.disarm()
+
+        if watchdog is not None:
+            watchdog.arm()
+        device.engine.spawn(host_program(), "host")
+        total_ns = device.run()
+
+        if watchdog is not None and watchdog.fired:
+            raise BarrierTimeoutError(
+                strategy.name,
+                watchdog.deadline_ns,
+                watchdog.fired_at or total_ns,
+                watchdog.stuck,
+                faults=[f.description for f in faults.fired] if faults else None,
             )
-            raise FaultError(f"kernel killed mid-run: {detail}")
+        if faults is not None:
+            # Check the handles, not just the host's sticky error: in host
+            # mode the final synchronize joins only the *last* kernel, so a
+            # kill of an earlier launch never latches last_error.
+            killed = [h for h in host.launches if h.killed]
+            if killed:
+                detail = host.get_last_error() or (
+                    f"kernel {killed[0].spec.name!r} was killed"
+                )
+                raise FaultError(f"kernel killed mid-run: {detail}")
 
-    verified: Optional[bool] = None
-    if verify and strategy.name != "null":
-        algorithm.verify()  # raises VerificationError on mismatch
-        verified = True
+        verified: Optional[bool] = None
+        if verify and strategy.name != "null":
+            algorithm.verify()  # raises VerificationError on mismatch
+            verified = True
 
-    return RunResult(
-        algorithm=algorithm.name,
-        strategy=strategy.name,
-        num_blocks=num_blocks,
-        threads_per_block=threads,
-        rounds=rounds,
-        total_ns=total_ns,
-        kernel_launches=len(host.launches),
-        verified=verified,
-        violations=len(monitor.violations) if monitor is not None else -1,
-        atomic_ops=device.atomics.ops,
-        trace_compute_ns=device.trace.total("compute"),
-        trace_sync_ns=(
-            device.trace.total("sync") + device.trace.total("sync-overhead")
-        ),
-        device=device if keep_device else None,
-        faults_fired=len(faults.fired) if faults is not None else 0,
-    )
+        return RunResult(
+            algorithm=algorithm.name,
+            strategy=strategy.name,
+            num_blocks=num_blocks,
+            threads_per_block=threads,
+            rounds=rounds,
+            total_ns=total_ns,
+            kernel_launches=len(host.launches),
+            verified=verified,
+            violations=len(monitor.violations) if monitor is not None else -1,
+            atomic_ops=device.atomics.ops,
+            trace_compute_ns=device.trace.total("compute"),
+            trace_sync_ns=(
+                device.trace.total("sync") + device.trace.total("sync-overhead")
+            ),
+            device=device if keep_device else None,
+            faults_fired=len(faults.fired) if faults is not None else 0,
+        )
+
+    if retry is None and degrade is None:
+        return attempt(strategy)
+    from repro.harness.resilient import _run_resilient
+
+    return _run_resilient(attempt, strategy, retry, degrade, faults)

@@ -45,8 +45,6 @@ __all__ = [
     "parse_result",
     "plain",
     "require",
-    "run_result_from_dict",
-    "run_result_to_dict",
 ]
 
 #: current schema of every serialized batch result.  Version 1 was the
@@ -258,36 +256,6 @@ def parse_job_failure(text: str, *, source: str = "<string>") -> Dict[str, Any]:
         )
     require(payload, "id", source)
     return payload
-
-
-def run_result_to_dict(result: Any) -> Dict[str, Any]:
-    """A plain-dict form of a :class:`~repro.harness.runner.RunResult`.
-
-    Drops the (unserializable, optional) ``device`` handle and the
-    in-memory-only ``resumed_from`` provenance; everything else —
-    including recovery events — round-trips losslessly through
-    :func:`run_result_from_dict`, which is what the single-run journal
-    on the :func:`repro.run` facade replays.
-    """
-    body = {
-        k: v
-        for k, v in vars(result).items()
-        if k not in ("device", "resumed_from")
-    }
-    body["recovery"] = [asdict(event) for event in result.recovery]
-    return plain(body)
-
-
-def run_result_from_dict(payload: Dict[str, Any]) -> Any:
-    """Rebuild a :class:`~repro.harness.runner.RunResult` from
-    :func:`run_result_to_dict`."""
-    from repro.harness.runner import RecoveryEvent, RunResult
-
-    fields = dict(payload)
-    fields["recovery"] = [
-        RecoveryEvent(**event) for event in fields.get("recovery", [])
-    ]
-    return RunResult(**fields)
 
 
 def device_config_to_dict(config: DeviceConfig) -> Dict[str, Any]:

@@ -3,13 +3,9 @@
 import pytest
 
 import repro
-from repro.errors import ConfigError, RetryExhaustedError
+from repro.errors import BarrierTimeoutError, ConfigError, RetryExhaustedError
 from repro.faults import FaultPlan, FaultSpec
-from repro.harness.resilient import (
-    DegradePolicy,
-    RetryPolicy,
-    _run_resilient as run_resilient,
-)
+from repro.harness.resilient import DegradePolicy, RetryPolicy
 from repro.sanitize.sanitizer import SkewedMicrobench
 
 
@@ -30,7 +26,7 @@ def test_backoff_grows_exponentially():
 
 
 def test_clean_run_passes_through_untouched():
-    result = run_resilient(micro(), "gpu-lockfree", 8)
+    result = repro.run(micro(), "gpu-lockfree", 8, retry=RetryPolicy())
     assert result.verified is True
     assert result.attempts == 1
     assert result.degraded is False
@@ -41,7 +37,9 @@ def test_clean_run_passes_through_untouched():
 
 def test_transient_kill_recovered_by_retry():
     plan = FaultPlan([FaultSpec("driver-kill", at_ns=5_000)])
-    result = run_resilient(micro(), "gpu-lockfree", 8, faults=plan)
+    result = repro.run(
+        micro(), "gpu-lockfree", 8, faults=plan, retry=RetryPolicy()
+    )
     assert result.verified is True
     assert result.attempts == 2
     assert result.degraded is False
@@ -52,7 +50,14 @@ def test_transient_kill_recovered_by_retry():
 
 def test_persistent_hang_degrades_to_host_barrier():
     plan = FaultPlan([FaultSpec("hang", block=2, round=1)])
-    result = run_resilient(micro(), "gpu-lockfree", 8, faults=plan)
+    result = repro.run(
+        micro(),
+        "gpu-lockfree",
+        8,
+        faults=plan,
+        retry=RetryPolicy(),
+        degrade=DegradePolicy(),
+    )
     assert result.verified is True
     assert result.degraded is True
     assert result.degraded_from == "gpu-lockfree"
@@ -67,9 +72,7 @@ def test_persistent_hang_degrades_to_host_barrier():
 def test_degrade_result_includes_retry_overhead_in_total():
     plan = FaultPlan([FaultSpec("hang", block=0, round=0)])
     policy = RetryPolicy(max_attempts=2, backoff_ns=1_000)
-    result = run_resilient(
-        micro(), "gpu-simple", 8, retry=policy, faults=plan
-    )
+    result = repro.run(micro(), "gpu-simple", 8, retry=policy, faults=plan)
     assert result.degraded is True
     assert result.retry_overhead_ns == 1_000
     assert result.total_ns > result.retry_overhead_ns
@@ -78,7 +81,7 @@ def test_degrade_result_includes_retry_overhead_in_total():
 def test_degradation_disabled_raises_exhausted_with_history():
     plan = FaultPlan([FaultSpec("hang", block=1, round=0)])
     with pytest.raises(RetryExhaustedError) as info:
-        run_resilient(
+        repro.run(
             micro(),
             "gpu-lockfree",
             8,
@@ -96,7 +99,9 @@ def test_degradation_disabled_raises_exhausted_with_history():
 def test_occupancy_error_degrades_immediately():
     """A grid that can never be co-resident skips the pointless retries
     and lands straight on the host barrier (which takes any size)."""
-    result = run_resilient(micro(blocks=64), "gpu-lockfree", 64)
+    result = repro.run(
+        micro(blocks=64), "gpu-lockfree", 64, degrade=DegradePolicy()
+    )
     assert result.verified is True
     assert result.degraded is True
     assert result.strategy == "cpu-implicit"
@@ -107,7 +112,7 @@ def test_occupancy_error_degrades_immediately():
 def test_host_strategy_has_no_fallback():
     plan = FaultPlan([FaultSpec("driver-kill", at_ns=100)])
     with pytest.raises(RetryExhaustedError):
-        run_resilient(
+        repro.run(
             micro(),
             "cpu-implicit",
             8,
@@ -118,7 +123,7 @@ def test_host_strategy_has_no_fallback():
 
 def test_explicit_fallback_override():
     plan = FaultPlan([FaultSpec("hang", block=1, round=0)])
-    result = run_resilient(
+    result = repro.run(
         micro(),
         "gpu-lockfree",
         8,
@@ -147,6 +152,18 @@ def test_facade_routes_to_resilient_path():
 
 def test_run_resilient_shim_retired():
     # The PR-3 deprecation shim was removed after its grace period: the
-    # public surface only exposes the repro.run facade now.
+    # public surface only exposes the one repro.run entry now.
     assert not hasattr(repro, "run_resilient")
     assert not hasattr(repro.harness, "run_resilient")
+
+
+def test_one_run_entry():
+    assert repro.run is repro.harness.run is repro.harness.runner.run
+
+
+def test_hang_without_policy_is_a_barrier_timeout():
+    """No retry=/degrade=: one attempt, so the stall surfaces as the
+    watchdog's own typed error, not as an exhausted retry budget."""
+    plan = FaultPlan([FaultSpec("hang", block=2, round=1)])
+    with pytest.raises(BarrierTimeoutError):
+        repro.run(micro(), "gpu-lockfree", 8, faults=plan)

@@ -81,6 +81,28 @@ class TestRun:
         result = run(micro, "gpu-lockfree", 8, monitor_races=False)
         assert result.violations == -1
 
+    @pytest.mark.parametrize(
+        "num_blocks, kwargs, match",
+        [
+            (8, {"threads_per_block": 0}, "threads_per_block"),
+            (8, {"threads_per_block": -32}, "threads_per_block"),
+            (8, {"barrier_deadline_ns": 0}, "barrier_deadline_ns"),
+            (8, {"jitter_pct": float("nan")}, "jitter_pct"),
+            (8, {"jitter_pct": float("inf")}, "jitter_pct"),
+            (2.5, {}, "num_blocks"),
+            ("8", {}, "num_blocks"),
+        ],
+    )
+    def test_bad_input_is_a_config_error_before_simulating(
+        self, micro, monkeypatch, num_blocks, kwargs, match
+    ):
+        def no_device(*args, **kw):
+            raise AssertionError("simulated a malformed configuration")
+
+        monkeypatch.setattr("repro.harness.runner.Device", no_device)
+        with pytest.raises(ConfigError, match=match):
+            run(micro, "gpu-lockfree", num_blocks, **kwargs)
+
 
 class TestRaceMonitor:
     def test_clean_sequence(self):

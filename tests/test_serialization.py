@@ -18,8 +18,6 @@ from repro.serialization import (
     parse_result,
     plain,
     require,
-    run_result_from_dict,
-    run_result_to_dict,
 )
 
 
@@ -159,28 +157,3 @@ def test_sweep_json_without_provenance_fields_loads(sweep):
     again = experiments.SweepResult.from_json(json.dumps(payload))
     assert again.retries == 0
     assert again.quarantined == []
-
-
-def test_run_result_dict_roundtrip():
-    from repro.algorithms import MeanMicrobench
-    from repro.harness.resilient import RetryPolicy
-    from repro.faults import FaultPlan, FaultSpec
-
-    import repro
-
-    plan = FaultPlan([FaultSpec("driver-kill", block=0, round=1)])
-    result = repro.run(
-        MeanMicrobench(rounds=3, num_blocks_hint=4),
-        "gpu-lockfree",
-        num_blocks=4,
-        retry=RetryPolicy(max_attempts=2),
-        faults=plan,
-    )
-    assert result.attempts == 2 and result.recovery  # a real recovery path
-    payload = run_result_to_dict(result)
-    assert "device" not in payload and "resumed_from" not in payload
-    json.dumps(payload)  # journal-serializable
-    again = run_result_from_dict(payload)
-    assert again == result
-    assert again.recovery == result.recovery
-    assert type(again.recovery[0]) is type(result.recovery[0])
