@@ -24,3 +24,13 @@ pytest_plugins = (
     "repro.staticcheck.pytest_plugin",
     "pytester",
 )
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--update-golden",
+        action="store_true",
+        default=False,
+        help="rewrite tests/golden/runs.json from the current code instead "
+        "of checking against it (tests/test_golden.py)",
+    )
