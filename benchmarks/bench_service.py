@@ -19,7 +19,7 @@ import time
 from pathlib import Path
 
 from benchmarks.conftest import OUT_DIR
-from repro.harness.perf import render_bench
+from repro.serialization import dump_result
 from repro.service.jobs import JobTable, job_id_for
 from repro.service.runners import validate_spec
 from repro.service.worker import Worker
@@ -115,4 +115,4 @@ def test_recovery_overhead(benchmark, tmp_path):
     }
     OUT_DIR.mkdir(exist_ok=True)
     path = OUT_DIR / "BENCH_service.json"
-    path.write_text(render_bench("service", workloads) + "\n")
+    path.write_text(dump_result("bench", {"bench": "service", "workloads": workloads}) + "\n")

@@ -184,23 +184,6 @@ _STATIC = (
         related=("DYN002",),
     ),
     FindingCode(
-        code="SC009",
-        name="undeclared-wait-spec",
-        severity="advice",
-        paper_ref="§5.3",
-        summary=(
-            "a spin site whose predicate is a mechanical threshold "
-            "check carries no WaitSpec declaration, so the fast "
-            "engine's indexed-waiter path silently degrades to "
-            "predicate re-evaluation"
-        ),
-        remedy=(
-            "declare the awaited condition with "
-            "spec=WaitSpec(threshold, lo=...) at the spin site"
-        ),
-        origin="static",
-    ),
-    FindingCode(
         code="SC100",
         name="suboptimal-strategy",
         severity="advice",

@@ -39,9 +39,7 @@ class GlobalArray:
         self._memory = memory
         self.name = name
         self.data = data
-        # The backing array is the signal's observable source: declared
-        # spin waits (WaitSpec) are checked against it by the fast engine.
-        self.signal = Signal(f"mem:{name}", source=data)
+        self.signal = Signal(f"mem:{name}")
         #: which sync domain this allocation is homed in; accesses from
         #: other domains pay the topology's crossing latency.
         self.home_domain = home_domain

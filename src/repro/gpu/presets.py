@@ -59,7 +59,17 @@ _REGISTRY: Dict[str, Callable[[], DeviceConfig]] = {}
 
 
 def register_preset(name: str, factory: Callable[[], DeviceConfig]) -> None:
-    """Register a preset factory under ``name`` (overwrites allowed)."""
+    """Register a preset factory under ``name`` (overwrites allowed).
+
+    Raises :class:`~repro.errors.ConfigError` unless ``name`` is a
+    non-empty ``str`` and ``factory`` is callable.
+    """
+    if not isinstance(name, str) or not name:
+        raise ConfigError(f"preset name must be a non-empty str, got {name!r}")
+    if not callable(factory):
+        raise ConfigError(
+            f"preset {name!r} factory must be callable, got {factory!r}"
+        )
     _REGISTRY[name] = factory
 
 
@@ -78,6 +88,11 @@ def get_preset(
             f"unknown preset {name!r}; known: {', '.join(preset_names())}"
         ) from None
     config = factory()
+    if not isinstance(config, DeviceConfig):
+        raise ConfigError(
+            f"preset {name!r} factory returned {type(config).__name__}, "
+            "not a DeviceConfig"
+        )
     if timings is not None:
         config = config.with_timings(timings)
     return config

@@ -10,15 +10,12 @@
 * :mod:`repro.harness.experiments` — drivers for Table 1, Fig. 11,
   Fig. 13a–c, Fig. 14a–c, Fig. 15, the headline speedups and the
   model-validation study.
-* :mod:`repro.harness.perf` — engine-throughput workloads and the
-  schema-versioned ``BENCH_*.json`` protocol behind CI's bench smoke.
 * :mod:`repro.harness.report` — plain-text table/series rendering.
 * :mod:`repro.harness.cli` — ``python -m repro.harness <verb>``, one
   table of verbs; :mod:`repro.harness.params` declares their flags,
   which the sweep service's job specs share.
 """
 
-from repro.harness.perf import compare, load_bench, measure, render_bench
 from repro.harness.phases import (
     Breakdown,
     breakdown,
@@ -39,12 +36,8 @@ __all__ = [
     "RunResult",
     "RunStatistics",
     "breakdown",
-    "compare",
     "compute_only",
-    "load_bench",
-    "measure",
     "probe_barrier_cost",
-    "render_bench",
     "repeat_run",
     "run",
     "summarize",

@@ -93,6 +93,16 @@ def _algorithm_spec(name: str) -> Dict[str, Any]:
     return {"name": name}
 
 
+def _block_counts(
+    blocks: Optional[Sequence[int]], default: Sequence[int]
+) -> List[int]:
+    """A sweep's block counts: ``blocks``, or ``default`` when ``None``."""
+    xs = list(default if blocks is None else blocks)
+    if not xs:
+        raise ConfigError("empty block sweep: blocks names no block count")
+    return xs
+
+
 def _cell(
     algorithm: Dict[str, Any],
     strategy: str,
@@ -296,7 +306,7 @@ def fig11(
     DESIGN.md §2).
     """
     cfg = config or get_preset("gtx280")
-    xs = list(blocks) if blocks is not None else list(range(1, cfg.num_sms + 1))
+    xs = _block_counts(blocks, range(1, cfg.num_sms + 1))
     device = device_config_to_dict(cfg)
     spec = {"name": "micro", "rounds": rounds, "num_blocks_hint": max(xs)}
     payloads = [_cell(spec, "null", n, device) for n in xs]
@@ -332,9 +342,7 @@ def algorithm_sweep(
     if step < 1:
         raise ConfigError(f"step must be >= 1, got {step}")
     cfg = config or get_preset("gtx280")
-    xs = list(blocks) if blocks is not None else list(range(9, cfg.num_sms + 1, step))
-    if not xs:
-        raise ExperimentError("empty block sweep")
+    xs = _block_counts(blocks, range(9, cfg.num_sms + 1, step))
     spec = _algorithm_spec(algorithm_name)
     device = device_config_to_dict(cfg)
     payloads = [_cell(spec, "null", n, device) for n in xs]
@@ -493,7 +501,7 @@ def model_validation(
     predictions for unbalanced trees.
     """
     cfg = config or get_preset("gtx280")
-    xs = list(blocks) if blocks is not None else [1, 2, 4, 8, 16, 24, 30]
+    xs = _block_counts(blocks, [1, 2, 4, 8, 16, 24, 30])
     timings = cfg.timings
     predictors = {
         "gpu-simple": lambda n: simple_cost(n, timings),

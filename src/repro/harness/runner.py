@@ -132,7 +132,6 @@ def run(
     probe=None,
     faults=None,
     barrier_deadline_ns: Optional[int] = None,
-    engine_mode: Optional[str] = None,
     retry=None,
     degrade=None,
 ) -> RunResult:
@@ -180,12 +179,6 @@ def run(
     (:mod:`repro.harness.resilient`).  Without them a run is one
     attempt.
 
-    ``engine_mode`` selects the event core ("reference" or "fast" — see
-    ``docs/engine.md``); ``None`` defers to
-    :func:`repro.simcore.use_engine_mode` / ``REPRO_ENGINE_MODE`` and
-    defaults to the reference engine.  Both cores produce bit-identical
-    results; the fast core is just faster.
-
     Malformed inputs raise :class:`~repro.errors.ConfigError` before
     anything is simulated: a ``num_blocks`` that is not an ``int``,
     ``threads_per_block`` or ``barrier_deadline_ns`` below 1, and a
@@ -222,7 +215,7 @@ def run(
         strategy.validate_grid(cfg, num_blocks)
 
         algorithm.reset()
-        device = Device(cfg, engine_mode=engine_mode, fuzzer=fuzzer, faults=faults)
+        device = Device(cfg, fuzzer=fuzzer, faults=faults)
         if probe is not None:
             device.probes.append(probe)
         host = Host(device)

@@ -29,35 +29,21 @@ from repro.simcore.effects import (
     Join,
     Release,
     Spawn,
-    WaitSpec,
     WaitUntil,
 )
-from repro.simcore.engine import Engine
-from repro.simcore.fastpath import (
-    ENGINE_MODE_ENV,
-    ENGINE_MODES,
-    FastEngine,
-    FlagIndex,
-    make_engine,
-    resolve_engine_mode,
-    use_engine_mode,
-)
+from repro.simcore.engine import Engine, use_engine_mode
 from repro.simcore.process import Cancelled, Process, ProcessState
 from repro.simcore.resource import Resource
 from repro.simcore.signal import Signal
 from repro.simcore.trace import Span, Trace
 
 __all__ = [
-    "ENGINE_MODE_ENV",
-    "ENGINE_MODES",
     "Acquire",
     "Cancelled",
     "Delay",
     "Effect",
     "Engine",
-    "FastEngine",
     "Fire",
-    "FlagIndex",
     "Join",
     "Process",
     "ProcessState",
@@ -67,9 +53,6 @@ __all__ = [
     "Span",
     "Spawn",
     "Trace",
-    "WaitSpec",
     "WaitUntil",
-    "make_engine",
-    "resolve_engine_mode",
     "use_engine_mode",
 ]

@@ -11,8 +11,8 @@ protocol auditable in one place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Generator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simcore.process import Process
@@ -43,43 +43,6 @@ class Delay(Effect):
 
 
 @dataclass(frozen=True)
-class WaitSpec:
-    """Declarative form of a flag-polling wait predicate.
-
-    The barrier spin loops all reduce to "cell(s) of a counter array have
-    reached a goal value".  Declaring that shape — instead of hiding it
-    inside an opaque lambda — lets the fast engine index waiters by cell
-    and threshold, so a store wakes exactly the satisfied waiters without
-    re-evaluating every parked predicate (the quiescence rule in
-    ``docs/engine.md``).  The reference engine ignores the spec and
-    evaluates the predicate, which is how the differential suite proves
-    the two descriptions agree.
-
-    Shapes (``source`` is the waited-on array's backing buffer):
-
-    * ``lo is None`` — every element: ``(source >= threshold).all()``
-    * ``hi is None`` — one cell: ``source[lo] >= threshold``
-    * otherwise — a slice: ``(source[lo:hi] >= threshold).all()``
-    """
-
-    threshold: float
-    lo: Optional[int] = None
-    hi: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.lo is None and self.hi is not None:
-            raise ValueError("WaitSpec with hi requires lo")
-
-    def holds(self, source: Any) -> bool:
-        """Evaluate the declared predicate against ``source``."""
-        if self.lo is None:
-            return bool((source >= self.threshold).all())
-        if self.hi is None:
-            return bool(source[self.lo] >= self.threshold)
-        return bool((source[self.lo : self.hi] >= self.threshold).all())
-
-
-@dataclass(frozen=True)
 class WaitUntil(Effect):
     """Block until ``predicate()`` is true, re-checking when ``signal`` fires.
 
@@ -91,18 +54,11 @@ class WaitUntil(Effect):
     Resumes with the number of times the predicate was evaluated while
     blocked (0 if it was true immediately).  Callers that model spin
     loops use this count to charge a per-poll cost.
-
-    ``spec``, when given, is a :class:`WaitSpec` describing the same
-    condition declaratively; it MUST be equivalent to ``predicate`` (the
-    fast engine trusts it, the reference engine ignores it, and the
-    differential suite in ``tests/simcore/test_fastpath_equiv.py`` holds
-    the two accountable to each other).
     """
 
     signal: "Signal"
     predicate: Callable[[], bool]
     reason: str = "wait-until"
-    spec: Optional[WaitSpec] = None
 
 
 @dataclass(frozen=True)
@@ -157,12 +113,3 @@ class Fire(Effect):
     signal: "Signal"
     payload: Any = None
 
-
-@dataclass
-class _Wakeup:
-    """Internal heap entry payload (not an effect)."""
-
-    process: "Process"
-    value: Any = None
-    exception: Optional[BaseException] = None
-    cancelled: bool = field(default=False, compare=False)

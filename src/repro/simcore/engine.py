@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, List, NoReturn, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, Callable, Generator, Iterator, List, NoReturn, Optional, Tuple
 
-from repro.errors import DeadlockError, ProcessError, SimulationError
+from repro.errors import ConfigError, DeadlockError, ProcessError, SimulationError
 from repro.simcore.effects import (
     Acquire,
     Delay,
@@ -20,7 +21,24 @@ from repro.simcore.process import Cancelled, Process, ProcessState
 from repro.simcore.resource import Resource
 from repro.simcore.signal import Signal
 
-__all__ = ["Engine"]
+__all__ = ["Engine", "use_engine_mode"]
+
+
+@contextmanager
+def use_engine_mode(mode: str) -> Iterator[str]:
+    """Accept an event-core name; :class:`Engine` runs under either.
+
+    The simulator has one event core.  ``"reference"`` and ``"fast"``
+    both name it, so a script that times one name against the other
+    measures the same engine twice.  Any other name raises
+    :class:`repro.errors.ConfigError`.  Nothing changes inside the
+    ``with`` block.
+    """
+    if mode not in ("reference", "fast"):
+        raise ConfigError(
+            f"unknown engine mode {mode!r}; expected 'reference' or 'fast'"
+        )
+    yield mode
 
 
 class Engine:
@@ -67,9 +85,6 @@ class Engine:
         #: count of live (non-tombstoned) pending entries.
         self._live = 0
         self._running = False
-        #: horizon of the current run() (None: run to quiescence); kept
-        #: on the instance so a ``_step`` override can respect it.
-        self._until: Optional[int] = None
 
     # -- public API ----------------------------------------------------------
 
@@ -111,7 +126,6 @@ class Engine:
         if self._running:
             raise SimulationError("engine.run() is not reentrant")
         self._running = True
-        self._until = until
         try:
             while self._heap:
                 entry = heapq.heappop(self._heap)
@@ -274,12 +288,6 @@ class Engine:
 
     def _schedule(self, process: Process, when: int, value: Any) -> None:
         priority = self._tiebreak() if self._tiebreak is not None else 0.0
-        self._schedule_entry(process, when, priority, value)
-
-    def _schedule_entry(
-        self, process: Process, when: int, priority: float, value: Any
-    ) -> None:
-        """Insert a wakeup whose tiebreak priority was already drawn."""
         self._seq += 1
         entry: List[Any] = [when, priority, self._seq, process, value]
         process._entry = entry

@@ -9,7 +9,7 @@ busy-ticking the event loop.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore.process import Process
@@ -23,28 +23,17 @@ class Signal:
     Waiters are ``(process, predicate, polls)`` entries managed by the
     engine; ``polls`` counts predicate evaluations while blocked so
     callers can charge per-poll costs (see :class:`repro.simcore.effects.WaitUntil`).
-
-    ``source``, when given, is the observable state the signal reports on
-    (for a memory cell, its backing array).  The fast engine uses it to
-    evaluate declared :class:`~repro.simcore.effects.WaitSpec` waits
-    against the current values; the reference engine never reads it.
     """
 
-    __slots__ = ("name", "_waiters", "fire_count", "source", "_fast_index")
+    __slots__ = ("name", "_waiters", "fire_count")
 
-    def __init__(self, name: str = "signal", source: Any = None) -> None:
+    def __init__(self, name: str = "signal") -> None:
         self.name = name
         #: list of [process, predicate, reason, polls] entries (mutable lists
-        #: so the engine can bump the poll counter in place).  The fast
-        #: engine appends a fifth element, the global park sequence number.
+        #: so the engine can bump the poll counter in place).
         self._waiters: List[list] = []
         #: total number of times this signal has fired (diagnostics).
         self.fire_count = 0
-        #: the state WaitSpec thresholds are checked against (fast engine).
-        self.source = source
-        #: lazily created repro.simcore.fastpath.FlagIndex of declared
-        #: waiters, keyed by cell and threshold (fast engine only).
-        self._fast_index: Any = None
 
     # -- engine-facing API -------------------------------------------------
 
@@ -55,8 +44,6 @@ class Signal:
 
     def _remove_waiter(self, process: "Process") -> None:
         self._waiters = [w for w in self._waiters if w[0] is not process]
-        if self._fast_index is not None:
-            self._fast_index.discard(process)
 
     def _collect_ready(self) -> List[Tuple["Process", int]]:
         """Evaluate all waiter predicates; detach and return those now true.
@@ -83,17 +70,11 @@ class Signal:
     @property
     def waiter_count(self) -> int:
         """Number of processes currently parked on this signal."""
-        count = len(self._waiters)
-        if self._fast_index is not None:
-            count += self._fast_index.count
-        return count
+        return len(self._waiters)
 
     def waiting_processes(self) -> List[Tuple[str, str]]:
         """``(process_name, reason)`` pairs for deadlock diagnostics."""
-        out = [(w[0].name, w[2]) for w in self._waiters]
-        if self._fast_index is not None:
-            out.extend(self._fast_index.waiting())
-        return out
+        return [(w[0].name, w[2]) for w in self._waiters]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Signal({self.name!r}, waiters={self.waiter_count})"

@@ -111,9 +111,8 @@ class Trace:
         """Spans as plain tuples in recording order.
 
         ``(owner, phase, start, end, sorted_meta_items)`` — a canonical,
-        order-preserving form two traces can be compared on directly.
-        The differential engine suite asserts byte-identical traces
-        between engine modes with exactly this.
+        order-preserving form two traces can be compared on directly
+        (the cross-commit goldens digest exactly this).
         """
         return [
             (

@@ -28,7 +28,6 @@ from typing import Any, Generator, Optional, TYPE_CHECKING
 import numpy as np
 
 from repro.errors import SyncProtocolError
-from repro.simcore.effects import WaitSpec
 from repro.sync.base import SyncStrategy, register_strategy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -131,7 +130,6 @@ class GpuLockFreeSync(SyncStrategy):
                             (a.data[lo:hi] >= g).all()
                         ),
                         f"Arrayin[{lo}:{hi}] (round {round_idx})",
-                        spec=WaitSpec(goal, lo=lo, hi=hi),
                     )
                     yield from wctx.syncthreads()
                     yield from wctx.gwrite(arr_out, slice(lo, hi), goal)
@@ -144,7 +142,6 @@ class GpuLockFreeSync(SyncStrategy):
                         arr_in,
                         lambda a=arr_in, i=i, g=goal: a.data[i] >= g,
                         f"Arrayin[{i}] (serial, round {round_idx})",
-                        spec=WaitSpec(goal, lo=i),
                     )
                 yield from ctx.syncthreads()
                 for i in range(n):
@@ -156,7 +153,6 @@ class GpuLockFreeSync(SyncStrategy):
                     arr_in,
                     lambda a=arr_in, g=goal: bool((a.data >= g).all()),
                     f"Arrayin all set (round {round_idx})",
-                    spec=WaitSpec(goal),
                 )
                 yield from ctx.syncthreads()
                 # N threads store in parallel: one coalesced write latency.
@@ -167,7 +163,6 @@ class GpuLockFreeSync(SyncStrategy):
             arr_out,
             lambda a=arr_out, b=bid, g=goal: a.data[b] >= g,
             f"Arrayout[{bid}] (round {round_idx})",
-            spec=WaitSpec(goal, lo=bid),
         )
         yield from ctx.syncthreads()
         ctx.record("sync", start, round=round_idx, strategy=self.name)

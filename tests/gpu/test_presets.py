@@ -52,6 +52,32 @@ def test_register_preset_extends_the_registry():
         del presets._REGISTRY["test-tiny"]
 
 
+@pytest.mark.parametrize(
+    "name, factory",
+    [
+        (7, DeviceConfig),
+        ("", DeviceConfig),
+        ("test-bad", DeviceConfig()),
+        ("test-bad", lambda: 42),
+    ],
+)
+def test_malformed_presets_are_typed_errors(name, factory):
+    """Neither a bad name nor a bad factory can poison the registry."""
+    from repro.gpu import presets
+
+    saved = dict(presets._REGISTRY)
+    try:
+        with pytest.raises(ConfigError):
+            register_preset(name, factory)
+            get_preset(name)
+        assert all(isinstance(n, str) for n in preset_names())
+        with pytest.raises(ConfigError, match="unknown preset"):
+            get_preset("no-such-preset")
+    finally:
+        presets._REGISTRY.clear()
+        presets._REGISTRY.update(saved)
+
+
 # -- fermi_class ------------------------------------------------------------
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ExperimentError
+from repro.errors import ConfigError, ExperimentError
 from repro.harness import experiments
 
 
@@ -57,5 +57,20 @@ def test_model_validation_small():
 
 
 def test_empty_block_sweep_rejected():
-    with pytest.raises(ExperimentError):
+    with pytest.raises(ConfigError):
         experiments.algorithm_sweep("fft", blocks=[])
+
+
+@pytest.mark.parametrize(
+    "driver",
+    [
+        lambda: experiments.fig11(rounds=2, blocks=[]),
+        lambda: experiments.fig13("fft", blocks=[]),
+        lambda: experiments.fig14("bitonic", blocks=[]),
+        lambda: experiments.model_validation(blocks=[], rounds=2),
+    ],
+    ids=["fig11", "fig13", "fig14", "model_validation"],
+)
+def test_every_block_sweep_driver_rejects_empty_blocks(driver):
+    with pytest.raises(ConfigError, match="empty block sweep"):
+        driver()

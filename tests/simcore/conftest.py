@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.simcore import make_engine
+from repro.simcore import Engine
 
 
-@pytest.fixture(params=["reference", "fast"])
-def any_engine(request):
-    """A fresh engine of each mode: the test runs once per event core."""
-    return make_engine(request.param)
+@pytest.fixture
+def any_engine():
+    """A fresh engine."""
+    return Engine()

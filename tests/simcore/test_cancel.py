@@ -282,16 +282,14 @@ def test_cancelling_a_join_blocked_process_detaches_it():
 
 
 # ---------------------------------------------------------------------------
-# O(1) tombstoned cancellation (both engines)
+# O(1) tombstoned cancellation
 # ---------------------------------------------------------------------------
 #
 # Engine.cancel used to leave the cancelled wakeup as a dead tuple in
-# the heap, visible to nothing but still popped and compared.  Both
-# engines now tombstone the entry in place; these regressions pin the
+# the heap, visible to nothing but still popped and compared.  The
+# engine now tombstones the entry in place; these regressions pin the
 # observable consequences — cancel-then-reschedule at the *same*
-# timestamp, and pending_events counting live wakeups only.  The
-# ``any_engine`` fixture (tests/simcore/conftest.py) runs each of them
-# under both event cores.
+# timestamp, and pending_events counting live wakeups only.
 
 
 def test_cancel_then_respawn_at_same_timestamp(any_engine):

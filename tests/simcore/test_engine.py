@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import DeadlockError, ProcessError, SimulationError
 from repro.simcore import (
-    ENGINE_MODES,
     Acquire,
     Delay,
     Engine,
@@ -18,7 +17,6 @@ from repro.simcore import (
     Signal,
     Spawn,
     WaitUntil,
-    make_engine,
 )
 
 
@@ -339,16 +337,15 @@ def test_spawn_non_generator_raises():
 
 
 def test_run_until_horizon_stops_early():
-    for mode in ENGINE_MODES:
-        eng = make_engine(mode)
+    eng = Engine()
 
-        def proc():
-            yield Delay(100)
+    def proc():
+        yield Delay(100)
 
-        eng.spawn(proc())
-        assert eng.run(until=50) == 50
-        # remaining work still completes on a follow-up run
-        assert eng.run() == 100
+    eng.spawn(proc())
+    assert eng.run(until=50) == 50
+    # remaining work still completes on a follow-up run
+    assert eng.run() == 100
 
 
 def test_run_not_reentrant():
@@ -496,77 +493,74 @@ def test_cancelled_wakeups_do_not_inflate_final_time():
 
 def test_cancelled_wakeup_beyond_horizon_does_not_pause_run():
     """A dead entry past the horizon is skipped, not treated as progress."""
-    for mode in ENGINE_MODES:
-        eng = make_engine(mode)
-        done = []
+    eng = Engine()
+    done = []
 
-        def sleeper():
-            yield Delay(1_000_000)
+    def sleeper():
+        yield Delay(1_000_000)
 
-        def worker():
-            yield Delay(5)
-            done.append(eng.now)
+    def worker():
+        yield Delay(5)
+        done.append(eng.now)
 
-        s = eng.spawn(sleeper())
-        eng.cancel(s, "immediately")
-        eng.spawn(worker())
-        assert eng.run(until=100) == 5
-        assert done == [5]
+    s = eng.spawn(sleeper())
+    eng.cancel(s, "immediately")
+    eng.spawn(worker())
+    assert eng.run(until=100) == 5
+    assert done == [5]
 
 
 def test_blocked_processes_lists_parked_only():
-    for mode in ENGINE_MODES:
-        eng = make_engine(mode)
-        sig = Signal("s")
+    eng = Engine()
+    sig = Signal("s")
 
-        def waiter():
-            yield WaitUntil(sig, lambda: False, "the flag")
+    def waiter():
+        yield WaitUntil(sig, lambda: False, "the flag")
 
-        def sleeper():
-            yield Delay(500)
+    def sleeper():
+        yield Delay(500)
 
-        eng.spawn(waiter(), name="w")
-        eng.spawn(sleeper(), name="zz")
-        eng.run(until=100)
-        blocked = eng.blocked_processes
-        assert len(blocked) == 1
-        name, reason = blocked[0]
-        assert name == "w" and "the flag" in reason
+    eng.spawn(waiter(), name="w")
+    eng.spawn(sleeper(), name="zz")
+    eng.run(until=100)
+    blocked = eng.blocked_processes
+    assert len(blocked) == 1
+    name, reason = blocked[0]
+    assert name == "w" and "the flag" in reason
 
 
 def test_pending_events_counts_live_wakeups_and_ignores():
-    for mode in ENGINE_MODES:
-        eng = make_engine(mode)
-        sig = Signal("s")
+    eng = Engine()
+    sig = Signal("s")
 
-        def waiter():
-            yield WaitUntil(sig, lambda: False, "forever")
+    def waiter():
+        yield WaitUntil(sig, lambda: False, "forever")
 
-        def sleeper():
-            yield Delay(500)
+    def sleeper():
+        yield Delay(500)
 
-        eng.spawn(waiter(), name="w")
-        zz = eng.spawn(sleeper(), name="zz")
-        eng.run(until=100)
-        # The sleeper's 500 ns wakeup is pending; the waiter has none.
-        assert eng.pending_events() == 1
-        assert eng.pending_events(ignore=(zz,)) == 0
+    eng.spawn(waiter(), name="w")
+    zz = eng.spawn(sleeper(), name="zz")
+    eng.run(until=100)
+    # The sleeper's 500 ns wakeup is pending; the waiter has none.
+    assert eng.pending_events() == 1
+    assert eng.pending_events(ignore=(zz,)) == 0
 
 
 def test_pumped_delay_chain_across_horizon_matches_reference():
-    """A Delay chain the fast engine pumps in place, paused mid-chain.
+    """A Delay chain paused mid-chain at a horizon, with a seeded tie.
 
     A rival wakes at t=50, the same timestamp as the chain's fifth
-    wakeup, so the pump meets a tie at the heap head; the seeded
-    tiebreak decides who goes first.  After the rival finishes the
-    chain runs alone (pumped) until its next wakeup crosses ``until``.
-    Both engines must pause with the same next event, then finish with
-    the same clock, event count, dispatch log and PRNG position.
+    wakeup; the seeded tiebreak decides who goes first.  After the rival
+    finishes the chain runs alone until its next wakeup crosses
+    ``until``.  The engine must pause with the chain's next event
+    pending, then finish with the same clock and event count whichever
+    way the tie went.
     """
 
-    def drive(mode, seed, until):
+    def drive(seed, until):
         rng = random.Random(seed)
-        eng = make_engine(mode, tiebreak=rng.random)
+        eng = Engine(tiebreak=rng.random)
         log = []
 
         def chain():
@@ -583,14 +577,36 @@ def test_pumped_delay_chain_across_horizon_matches_reference():
         paused = eng.run(until=until)
         head = eng.next_event_time()
         final = eng.run()
-        return paused, head, final, eng.events_dispatched, log, rng.random()
+        return paused, head, final, eng.events_dispatched, log
 
     orders = set()
     for seed in range(8):
         for until in (120, 125):
-            ref = drive("reference", seed, until)
-            assert drive("fast", seed, until) == ref
+            ref = drive(seed, until)
             assert ref[:4] == (until, 130, 200, 23)
             log = ref[4]
             orders.add(log.index(("rival", 50)) < log.index(("chain", 50)))
     assert orders == {True, False}  # the tie went each way at least once
+
+
+def test_use_engine_mode_names_select_the_one_engine():
+    """Both legacy names run the same engine; any other name is refused."""
+    from repro.algorithms import MeanMicrobench
+    from repro.errors import ConfigError
+    from repro.harness import experiments, run
+    from repro.simcore import use_engine_mode
+
+    outputs = []
+    for mode in ("reference", "fast"):
+        with use_engine_mode(mode) as selected:
+            assert selected == mode
+            result = run(MeanMicrobench(rounds=3), "gpu-lockfree", 4,
+                         keep_device=True)
+            sweep = experiments.fig11(rounds=3, blocks=[2, 4])
+        assert isinstance(result.device.engine, Engine)
+        outputs.append((result.total_ns, result.device.engine.events_dispatched,
+                        sweep.to_json()))
+    assert outputs[0] == outputs[1]
+    with pytest.raises(ConfigError, match="unknown engine mode"):
+        with use_engine_mode("turbo"):
+            pass  # pragma: no cover - never entered

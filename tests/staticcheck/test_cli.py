@@ -92,14 +92,15 @@ def test_positional_paths_rejected_for_other_experiments(capsys):
 # -- lint --fix [--diff|--check] ----------------------------------------------
 
 FIXABLE_SOURCE = '''\
-"""A spin with no WaitSpec declaration (auto-fixable SC009)."""
+"""A barrier whose goal undercounts the grid (auto-fixable SC005)."""
 
 from repro.sync.base import SyncStrategy
 
 
-class NoSpecSync(SyncStrategy):
+class UnderCountSync(SyncStrategy):
     def barrier(self, ctx, round_idx):
-        goal = round_idx + 1
+        n = ctx.num_blocks
+        goal = round_idx * n + 1
         yield from ctx.atomic_add(self._m, 0, 1)
         yield from ctx.spin_until(
             self._m, lambda: self._m.data[0] >= goal, "go"
@@ -113,10 +114,9 @@ def test_lint_fix_writes_repairs_in_place(tmp_path, capsys):
     assert main(["lint", str(target), "--fix"]) == 0
     out = capsys.readouterr().out
     assert "fixed 1 finding(s) in 1 file(s)" in out
-    assert "[SC009]" in out
+    assert "[SC005]" in out
     on_disk = target.read_text()
-    assert "spec=WaitSpec(goal, lo=0)" in on_disk
-    assert "from repro.simcore.effects import WaitSpec" in on_disk
+    assert "goal = (round_idx + 1) * n" in on_disk
     capsys.readouterr()
     # The repaired file now lints clean and re-fixing is a no-op.
     assert main(["lint", str(target), "--strict"]) == 0
@@ -130,7 +130,7 @@ def test_lint_fix_diff_is_a_dry_run(tmp_path, capsys):
     assert main(["lint", str(target), "--fix", "--diff"]) == 0
     out = capsys.readouterr().out
     assert f"--- a/{target}" in out
-    assert "+from repro.simcore.effects import WaitSpec" in out
+    assert "+        goal = (round_idx + 1) * n" in out
     assert target.read_text() == FIXABLE_SOURCE  # untouched
 
 
@@ -153,7 +153,7 @@ def test_lint_fix_json_uses_fix_report_envelope(tmp_path, capsys):
     assert payload["files_changed"] == 1
     assert payload["fixes_applied"] == 1
     assert payload["written"] is False
-    assert payload["results"][0]["applied"][0]["code"] == "SC009"
+    assert payload["results"][0]["applied"][0]["code"] == "SC005"
 
 
 def test_lint_fix_check_clean_on_shipped_tree(capsys):

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.staticcheck.crossval import SC009_FIXTURE
 from repro.staticcheck.engine import lint_source
 from repro.staticcheck.repair import (
     Fix,
@@ -21,6 +20,24 @@ from repro.staticcheck.repair import (
     fix_paths,
     fix_source,
 )
+
+#: a barrier whose arrival goal undercounts the grid: one auto-fixable
+#: SC005 finding (the goal becomes ``(round_idx + 1) * n``).
+FIXABLE = '''\
+"""A barrier whose goal undercounts the grid (auto-fixable SC005)."""
+
+from repro.sync.base import SyncStrategy
+
+
+class UnderCountSync(SyncStrategy):
+    def barrier(self, ctx, round_idx):
+        n = ctx.num_blocks
+        goal = round_idx * n + 1
+        yield from ctx.atomic_add(self._m, 0, 1)
+        yield from ctx.spin_until(
+            self._m, lambda: self._m.data[0] >= goal, "go"
+        )
+'''
 
 # ---------------------------------------------------------------------------
 # SpanEdit / Fix validation
@@ -39,7 +56,7 @@ def test_span_edit_rejects_identity_replacement():
 
 def test_fix_requires_edits():
     with pytest.raises(ValueError):
-        Fix(code="SC009", description="empty", edits=())
+        Fix(code="SC005", description="empty", edits=())
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +126,7 @@ def test_exact_duplicate_edits_collapse():
 def test_apply_fixes_batches_all_edits():
     src = "foo\nbar\n"
     fx = Fix(
-        code="SC009",
+        code="SC005",
         description="demo",
         edits=(
             SpanEdit((1, 0), (1, 3), "foo", "FOO"),
@@ -147,7 +164,7 @@ def test_property_reapplying_an_applied_fix_is_a_noop(source, data):
     if original == replacement:
         return
     fx = Fix(
-        code="SC009",
+        code="SC005",
         description="property",
         edits=(SpanEdit(_pos(source, i), _pos(source, j), original, replacement),),
     )
@@ -175,18 +192,17 @@ def test_property_overlapping_spans_raise_typed_conflict(source, data):
 # ---------------------------------------------------------------------------
 
 
-def test_fix_source_repairs_sc009_fixture_to_clean():
-    result = fix_source(SC009_FIXTURE, "<fixture>")
-    assert [a.code for a in result.applied] == ["SC009"]
+def test_fix_source_repairs_goal_fixture_to_clean():
+    result = fix_source(FIXABLE, "<fixture>")
+    assert [a.code for a in result.applied] == ["SC005"]
     assert result.remaining == []
     assert result.changed
-    assert "spec=WaitSpec(goal, lo=0)" in result.fixed
-    assert "from repro.simcore.effects import WaitSpec" in result.fixed
+    assert "goal = (round_idx + 1) * n" in result.fixed
     assert lint_source(result.fixed).clean
 
 
 def test_fix_source_is_a_fixed_point():
-    once = fix_source(SC009_FIXTURE, "<fixture>")
+    once = fix_source(FIXABLE, "<fixture>")
     again = fix_source(once.fixed, "<fixture>")
     assert not again.changed
     assert again.applied == []
@@ -195,7 +211,7 @@ def test_fix_source_is_a_fixed_point():
 
 def test_fix_source_within_scopes_the_repair():
     # The fixture's class spans lines 6+; a window above it fixes nothing.
-    result = fix_source(SC009_FIXTURE, "<fixture>", within=(1, 3))
+    result = fix_source(FIXABLE, "<fixture>", within=(1, 3))
     assert not result.changed
     assert result.applied == []
 
@@ -209,13 +225,13 @@ def test_fix_source_clean_input_is_identity():
 
 
 def test_fix_result_diff_and_dict_shape():
-    result = fix_source(SC009_FIXTURE, "fixture.py")
+    result = fix_source(FIXABLE, "fixture.py")
     diff = result.diff()
     assert diff.startswith("--- a/fixture.py")
-    assert "+from repro.simcore.effects import WaitSpec" in diff
+    assert "+        goal = (round_idx + 1) * n" in diff
     payload = result.to_dict()
     assert payload["changed"] is True
-    assert payload["applied"][0]["code"] == "SC009"
+    assert payload["applied"][0]["code"] == "SC005"
     assert payload["remaining"] == []
 
 
@@ -225,14 +241,14 @@ def test_fix_verification_error_is_typed():
     from repro.staticcheck.report import StaticFinding
 
     finding = StaticFinding(
-        code="SC009",
+        code="SC005",
         message="synthetic",
         file="<x>",
         line=1,
         unit="kernel",
         fixes=(
             Fix(
-                code="SC009",
+                code="SC005",
                 description="does not help",
                 edits=(SpanEdit((1, 0), (1, 0), "", "# nop\n"),),
             ),
@@ -242,7 +258,7 @@ def test_fix_verification_error_is_typed():
     import repro.staticcheck.repair as repair_mod
 
     real_lint = lint_source
-    source = SC009_FIXTURE
+    source = FIXABLE
 
     def fake_lint(text, path, **kwargs):
         report = real_lint(text, path, **kwargs)
@@ -264,16 +280,16 @@ def test_fix_verification_error_is_typed():
 
 def test_fix_paths_dry_run_leaves_files_untouched(tmp_path):
     target = tmp_path / "spin.py"
-    target.write_text(SC009_FIXTURE)
+    target.write_text(FIXABLE)
     results = fix_paths([tmp_path])
     assert len(results) == 1
     assert results[0].changed
-    assert target.read_text() == SC009_FIXTURE  # write=False: untouched
+    assert target.read_text() == FIXABLE  # write=False: untouched
 
 
 def test_fix_paths_write_repairs_in_place(tmp_path):
     target = tmp_path / "spin.py"
-    target.write_text(SC009_FIXTURE)
+    target.write_text(FIXABLE)
     results = fix_paths([tmp_path], write=True)
     assert results[0].changed
     on_disk = target.read_text()

@@ -23,7 +23,7 @@ class SkipSync(SyncStrategy):
             return
         yield from ctx.atomic_add(self._m, 0, 1)
         yield from ctx.spin_until(
-            self._m, lambda: self._m.data[0] >= 1, "go", spec=WaitSpec(1, lo=0)
+            self._m, lambda: self._m.data[0] >= 1, "go"
         )
 """
 
@@ -36,7 +36,7 @@ class RoundGateSync(SyncStrategy):
             return
         yield from ctx.atomic_add(self._m, 0, 1)
         yield from ctx.spin_until(
-            self._m, lambda: self._m.data[0] >= 1, "go", spec=WaitSpec(1, lo=0)
+            self._m, lambda: self._m.data[0] >= 1, "go"
         )
 """
 
@@ -48,7 +48,7 @@ class CheckerSync(SyncStrategy):
         if ctx.block_id == 0:
             yield from ctx.gwrite(self._out, 0, 1)
         yield from ctx.spin_until(
-            self._out, lambda: self._out.data[0] >= 1, "go", spec=WaitSpec(1, lo=0)
+            self._out, lambda: self._out.data[0] >= 1, "go"
         )
         yield from ctx.gwrite(self._out, 0, 1)
 """
@@ -141,7 +141,7 @@ def kernel(ctx):
 SC003_NEG = """
 def kernel(ctx):
     yield from ctx.spin_until(
-        flags, lambda: flags.data[0] >= 1, "fresh", spec=WaitSpec(1, lo=0)
+        flags, lambda: flags.data[0] >= 1, "fresh"
     )
 """
 
@@ -211,7 +211,6 @@ class ResetSync(SyncStrategy):
         yield from ctx.atomic_add(self._count, 0, 1)
         yield from ctx.spin_until(
             self._count, lambda: self._count.data[0] >= 1, "all in",
-            spec=WaitSpec(1, lo=0),
         )
         yield from ctx.gwrite(self._count, 0, 0)
 """
@@ -224,7 +223,6 @@ class PublishSync(SyncStrategy):
         yield from ctx.atomic_add(self._count, 0, 1)
         yield from ctx.spin_until(
             self._count, lambda: self._count.data[0] >= 1, "all in",
-            spec=WaitSpec(1, lo=0),
         )
         yield from ctx.gwrite(self._result, 0, 0)
 """
@@ -236,7 +234,7 @@ class UnderCountSync(SyncStrategy):
         goal = round_idx * n + 1
         yield from ctx.atomic_add(self._m, 0, 1)
         yield from ctx.spin_until(
-            self._m, lambda: self._m.data[0] >= goal, "go", spec=WaitSpec(goal, lo=0)
+            self._m, lambda: self._m.data[0] >= goal, "go"
         )
 """
 
@@ -247,7 +245,7 @@ class AccumulateSync(SyncStrategy):
         goal = (round_idx + 1) * n
         yield from ctx.atomic_add(self._m, 0, 1)
         yield from ctx.spin_until(
-            self._m, lambda: self._m.data[0] >= goal, "go", spec=WaitSpec(goal, lo=0)
+            self._m, lambda: self._m.data[0] >= goal, "go"
         )
 """
 
@@ -376,7 +374,6 @@ class NoScatterSync(SyncStrategy):
         yield from ctx.gwrite(self._arr_in, ctx.block_id, 1)
         yield from ctx.spin_until(
             self._arr_out, lambda: self._arr_out.data[0] >= 1, "released",
-            spec=WaitSpec(1, lo=0),
         )
 """
 
@@ -387,7 +384,6 @@ class ScatterSync(SyncStrategy):
         yield from self._scatter(ctx)
         yield from ctx.spin_until(
             self._arr_out, lambda: self._arr_out.data[0] >= 1, "released",
-            spec=WaitSpec(1, lo=0),
         )
 
     def _scatter(self, ctx):
@@ -411,60 +407,6 @@ def test_sc008_accepts_scatter_in_helper_method():
     assert codes(SC008_NEG_CLASS) == []
 
 
-# -- SC009: spin site without a WaitSpec --------------------------------------
-
-SC009_POS = """
-class NoSpecSync(SyncStrategy):
-    def barrier(self, ctx, round_idx):
-        goal = round_idx + 1
-        yield from ctx.atomic_add(self._m, 0, 1)
-        yield from ctx.spin_until(
-            self._m, lambda: self._m.data[0] >= goal, "go"
-        )
-"""
-
-SC009_NEG = """
-class SpecSync(SyncStrategy):
-    def barrier(self, ctx, round_idx):
-        goal = round_idx + 1
-        yield from ctx.atomic_add(self._m, 0, 1)
-        yield from ctx.spin_until(
-            self._m, lambda: self._m.data[0] >= goal, "go",
-            spec=WaitSpec(goal, lo=0),
-        )
-"""
-
-SC009_NEG_UNCONVERTIBLE = """
-class OpaqueSync(SyncStrategy):
-    def barrier(self, ctx, round_idx):
-        yield from ctx.atomic_add(self._m, 0, 1)
-        yield from ctx.spin_until(
-            self._m, lambda: self._check(round_idx), "opaque"
-        )
-"""
-
-
-def test_sc009_flags_spin_without_wait_spec():
-    assert codes(SC009_POS) == ["SC009"]
-
-
-def test_sc009_accepts_declared_wait_spec():
-    assert codes(SC009_NEG) == []
-
-
-def test_sc009_skips_predicates_it_cannot_convert():
-    # No mechanical threshold shape -> no fix is possible, so no advice.
-    assert codes(SC009_NEG_UNCONVERTIBLE) == []
-
-
-def test_sc009_is_advice_severity():
-    report = lint_source(SC009_POS, "<fixture>")
-    assert [f.severity for f in report.findings] == ["advice"]
-    assert report.findings[0].fixes  # carries the insertion fix
-    assert report.exit_code(strict=False) == 0
-    assert report.exit_code(strict=True) == 1
-
-
 # -- shipped code stays clean -------------------------------------------------
 
 
@@ -480,7 +422,6 @@ def test_every_positive_fixture_reports_exactly_one_code():
         SC007_POS,
         SC008_POS_EFFECT,
         SC008_POS_CLASS,
-        SC009_POS,
     ]
     for src in positives:
         found = codes(src)
