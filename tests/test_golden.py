@@ -15,9 +15,10 @@ how many strategies were built before, so every string is normalized
 ``#<digits>`` -> ``#N`` first.
 
 The entries cover every registered strategy (the shipped barriers and
-the ``broken-*`` mutants) on every preset, the three paper kernels on
-every strategy, fifty fuzzed schedules, the fuzzed mutants, and the
-Fig. 11/13/15 drivers (Figs. 13 and 14 render one sweep).
+the ``broken-*`` mutants) on every preset at 4 and at 50 rounds, the
+three paper kernels on every strategy, fifty fuzzed schedules, the
+fuzzed mutants, and the Fig. 11/13/15 drivers (Figs. 13 and 14 render
+one sweep).
 
 The file changes only through ``pytest tests/test_golden.py
 --update-golden``; a change that moves a digest must say why.
@@ -133,6 +134,15 @@ def _cases() -> Dict[str, Callable[[], Dict[str, Any]]]:
                     MeanMicrobench(rounds=4), s, 4, preset=p
                 )
             )
+    # 50 rounds: long enough for a steady-state fast-forward to splice
+    # periods into every strategy that reaches one.
+    for preset in preset_names():
+        for strategy in strategy_names():
+            cases[f"micro50/{preset}/{strategy}"] = (
+                lambda s=strategy, p=preset: _run_record(
+                    MeanMicrobench(rounds=50), s, 4, preset=p
+                )
+            )
     # 30 % jitter skews block arrivals: the condition under which the
     # undercount mutant actually opens the barrier early.
     for strategy in MUTANTS:
@@ -160,6 +170,9 @@ def _cases() -> Dict[str, Callable[[], Dict[str, Any]]]:
             )
     cases["driver/fig11"] = lambda: _sweep_record(
         experiments.fig11(rounds=10, blocks=[2, 5, 8])
+    )
+    cases["driver/fig11-50"] = lambda: _sweep_record(
+        experiments.fig11(rounds=50, blocks=[2, 5, 8])
     )
     for preset in preset_names():
         cases[f"driver/fig11/{preset}"] = lambda p=preset: _sweep_record(
