@@ -34,6 +34,14 @@ class RoundAlgorithm(abc.ABC):
     name: str = "abstract"
     #: threads per block the paper used for this workload (§7.2).
     default_threads: int = 256
+    #: Steady-state fast-forward opt-in.  An algorithm whose rounds all
+    #: cost the same and do the same work sets this to a method that
+    #: applies ``count`` further rounds' work in one step.  The runner
+    #: may then simulate a short prefix, check that it is periodic and
+    #: splice in the remaining rounds instead of simulating them
+    #: (docs/simulator.md, "Steady-state fast-forward").  ``None``, the
+    #: default, means "not eligible": every round is simulated.
+    skip_rounds: Optional[Callable[[int], None]] = None
 
     @abc.abstractmethod
     def num_rounds(self) -> int:

@@ -16,6 +16,7 @@ completed everywhere, making barrier violations observable.
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,8 +42,13 @@ class MeanMicrobench(RoundAlgorithm):
         threads_per_block: int = 256,
         seed: int = 0,
     ):
-        if rounds < 1:
-            raise ConfigError(f"rounds must be >= 1, got {rounds}")
+        for label, value in (
+            ("rounds", rounds),
+            ("num_blocks_hint", num_blocks_hint),
+            ("threads_per_block", threads_per_block),
+        ):
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+                raise ConfigError(f"{label} must be an int >= 1, got {value!r}")
         self.rounds = rounds
         self.threads_per_block = threads_per_block
         # Weak scaling: one element per thread across the *largest* grid
@@ -81,6 +87,10 @@ class MeanMicrobench(RoundAlgorithm):
             self._stamps[lo:hi] += 1
 
         return work
+
+    def skip_rounds(self, count: int) -> None:
+        """Apply ``count`` more rounds: ``out`` is idempotent, stamps add up."""
+        self._stamps += count
 
     def verify(self) -> None:
         expected = (self._a + self._b) / 2.0

@@ -303,7 +303,9 @@ def fig11(
 
     The paper uses 10 000 rounds; we default to 200 (every reported
     quantity is per-round or a ratio, so only absolute magnitudes shift —
-    DESIGN.md §2).
+    DESIGN.md §2).  The runner fast-forwards the micro-benchmark's
+    steady-state rounds, so ``rounds=10_000`` costs about as much as the
+    default.
     """
     cfg = config or get_preset("gtx280")
     xs = _block_counts(blocks, range(1, cfg.num_sms + 1))

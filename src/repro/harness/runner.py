@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import logging
 import math
+import re
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Generator, List, Optional, Tuple, Union
+from typing import Callable, Generator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -18,9 +20,12 @@ from repro.gpu.context import BlockCtx
 from repro.gpu.device import Device
 from repro.gpu.host import Host
 from repro.gpu.kernel import KernelSpec
+from repro.harness.fastforward import WINDOW, NoPeriod, PeriodWatch, splice
 from repro.sync.base import SyncStrategy, get_strategy
 
 __all__ = ["RaceMonitor", "RecoveryEvent", "RunResult", "run"]
+
+logger = logging.getLogger(__name__)
 
 
 class RaceMonitor:
@@ -116,6 +121,18 @@ class RunResult:
         return self.attempts > 1 or self.degraded
 
 
+def _kernel_relabel(name: str) -> Callable[[str, int], str]:
+    """Owner renaming that advances host-mode kernel names ``{name}:r{r}``."""
+    pattern = re.compile(rf"{re.escape(name)}:r(\d+)")
+
+    def relabel(owner: str, rounds: int) -> str:
+        return pattern.sub(
+            lambda m: f"{name}:r{int(m.group(1)) + rounds}", owner, count=1
+        )
+
+    return relabel
+
+
 def run(
     algorithm: RoundAlgorithm,
     strategy: Union[str, SyncStrategy],
@@ -179,6 +196,15 @@ def run(
     (:mod:`repro.harness.resilient`).  Without them a run is one
     attempt.
 
+    An algorithm that opts in through
+    :attr:`~repro.algorithms.base.RoundAlgorithm.skip_rounds` (the
+    micro-benchmark) is fast-forwarded: the runner simulates a short
+    prefix, checks that it is periodic and splices in the remaining
+    rounds, with a result identical to the full simulation
+    (:mod:`repro.harness.fastforward`; a DEBUG record on this module's
+    logger says whether a run was spliced).  Jitter, a fuzzer, a probe,
+    faults or a barrier deadline keep every round simulated.
+
     Malformed inputs raise :class:`~repro.errors.ConfigError` before
     anything is simulated: a ``num_blocks`` that is not an ``int``,
     ``threads_per_block`` or ``barrier_deadline_ns`` below 1, and a
@@ -208,19 +234,70 @@ def run(
             f"barrier_deadline_ns must be >= 1, got {barrier_deadline_ns}"
         )
 
+    def steady_blocker() -> Optional[str]:
+        """Why this run may not be fast-forwarded (None: it may)."""
+        rounds = algorithm.num_rounds()
+        for reason, present in (
+            ("jitter on", jitter_pct > 0),
+            ("fuzzer on", fuzzer is not None),
+            ("probe on", probe is not None),
+            ("faults on", faults is not None),
+            ("barrier deadline set", barrier_deadline_ns is not None),
+            ("device watchdog set", cfg.watchdog_ns is not None),
+            (f"{rounds} rounds <= window {WINDOW}", rounds <= WINDOW),
+        ):
+            if present:
+                return reason
+        return None
+
     def attempt(strategy: Union[str, SyncStrategy]) -> RunResult:
-        """One launch of the validated configuration under ``strategy``."""
+        """One launch of the validated configuration under ``strategy``.
+
+        An algorithm that opts in to steady-state fast-forward first gets
+        a :data:`~repro.harness.fastforward.WINDOW`-round prefix; if that
+        proves a period the result is spliced, otherwise the run is
+        simulated in full.  Either way one DEBUG record says which.
+        """
         if isinstance(strategy, str):
             strategy = get_strategy(strategy)
         strategy.validate_grid(cfg, num_blocks)
+        if algorithm.skip_rounds is None:
+            return simulate(strategy, steady=False)
+        reason = steady_blocker()
+        if reason is None:
+            try:
+                return simulate(strategy, steady=True)
+            except NoPeriod as declined:
+                reason = str(declined)
+            except Exception as exc:  # noqa: BLE001 - the full run re-raises it
+                reason = f"prefix raised {type(exc).__name__}"
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug(
+                "fast-forward declined for %s on %s (%d blocks, %d rounds): %s",
+                algorithm.name, strategy.name, num_blocks,
+                algorithm.num_rounds(), reason,
+            )
+        return simulate(strategy, steady=False)
 
+    def simulate(strategy: SyncStrategy, steady: bool) -> RunResult:
+        """Simulate every round, or (``steady``) a prefix spliced to the rest.
+
+        A prefix that does not prove a period raises
+        :class:`~repro.harness.fastforward.NoPeriod`.
+        """
         algorithm.reset()
         device = Device(cfg, fuzzer=fuzzer, faults=faults)
         if probe is not None:
             device.probes.append(probe)
         host = Host(device)
-        rounds = algorithm.num_rounds()
+        total_rounds = algorithm.num_rounds()
+        rounds = WINDOW if steady else total_rounds
         monitor = RaceMonitor(rounds, num_blocks) if monitor_races else None
+        host_mode = strategy.mode != "device"
+        watch: Optional[PeriodWatch] = None
+        if steady:
+            relabel = _kernel_relabel(algorithm.name) if host_mode else None
+            watch = PeriodWatch(device, host_mode, relabel)
 
         # Resilient path: any armed run gets the barrier watchdog, so a
         # stall surfaces as a typed, recoverable error instead of a
@@ -256,6 +333,8 @@ def run(
 
             def program(ctx: BlockCtx) -> Generator:
                 for r in range(rounds):
+                    if watch is not None and ctx.block_id == 0:
+                        watch.tick(r)
                     cost = jitter(algorithm.round_cost(r, ctx.block_id, num_blocks))
                     yield from ctx.compute(cost, work_for(r, ctx.block_id), round=r)
                     yield from strategy.instrumented_barrier(ctx, r)
@@ -297,6 +376,8 @@ def run(
         else:
 
             def round_program(ctx: BlockCtx, round_idx: int) -> Generator:
+                if watch is not None and ctx.block_id == 0:
+                    watch.tick(round_idx)
                 cost = jitter(
                     algorithm.round_cost(round_idx, ctx.block_id, num_blocks)
                 )
@@ -306,6 +387,8 @@ def run(
 
             def host_program() -> Generator:
                 for r in range(rounds):
+                    if watch is not None:
+                        watch.launch = r
                     spec = KernelSpec(
                         name=f"{algorithm.name}:r{r}",
                         program=round_program,
@@ -318,13 +401,18 @@ def run(
                         watchdog.watch(handle)
                     if strategy.explicit:
                         yield from host.synchronize()
+                if watch is not None:
+                    watch.launch = -1
                 yield from host.synchronize()
                 if watchdog is not None:
                     watchdog.disarm()
 
         if watchdog is not None:
             watchdog.arm()
-        device.engine.spawn(host_program(), "host")
+        root = host_program()
+        if watch is not None and host_mode:
+            root = watch.counted(root)
+        device.engine.spawn(root, "host")
         total_ns = device.run()
 
         if watchdog is not None and watchdog.fired:
@@ -346,6 +434,27 @@ def run(
                 )
                 raise FaultError(f"kernel killed mid-run: {detail}")
 
+        launches = len(host.launches)
+        if watch is not None:
+            if monitor is not None and not monitor.clean:
+                raise NoPeriod("race violation in the prefix")
+            period = watch.period()
+            skipped = total_rounds - rounds
+            splice(device, period, skipped)
+            skip_rounds = algorithm.skip_rounds
+            assert skip_rounds is not None  # only opted-in runs are steady
+            skip_rounds(skipped)
+            total_ns = device.engine.now
+            launches += skipped * period.launches
+            if logger.isEnabledFor(logging.DEBUG):
+                logger.debug(
+                    "fast-forward engaged for %s on %s (%d blocks, %d rounds): "
+                    "window %d, period %d ns, %d spans per period, "
+                    "%d rounds skipped",
+                    algorithm.name, strategy.name, num_blocks, total_rounds,
+                    WINDOW, period.ns, period.spans, skipped,
+                )
+
         verified: Optional[bool] = None
         if verify and strategy.name != "null":
             algorithm.verify()  # raises VerificationError on mismatch
@@ -356,9 +465,9 @@ def run(
             strategy=strategy.name,
             num_blocks=num_blocks,
             threads_per_block=threads,
-            rounds=rounds,
+            rounds=total_rounds,
             total_ns=total_ns,
-            kernel_launches=len(host.launches),
+            kernel_launches=launches,
             verified=verified,
             violations=len(monitor.violations) if monitor is not None else -1,
             atomic_ops=device.atomics.ops,

@@ -82,8 +82,8 @@ class GpuSimpleSync(SyncStrategy):
         else:
             goal = (round_idx + 1) * n
             yield from ctx.atomic_add(mutex, 0, 1)
-            # The accumulating goal makes the mutex monotonic, so the wait
-            # is declarable: cell 0 reaching `goal` (fast-engine indexable).
+            # The accumulating goal makes the mutex monotonic: the wait
+            # ends once cell 0 reaches `goal`, whatever stores came first.
             yield from ctx.spin_until(
                 mutex,
                 lambda: mutex.data[0] >= goal,

@@ -5,6 +5,7 @@ import pytest
 from repro.algorithms import MeanMicrobench, VerificationError
 from repro.errors import ConfigError
 from repro.model.calibration import MICRO_ROUND_COMPUTE_NS
+from repro.parallel.workers import build_algorithm
 
 from tests.algorithms.conftest import run_rounds_serially
 
@@ -54,3 +55,22 @@ def test_reset_clears_state():
 def test_rejects_zero_rounds():
     with pytest.raises(ConfigError):
         MeanMicrobench(rounds=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"rounds": 2.5},
+        {"rounds": True},
+        {"rounds": "3"},
+        {"num_blocks_hint": 0},
+        {"threads_per_block": 0},
+    ],
+    ids=["float-rounds", "bool-rounds", "str-rounds", "zero-hint", "zero-threads"],
+)
+def test_malformed_inputs_are_config_errors(kwargs):
+    with pytest.raises(ConfigError):
+        MeanMicrobench(**kwargs)
+    # The worker and service spec path builds the same object.
+    with pytest.raises(ConfigError):
+        build_algorithm({"name": "micro", **kwargs})

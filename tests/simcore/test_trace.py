@@ -64,3 +64,54 @@ def test_trace_clear():
     tr.clear()
     assert len(tr) == 0
     assert tr.total() == 0
+
+
+def _periodic_trace():
+    """A head span, two 10 ns periods of two spans each, a tail span."""
+    tr = Trace()
+    tr.add("k:r0", "setup", 0, 4)
+    for r in range(2):
+        tr.add("k:r0/b0", "compute", 4 + 10 * r, 9 + 10 * r, round=r)
+        tr.add("k:r0/b0", "sync", 9 + 10 * r, 14 + 10 * r, round=r, strategy="s")
+    tr.add("k:r0", "teardown", 24, 30)
+    return tr
+
+
+def test_splice_counts_arithmetically_then_materializes_copies():
+    tr = _periodic_trace()
+    tr.splice(at=5, period=2, copies=3, period_ns=10)
+    assert len(tr) == 12
+    assert tr.total() == 4 + 5 * 10 + 6
+    assert tr.total("compute") == 5 * 5
+    assert tr.by_phase() == {"setup": 4, "compute": 25, "sync": 25, "teardown": 6}
+    assert tr.phases() == ["setup", "compute", "sync", "teardown"]
+    spans = tr.spans()
+    assert len(spans) == 12
+    assert [s.meta["round"] for s in spans[1:11]] == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
+    assert [s.start for s in spans[1:11:2]] == [4, 14, 24, 34, 44]
+    assert spans[-1] == Span("k:r0", "teardown", 54, 60)
+    assert tr.total() == sum(s.duration for s in spans)
+
+
+def test_splice_relabels_owners_and_keeps_later_spans_after_the_tail():
+    def relabel(owner, k):
+        return owner.replace("r0", f"r{k}")
+
+    tr = _periodic_trace()
+    tr.splice(at=5, period=2, copies=2, period_ns=10, relabel=relabel)
+    tr.add("host", "late", 60, 61)
+    assert len(tr) == 11
+    assert tr.total("sync", owner="k:r1/b0") == 5
+    owners = [s.owner for s in tr]
+    assert owners[5:7] == ["k:r1/b0", "k:r1/b0"]
+    assert owners[-2:] == ["k:r2", "host"]
+
+
+def test_splice_with_zero_copies_is_a_no_op_and_bad_splices_raise():
+    tr = _periodic_trace()
+    before = tr.to_tuples()
+    tr.splice(at=5, period=2, copies=0, period_ns=10)
+    assert tr.to_tuples() == before
+    for at, period in ((5, 0), (7, 2), (1, 2)):
+        with pytest.raises(ValueError):
+            tr.splice(at=at, period=period, copies=1, period_ns=10)
