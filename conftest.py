@@ -34,11 +34,3 @@ def pytest_addoption(parser):
         help="rewrite tests/golden/runs.json from the current code instead "
         "of checking against it (tests/test_golden.py)",
     )
-    parser.addoption(
-        "--full-matrix",
-        action="store_true",
-        default=False,
-        help="add the 200- and 1000-round cells to the fast-forward "
-        "equivalence matrix (tests/harness/test_fastforward.py; about ten "
-        "minutes)",
-    )

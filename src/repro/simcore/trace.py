@@ -63,9 +63,14 @@ Relabel = Callable[[str, int], str]
 
 @dataclass(frozen=True)
 class _Splice:
-    """``copies`` repeats of the ``period`` spans ending at index ``at``."""
+    """``copies`` repeats of the ``period`` spans ending at index ``at``.
+
+    ``end`` is the span count when the splice was made: the tail
+    ``[at, end)`` moves past the copies, spans added later do not.
+    """
 
     at: int
+    end: int
     period: int
     copies: int
     period_ns: int
@@ -109,7 +114,8 @@ class Trace:
 
         Copy ``k`` (from 1) is that segment :meth:`Span.shifted` by ``k *
         period_ns`` and ``k`` rounds; every span from ``at`` on moves
-        past the copies.  Nothing is built here: :func:`len`,
+        past the copies (spans :meth:`add`-ed afterwards are kept where
+        they are).  Nothing is built here: :func:`len`,
         :meth:`total` and :meth:`by_phase` count the copies
         arithmetically, and the first read of the spans themselves
         materializes them.
@@ -120,7 +126,7 @@ class Trace:
                 f"bad splice: period {period} ending at {at} of "
                 f"{len(spans)} spans, {copies} copies"
             )
-        self._splice = _Splice(at, period, copies, period_ns, relabel)
+        self._splice = _Splice(at, len(spans), period, copies, period_ns, relabel)
 
     def _materialize(self) -> List[Span]:
         """The full span list, building a pending splice first."""
@@ -133,7 +139,9 @@ class Trace:
                 ns = k * cut.period_ns
                 out.extend(s.shifted(ns, k, cut.relabel) for s in segment)
             ns = cut.copies * cut.period_ns
-            out.extend(s.shifted(ns, cut.copies, cut.relabel) for s in spans[cut.at :])
+            tail = spans[cut.at : cut.end]
+            out.extend(s.shifted(ns, cut.copies, cut.relabel) for s in tail)
+            out.extend(spans[cut.end :])
             self._spans = out
             self._splice = None
         return self._spans

@@ -33,9 +33,9 @@ STEADY = ("null", "cpu-explicit", "cpu-implicit", "gpu-simple", "gpu-tree-2",
 
 BLOCKS = (1, 2, 7, 30)
 ROUNDS = (1, 2, 3, 4, 5, 6, 50)
-#: the long runs: their full simulations cost seconds per cell (about ten
-#: minutes for the whole grid), so only ``--full-matrix`` adds them.
-LONG_ROUNDS = (200, 1000)
+#: long runs ``(blocks, rounds)`` on gtx280: a full simulation costs
+#: seconds per cell here, so they cover the Fig. 11 strategies only.
+LONG_CELLS = ((30, 200), (2, 1000))
 
 _UID = re.compile(r"#\d+")
 
@@ -103,18 +103,18 @@ def _check_cell(caplog, preset: str, strategy: str, blocks: int, rounds: int) ->
 
 @pytest.mark.parametrize("strategy", strategy_names())
 @pytest.mark.parametrize("preset", preset_names())
-def test_fast_forward_matches_full_simulation(preset, strategy, caplog, request):
+def test_fast_forward_matches_full_simulation(preset, strategy, caplog):
     caplog.set_level(logging.DEBUG, logger=LOGGER)
-    long_rounds = LONG_ROUNDS if request.config.getoption("--full-matrix") else ()
     for blocks in BLOCKS:
-        for rounds in ROUNDS + long_rounds:
+        for rounds in ROUNDS:
             _check_cell(caplog, preset, strategy, blocks, rounds)
 
 
 @pytest.mark.parametrize("strategy", STEADY)
 def test_long_fig11_cells_match_full_simulation(strategy, caplog):
     caplog.set_level(logging.DEBUG, logger=LOGGER)
-    _check_cell(caplog, "gtx280", strategy, 30, 200)
+    for blocks, rounds in LONG_CELLS:
+        _check_cell(caplog, "gtx280", strategy, blocks, rounds)
 
 
 def test_engaged_record_names_window_period_spans_and_skipped_rounds(caplog):

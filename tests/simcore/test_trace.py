@@ -93,7 +93,7 @@ def test_splice_counts_arithmetically_then_materializes_copies():
     assert tr.total() == sum(s.duration for s in spans)
 
 
-def test_splice_relabels_owners_and_keeps_later_spans_after_the_tail():
+def test_splice_relabels_owners_and_keeps_later_spans_where_added():
     def relabel(owner, k):
         return owner.replace("r0", f"r{k}")
 
@@ -105,6 +105,7 @@ def test_splice_relabels_owners_and_keeps_later_spans_after_the_tail():
     owners = [s.owner for s in tr]
     assert owners[5:7] == ["k:r1/b0", "k:r1/b0"]
     assert owners[-2:] == ["k:r2", "host"]
+    assert tr.spans()[-1] == Span("host", "late", 60, 61)
 
 
 def test_splice_with_zero_copies_is_a_no_op_and_bad_splices_raise():
