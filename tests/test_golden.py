@@ -8,7 +8,11 @@ rests on, one entry per configuration:
   count, the summed ``fire_count`` of every global-memory signal and a
   SHA-256 of the full span trace;
 * a run that raises records the error class and message instead;
-* an experiment driver records its serialized output.
+* an experiment driver records its serialized output;
+* a kernel-data entry records the SHA-256 of a paper kernel's final
+  working array (FFT ``buf``, Smith-Waterman ``H``, bitonic ``keys``),
+  so a result that drifts by one ulp shows even where ``verify``'s
+  tolerance would pass it.
 
 Allocation names carry per-instance uids (``g_mutex#3``) that depend on
 how many strategies were built before, so every string is normalized
@@ -33,6 +37,7 @@ import re
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional
 
+import numpy as np
 import pytest
 
 from repro.algorithms import FFT, BitonicSort, MeanMicrobench, SmithWaterman
@@ -62,6 +67,17 @@ KERNELS = {
     "swat": lambda: SmithWaterman(32, 32),
     "bitonic": lambda: BitonicSort(n=2**10),
 }
+
+#: kernel -> (seeded factory, name of its final working array).
+KERNEL_DATA = {
+    "fft": (lambda: FFT(n=2**10, seed=3), "buf"),
+    "swat": (lambda: SmithWaterman(32, 32, seed=3), "H"),
+    "bitonic": (lambda: BitonicSort(n=2**10, seed=3), "keys"),
+}
+
+#: strategies and grid sizes the kernel-data entries pin.
+DATA_STRATEGIES = ("null", "cpu-implicit", "gpu-lockfree", "gpu-simple")
+DATA_BLOCKS = (1, 7, 30)
 
 
 def _norm(obj: Any) -> Any:
@@ -119,6 +135,15 @@ def _run_record(
     }
 
 
+def _data_record(kernel: str, strategy: str, blocks: int) -> Dict[str, Any]:
+    make, attr = KERNEL_DATA[kernel]
+    algorithm = make()
+    run(algorithm, strategy, num_blocks=blocks)
+    array = np.ascontiguousarray(getattr(algorithm, attr))
+    return {"dtype": str(array.dtype), "shape": list(array.shape),
+            "sha256": hashlib.sha256(array.tobytes()).hexdigest()}
+
+
 def _sweep_record(sweep: Any) -> Dict[str, Any]:
     text = sweep.to_json()
     return {"sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
@@ -154,6 +179,12 @@ def _cases() -> Dict[str, Callable[[], Dict[str, Any]]]:
             cases[f"kernel/{kernel}/{strategy}"] = (
                 lambda s=strategy, m=make: _run_record(m(), s, 6)
             )
+    for kernel in KERNEL_DATA:
+        for strategy in DATA_STRATEGIES:
+            for blocks in DATA_BLOCKS:
+                cases[f"kernel-data/{kernel}/{strategy}/{blocks}"] = (
+                    lambda k=kernel, s=strategy, b=blocks: _data_record(k, s, b)
+                )
     for case, seed in enumerate(derive_seeds(20250807, 50)):
         strategy = FUZZED[case % len(FUZZED)]
         cases[f"fuzz/{case:02d}/{strategy}"] = (
