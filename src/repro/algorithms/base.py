@@ -3,9 +3,22 @@
 from __future__ import annotations
 
 import abc
-from typing import Callable, Optional
+from numbers import Integral
+from typing import Any, Callable, Optional
 
-__all__ = ["RoundAlgorithm", "VerificationError"]
+from repro.errors import ConfigError
+
+__all__ = ["RoundAlgorithm", "VerificationError", "require_int"]
+
+
+def require_int(label: str, value: Any, minimum: int) -> None:
+    """Check that ``value`` is an ``int`` of at least ``minimum``.
+
+    Raises :class:`~repro.errors.ConfigError` otherwise, also for a
+    ``bool``; ``label`` names the value in the message.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise ConfigError(f"{label} must be an int >= {minimum}, got {value!r}")
 
 
 class VerificationError(AssertionError):

@@ -17,15 +17,22 @@ The CUDA SDK version the paper contrasts against (§3) is limited to one
 512-thread block — at most 512 keys — precisely because it only has
 ``__syncthreads()``; a grid-wide barrier lifts that limit, which is the
 motivating example for this whole line of work.
+
+Per-round tables: the first time a step runs, :class:`BitonicSort`
+builds that step's lower indices, partners and directions for all
+``n/2`` pairs and keeps them; a block's work is its
+:func:`~repro.algorithms.costs.block_items` slice of the three arrays.
+Nothing is built in ``__init__``, and every later run of the same
+instance reuses the tables.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.algorithms.base import RoundAlgorithm, VerificationError
+from repro.algorithms.base import RoundAlgorithm, VerificationError, require_int
 from repro.algorithms.costs import BITONIC_PAIR_NS, block_cost, block_items
 from repro.errors import ConfigError
 
@@ -34,7 +41,8 @@ __all__ = ["BitonicSort", "bitonic_steps"]
 
 def bitonic_steps(n: int) -> List[Tuple[int, int]]:
     """The network's ``(size, stride)`` step sequence for ``n`` keys."""
-    if n < 2 or n & (n - 1):
+    require_int("bitonic sort size", n, 2)
+    if n & (n - 1):
         raise ConfigError(f"bitonic sort size must be a power of two >= 2, got {n}")
     steps: List[Tuple[int, int]] = []
     size = 2
@@ -56,9 +64,13 @@ class BitonicSort(RoundAlgorithm):
     def __init__(self, n: int = 2**14, seed: int = 0):
         self.n = n
         self._steps = bitonic_steps(n)
+        require_int("seed", seed, 0)
         rng = np.random.default_rng(seed)
         self.input = rng.random(n)
         self.keys = np.empty(n)
+        self._pairs = n // 2
+        #: step index -> (lower index, partner, ascending) for every pair.
+        self._tables: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self.reset()
 
     def num_rounds(self) -> int:
@@ -67,34 +79,39 @@ class BitonicSort(RoundAlgorithm):
     def reset(self) -> None:
         self.keys[:] = self.input
 
-    def _pairs(self) -> int:
-        return self.n // 2
-
     def round_cost(self, round_idx: int, block_id: int, num_blocks: int) -> float:
-        items = len(block_items(self._pairs(), block_id, num_blocks))
+        items = len(block_items(self._pairs, block_id, num_blocks))
         return block_cost(items, BITONIC_PAIR_NS)
+
+    def _table(self, round_idx: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Step ``round_idx``'s ``(i, partner, ascending)`` for every pair."""
+        try:
+            return self._tables[round_idx]
+        except KeyError:
+            pass
+        size, stride = self._steps[round_idx]
+        # Pair p owns lower index i = (p // stride)·2·stride + (p % stride).
+        p = np.arange(self._pairs, dtype=np.int64)
+        i = (p // stride) * (stride << 1) + (p % stride)
+        table = self._tables[round_idx] = (i, i | stride, (i & size) == 0)
+        return table
 
     def round_work(
         self, round_idx: int, block_id: int, num_blocks: int
     ) -> Optional[Callable[[], None]]:
-        span = block_items(self._pairs(), block_id, num_blocks)
-        if len(span) == 0:
+        span = block_items(self._pairs, block_id, num_blocks)
+        if not span:
             return None
-        size, stride = self._steps[round_idx]
+        lo, hi = span.start, span.stop
 
         def work() -> None:
-            # Enumerate this block's pairs by their lower index: pair p
-            # owns lower index i = (p // stride)·2·stride + (p % stride).
-            p = np.arange(span.start, span.stop, dtype=np.int64)
-            i = (p // stride) * (stride << 1) + (p % stride)
-            partner = i | stride
-            ascending = (i & size) == 0
-            a, b = self.keys[i], self.keys[partner]
-            swap = np.where(ascending, a > b, a < b)
-            lo = np.where(swap, b, a)
-            hi = np.where(swap, a, b)
-            self.keys[i] = lo
-            self.keys[partner] = hi
+            i, partner, ascending = self._table(round_idx)
+            i, partner = i[lo:hi], partner[lo:hi]
+            keys = self.keys
+            a, b = keys[i], keys[partner]
+            swap = np.where(ascending[lo:hi], a > b, a < b)
+            keys[i] = np.where(swap, b, a)
+            keys[partner] = np.where(swap, a, b)
 
         return work
 

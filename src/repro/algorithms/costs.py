@@ -28,6 +28,7 @@ Derivations (implicit barrier = 6 000 ns/round, see
 
 from __future__ import annotations
 
+import functools
 import math
 
 __all__ = [
@@ -49,11 +50,15 @@ SWAT_CELL_NS = 330
 BITONIC_PAIR_NS = 14
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def block_items(total_items: int, block_id: int, num_blocks: int) -> range:
     """Contiguous partition of ``total_items`` work items across blocks.
 
     Blocks get ``ceil(total/num_blocks)`` items except possibly the last;
-    blocks past the end receive an empty range.
+    blocks past the end receive an empty range.  Memoized: a kernel's
+    :meth:`~repro.algorithms.base.RoundAlgorithm.round_cost` and
+    :meth:`~repro.algorithms.base.RoundAlgorithm.round_work` both ask
+    for the same block's slice, every round of every run.
     """
     if num_blocks < 1:
         raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")

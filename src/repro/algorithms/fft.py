@@ -15,15 +15,22 @@ and ``i2 = i1 + h`` with ``h = m/2``, combining them through the twiddle
 round partitions the ``n/2`` butterflies across blocks; every stage reads
 values the *previous* stage wrote — other blocks' writes included —
 which is what makes the inter-block barrier load-bearing.
+
+Per-round tables: the first time a stage runs, :class:`FFT` builds that
+stage's ``i1``/``i2`` index arrays and twiddles for all ``n/2``
+butterflies and keeps them; a block's work is its
+:func:`~repro.algorithms.costs.block_items` slice of the three arrays.
+Nothing is built in ``__init__``, and every later run of the same
+instance reuses the tables.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.algorithms.base import RoundAlgorithm, VerificationError
+from repro.algorithms.base import RoundAlgorithm, VerificationError, require_int
 from repro.algorithms.costs import FFT_BUTTERFLY_NS, block_cost, block_items
 from repro.errors import ConfigError
 
@@ -50,7 +57,9 @@ class FFT(RoundAlgorithm):
     default_threads = 448  # paper §7.2
 
     def __init__(self, n: int = 2**15, seed: int = 0, inverse: bool = False):
-        if n < 2 or n & (n - 1):
+        require_int("FFT size", n, 2)
+        require_int("seed", seed, 0)
+        if n & (n - 1):
             raise ConfigError(f"FFT size must be a power of two >= 2, got {n}")
         self.n = n
         self.stages = n.bit_length() - 1
@@ -63,6 +72,9 @@ class FFT(RoundAlgorithm):
         )
         self._rev = bit_reverse_permutation(n)
         self.buf = np.empty(n, dtype=np.complex128)
+        self._butterflies = n // 2
+        #: stage index -> (i1, i2, twiddles) over all butterflies.
+        self._tables: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self.reset()
 
     def num_rounds(self) -> int:
@@ -73,35 +85,41 @@ class FFT(RoundAlgorithm):
         # input copy; the barrier-separated rounds are the stages.
         self.buf[:] = self.input[self._rev]
 
-    def _butterflies(self) -> int:
-        return self.n // 2
-
     def round_cost(self, round_idx: int, block_id: int, num_blocks: int) -> float:
-        items = len(block_items(self._butterflies(), block_id, num_blocks))
+        items = len(block_items(self._butterflies, block_id, num_blocks))
         return block_cost(items, FFT_BUTTERFLY_NS)
+
+    def _table(self, round_idx: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stage ``round_idx + 1``'s ``(i1, i2, twiddles)`` for every butterfly."""
+        try:
+            return self._tables[round_idx]
+        except KeyError:
+            pass
+        m = 2 << round_idx
+        h = m >> 1
+        sign = 2j if self.inverse else -2j
+        b = np.arange(self._butterflies, dtype=np.int64)
+        j = b % h
+        i1 = (b // h) * m + j
+        table = self._tables[round_idx] = (i1, i1 + h, np.exp(sign * np.pi * j / m))
+        return table
 
     def round_work(
         self, round_idx: int, block_id: int, num_blocks: int
     ) -> Optional[Callable[[], None]]:
-        span = block_items(self._butterflies(), block_id, num_blocks)
-        if len(span) == 0:
+        span = block_items(self._butterflies, block_id, num_blocks)
+        if not span:
             return None
-        stage = round_idx + 1
-        m = 1 << stage
-        h = m >> 1
-
-        sign = 2j if self.inverse else -2j
+        lo, hi = span.start, span.stop
 
         def work() -> None:
-            b = np.arange(span.start, span.stop, dtype=np.int64)
-            j = b % h
-            i1 = (b // h) * m + j
-            i2 = i1 + h
-            w = np.exp(sign * np.pi * j / m)
-            t = w * self.buf[i2]
-            u = self.buf[i1]
-            self.buf[i1] = u + t
-            self.buf[i2] = u - t
+            i1, i2, w = self._table(round_idx)
+            i1, i2 = i1[lo:hi], i2[lo:hi]
+            buf = self.buf
+            t = w[lo:hi] * buf[i2]
+            u = buf[i1]
+            buf[i1] = u + t
+            buf[i2] = u - t
 
         return work
 

@@ -16,14 +16,12 @@ completed everywhere, making barrier violations observable.
 
 from __future__ import annotations
 
-from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
 
-from repro.algorithms.base import RoundAlgorithm, VerificationError
+from repro.algorithms.base import RoundAlgorithm, VerificationError, require_int
 from repro.algorithms.costs import block_items
-from repro.errors import ConfigError
 from repro.model.calibration import MICRO_ROUND_COMPUTE_NS
 
 __all__ = ["MeanMicrobench"]
@@ -47,8 +45,7 @@ class MeanMicrobench(RoundAlgorithm):
             ("num_blocks_hint", num_blocks_hint),
             ("threads_per_block", threads_per_block),
         ):
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-                raise ConfigError(f"{label} must be an int >= 1, got {value!r}")
+            require_int(label, value, 1)
         self.rounds = rounds
         self.threads_per_block = threads_per_block
         # Weak scaling: one element per thread across the *largest* grid

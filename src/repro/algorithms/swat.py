@@ -20,17 +20,26 @@ diagonal's cells.  Per the paper, only the matrix-filling phase is
 parallelized/timed (trace-back is sequential and >99 % of time is
 filling); :meth:`verify` checks the full H matrix (and thus the optimal
 local-alignment score) against an independent reference.
+
+Per-round tables: the first time a diagonal runs, :class:`SmithWaterman`
+computes its interior row range and the match/mismatch score of every
+cell on it, and keeps them; a block's work is its
+:func:`~repro.algorithms.costs.block_items` slice of the diagonal.  In
+the row-major ``(n+1)×(m+1)`` matrices, cell ``(i, d−i)`` sits at flat
+offset ``i·m + d``, so a block's cells and their three neighbours
+(``(i, j−1)``, ``(i−1, j)``, ``(i−1, j−1)`` at offsets ``−1``, ``−m−1``
+and ``−m−2``) are all stride-``m`` views of the flattened matrices: no
+index arrays at all.  Nothing is built in ``__init__``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.algorithms.base import RoundAlgorithm, VerificationError
+from repro.algorithms.base import RoundAlgorithm, VerificationError, require_int
 from repro.algorithms.costs import SWAT_CELL_NS, block_cost, block_items
-from repro.errors import ConfigError
 
 __all__ = ["SmithWaterman", "random_sequence", "swat_reference"]
 
@@ -39,8 +48,8 @@ _ALPHABET = np.frombuffer(b"ACGT", dtype=np.uint8)
 
 def random_sequence(length: int, seed: int) -> np.ndarray:
     """A random DNA sequence as a uint8 array."""
-    if length < 1:
-        raise ConfigError(f"sequence length must be >= 1, got {length}")
+    require_int("sequence length", length, 1)
+    require_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     return _ALPHABET[rng.integers(0, 4, size=length)]
 
@@ -100,6 +109,11 @@ class SmithWaterman(RoundAlgorithm):
         self.H = np.zeros((n + 1, m + 1), dtype=np.int64)
         self.E = np.zeros((n + 1, m + 1), dtype=np.int64)
         self.F = np.zeros((n + 1, m + 1), dtype=np.int64)
+        # Flat views of the three matrices (they are only ever updated
+        # in place), for the stride-m diagonal slices.
+        self._flat = (self.H.reshape(-1), self.E.reshape(-1), self.F.reshape(-1))
+        #: round -> (ilo, ihi, scores) of its anti-diagonal.
+        self._tables: Dict[int, Tuple[int, int, np.ndarray]] = {}
         self._neg = np.iinfo(np.int64).min // 4
         self._expected: Optional[Tuple[np.ndarray, int]] = None
         self.reset()
@@ -130,41 +144,54 @@ class SmithWaterman(RoundAlgorithm):
         ihi = min(self.n, d - 1) + 1
         return ilo, ihi
 
-    def round_cost(self, round_idx: int, block_id: int, num_blocks: int) -> float:
+    def _diagonal(self, round_idx: int) -> Tuple[int, int, np.ndarray]:
+        """Anti-diagonal ``round_idx + 2``: interior rows ``[ilo, ihi)``
+        and the match/mismatch score of each of its cells."""
+        try:
+            return self._tables[round_idx]
+        except KeyError:
+            pass
+        d = round_idx + 2
         ilo, ihi = self._diag_rows(round_idx)
+        # Cell (i, d-i) compares query[i-1] with subject[d-i-1].
+        query = self.query[ilo - 1 : ihi - 1]
+        subject = self.subject[d - ihi : d - ilo][::-1]
+        scores = np.where(query == subject, self.match, self.mismatch)
+        table = self._tables[round_idx] = (ilo, ihi, scores)
+        return table
+
+    def round_cost(self, round_idx: int, block_id: int, num_blocks: int) -> float:
+        ilo, ihi, _ = self._diagonal(round_idx)
         items = len(block_items(ihi - ilo, block_id, num_blocks))
         return block_cost(items, SWAT_CELL_NS)
 
     def round_work(
         self, round_idx: int, block_id: int, num_blocks: int
     ) -> Optional[Callable[[], None]]:
-        ilo, ihi = self._diag_rows(round_idx)
+        ilo, ihi, scores = self._diagonal(round_idx)
         span = block_items(ihi - ilo, block_id, num_blocks)
-        if len(span) == 0:
+        if not span:
             return None
-        d = round_idx + 2
-        lo, hi = ilo + span.start, ilo + span.stop
+        m = self.m
+        # Flat offsets of this block's first cell (i = ilo + span.start)
+        # and of its left, upper and diagonal neighbours; every later
+        # cell is m further on.
+        first = (ilo + span.start) * m + round_idx + 2
+        stop = first + len(span) * m
+        cells = slice(first, stop, m)
+        left = slice(first - 1, stop - 1, m)
+        up = slice(first - m - 1, stop - m - 1, m)
+        diag = slice(first - m - 2, stop - m - 2, m)
+        s = scores[span.start : span.stop]
 
         def work() -> None:
-            i = np.arange(lo, hi, dtype=np.int64)
-            j = d - i
-            s = np.where(
-                self.query[i - 1] == self.subject[j - 1],
-                self.match,
-                self.mismatch,
-            )
-            e = np.maximum(
-                self.H[i, j - 1] - self.gap_open,
-                self.E[i, j - 1] - self.gap_extend,
-            )
-            f = np.maximum(
-                self.H[i - 1, j] - self.gap_open,
-                self.F[i - 1, j] - self.gap_extend,
-            )
-            h = np.maximum(self.H[i - 1, j - 1] + s, 0)
-            self.E[i, j] = e
-            self.F[i, j] = f
-            self.H[i, j] = np.maximum(h, np.maximum(e, f))
+            H, E, F = self._flat
+            e = np.maximum(H[left] - self.gap_open, E[left] - self.gap_extend)
+            f = np.maximum(H[up] - self.gap_open, F[up] - self.gap_extend)
+            h = np.maximum(H[diag] + s, 0)
+            E[cells] = e
+            F[cells] = f
+            H[cells] = np.maximum(h, np.maximum(e, f))
 
         return work
 

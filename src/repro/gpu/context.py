@@ -26,6 +26,8 @@ from repro.simcore.trace import Trace
 
 __all__ = ["BlockCtx"]
 
+_INF = float("inf")
+
 
 class BlockCtx:
     """Per-block device context (the kernel's view of the GPU)."""
@@ -43,6 +45,12 @@ class BlockCtx:
         block_dim: Optional[tuple] = None,
     ):
         self.device = device
+        # The hot path (compute, record) reads the clock and appends
+        # span rows without going through the properties below.
+        self._engine = device.engine
+        self._rows = device.trace.rows
+        #: the device's calibrated timing parameters.
+        self.timings = device.config.timings
         self.kernel_name = kernel_name
         self.block_id = block_id
         self.num_blocks = num_blocks
@@ -89,11 +97,6 @@ class BlockCtx:
         return self.device.trace
 
     @property
-    def timings(self):
-        """The device's calibrated timing parameters."""
-        return self.device.config.timings
-
-    @property
     def is_leader_block(self) -> bool:
         """True for block 0 (convention for single-block work)."""
         return self.block_id == 0
@@ -111,7 +114,12 @@ class BlockCtx:
 
     def record(self, phase: str, start: int, **meta: Any) -> None:
         """Record a span from ``start`` to now under this block's name."""
-        self.trace.add(self.owner, phase, start, self.now, **meta)
+        now = self._engine.now
+        if now < start:
+            raise ValueError(
+                f"span ends before it starts: {self.owner} {phase} {start}..{now}"
+            )
+        self._rows.append((self.owner, phase, start, now, meta or None))
 
     # -- computation -----------------------------------------------------------
 
@@ -127,18 +135,23 @@ class BlockCtx:
         ``work`` runs *after* the delay, so its results become visible to
         other blocks only once the computation has finished — a block that
         illegally races past a barrier therefore reads stale data, exactly
-        as on hardware.
+        as on hardware.  A negative or non-finite ``cost_ns`` raises
+        :class:`~repro.errors.ConfigError`.
         """
-        if cost_ns < 0:
-            raise ConfigError(f"compute cost must be non-negative, got {cost_ns}")
-        if self.device.faults is not None:
-            cost_ns = self.device.faults.scale_compute(self.block_id, cost_ns)
-        start = self.now
+        if not 0 <= cost_ns < _INF:
+            raise ConfigError(
+                f"compute cost must be finite and non-negative, got {cost_ns}"
+            )
+        faults = self.device.faults
+        if faults is not None:
+            cost_ns = faults.scale_compute(self.block_id, cost_ns)
+        engine = self._engine
+        start = engine.now
         if cost_ns > 0:
             yield Delay(cost_ns)
         if work is not None:
             work()
-        self.record(phase, start, **meta)
+        self._rows.append((self.owner, phase, start, engine.now, meta or None))
 
     # -- global memory ---------------------------------------------------------
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.gpu.device import Device
 from repro.simcore.effects import Spawn
-from repro.simcore.trace import Relabel
+from repro.simcore.trace import Relabel, shifted_row
 
 #: internal to the runner: the only public piece is the opt-in hook,
 #: :attr:`repro.algorithms.base.RoundAlgorithm.skip_rounds`.
@@ -191,9 +191,9 @@ class PeriodWatch:
     def _compare_spans(self, lo: int, mid: int, hi: int, ns: int) -> None:
         if mid - lo != hi - mid:
             raise NoPeriod(f"spans per period differ ({mid - lo} vs {hi - mid})")
-        spans = self._device.trace.spans()
-        for i, (before, after) in enumerate(zip(spans[lo:mid], spans[mid:hi])):
-            if before.shifted(ns, 1, self._relabel) != after:
+        rows = self._device.trace.rows
+        for i, (before, after) in enumerate(zip(rows[lo:mid], rows[mid:hi])):
+            if shifted_row(before, ns, 1, self._relabel) != after:
                 raise NoPeriod(f"span {i} differs between periods")
 
 

@@ -43,17 +43,21 @@ class RaceMonitor:
         #: ``(round, block, blocks_done_in_previous_round)`` records.
         self.violations: List[Tuple[int, int, int]] = []
 
+    def record(self, round_idx: int, block_id: int) -> None:
+        """Block ``block_id`` has just done its work for ``round_idx``."""
+        if round_idx > 0 and self._done[round_idx - 1] < self.num_blocks:
+            self.violations.append(
+                (round_idx, block_id, int(self._done[round_idx - 1]))
+            )
+        self._done[round_idx] += 1
+
     def wrap(self, round_idx: int, block_id: int, work):
         """Wrap (possibly ``None``) round work with violation tracking."""
 
         def wrapped() -> None:
-            if round_idx > 0 and self._done[round_idx - 1] < self.num_blocks:
-                self.violations.append(
-                    (round_idx, block_id, int(self._done[round_idx - 1]))
-                )
             if work is not None:
                 work()
-            self._done[round_idx] += 1
+            self.record(round_idx, block_id)
 
         return wrapped
 
@@ -310,34 +314,45 @@ def run(
                 strategy_name=strategy.name,
             )
 
+        jitter: Optional[Callable[[float], float]] = None
         if jitter_pct > 0:
             sigma = jitter_pct / 100.0
             jitter_rng = np.random.default_rng(jitter_seed)
 
-            def jitter(cost: float) -> float:
+            def lognormal(cost: float) -> float:
                 return cost * jitter_rng.lognormal(mean=0.0, sigma=sigma)
 
-        else:
+            jitter = lognormal
 
-            def jitter(cost: float) -> float:
-                return cost
-
-        def work_for(round_idx: int, block_id: int):
-            work = algorithm.round_work(round_idx, block_id, num_blocks)
-            if monitor is None:
-                return work
-            return monitor.wrap(round_idx, block_id, work)
-
+        # Both programs below run a block's round the same way.  The race
+        # monitor records the round right after ctx.compute returns: in
+        # the same event as the work, before anything else can run.
         if strategy.mode == "device":
             strategy.prepare(device, num_blocks)
+            # instrumented_barrier only adds the probe and hang-fault
+            # hooks; without either, call the protocol itself.
+            barrier = (
+                strategy.barrier
+                if not device.probes
+                and faults is None
+                and type(strategy).instrumented_barrier
+                is SyncStrategy.instrumented_barrier
+                else strategy.instrumented_barrier
+            )
 
             def program(ctx: BlockCtx) -> Generator:
+                block_id = ctx.block_id
                 for r in range(rounds):
-                    if watch is not None and ctx.block_id == 0:
+                    if watch is not None and block_id == 0:
                         watch.tick(r)
-                    cost = jitter(algorithm.round_cost(r, ctx.block_id, num_blocks))
-                    yield from ctx.compute(cost, work_for(r, ctx.block_id), round=r)
-                    yield from strategy.instrumented_barrier(ctx, r)
+                    cost = algorithm.round_cost(r, block_id, num_blocks)
+                    if jitter is not None:
+                        cost = jitter(cost)
+                    work = algorithm.round_work(r, block_id, num_blocks)
+                    yield from ctx.compute(cost, work, round=r)
+                    if monitor is not None:
+                        monitor.record(r, block_id)
+                    yield from barrier(ctx, r)
 
             spec = KernelSpec(
                 name=f"{algorithm.name}:{strategy.name}",
@@ -376,14 +391,16 @@ def run(
         else:
 
             def round_program(ctx: BlockCtx, round_idx: int) -> Generator:
-                if watch is not None and ctx.block_id == 0:
+                block_id = ctx.block_id
+                if watch is not None and block_id == 0:
                     watch.tick(round_idx)
-                cost = jitter(
-                    algorithm.round_cost(round_idx, ctx.block_id, num_blocks)
-                )
-                yield from ctx.compute(
-                    cost, work_for(round_idx, ctx.block_id), round=round_idx
-                )
+                cost = algorithm.round_cost(round_idx, block_id, num_blocks)
+                if jitter is not None:
+                    cost = jitter(cost)
+                work = algorithm.round_work(round_idx, block_id, num_blocks)
+                yield from ctx.compute(cost, work, round=round_idx)
+                if monitor is not None:
+                    monitor.record(round_idx, block_id)
 
             def host_program() -> Generator:
                 for r in range(rounds):
@@ -455,6 +472,7 @@ def run(
                     WINDOW, period.ns, period.spans, skipped,
                 )
 
+        phases = device.trace.by_phase()
         verified: Optional[bool] = None
         if verify and strategy.name != "null":
             algorithm.verify()  # raises VerificationError on mismatch
@@ -471,10 +489,8 @@ def run(
             verified=verified,
             violations=len(monitor.violations) if monitor is not None else -1,
             atomic_ops=device.atomics.ops,
-            trace_compute_ns=device.trace.total("compute"),
-            trace_sync_ns=(
-                device.trace.total("sync") + device.trace.total("sync-overhead")
-            ),
+            trace_compute_ns=phases.get("compute", 0),
+            trace_sync_ns=phases.get("sync", 0) + phases.get("sync-overhead", 0),
             device=device if keep_device else None,
             faults_fired=len(faults.fired) if faults is not None else 0,
         )

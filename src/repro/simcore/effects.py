@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Generator
 
+_INF = float("inf")
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simcore.process import Process
     from repro.simcore.resource import Resource
@@ -30,16 +32,19 @@ class Effect:
 class Delay(Effect):
     """Suspend the process for ``ns`` nanoseconds of virtual time.
 
-    ``ns`` must be a non-negative number; fractional nanoseconds are
-    rounded to the nearest integer (the engine's clock is integral).
-    Resumes with ``None``.
+    ``ns`` must be a finite, non-negative number (NaN and infinity raise
+    :class:`ValueError`); fractional nanoseconds are rounded to the
+    nearest integer (the engine's clock is integral).  Resumes with
+    ``None``.
     """
 
     ns: float
 
     def __post_init__(self) -> None:
-        if self.ns < 0:
-            raise ValueError(f"Delay must be non-negative, got {self.ns!r}")
+        if not 0 <= self.ns < _INF:
+            raise ValueError(
+                f"Delay must be finite and non-negative, got {self.ns!r}"
+            )
 
 
 @dataclass(frozen=True)

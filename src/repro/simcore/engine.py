@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
-import heapq
 from contextlib import contextmanager
-from typing import Any, Callable, Generator, Iterator, List, NoReturn, Optional, Tuple
+from heapq import heappop, heappush
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generator,
+    Iterator,
+    List,
+    NoReturn,
+    Optional,
+    Tuple,
+)
 
 from repro.errors import ConfigError, DeadlockError, ProcessError, SimulationError
 from repro.simcore.effects import (
@@ -22,6 +32,8 @@ from repro.simcore.resource import Resource
 from repro.simcore.signal import Signal
 
 __all__ = ["Engine", "use_engine_mode"]
+
+_RUNNING = ProcessState.RUNNING
 
 
 @contextmanager
@@ -126,9 +138,11 @@ class Engine:
         if self._running:
             raise SimulationError("engine.run() is not reentrant")
         self._running = True
+        heap = self._heap
+        dispatch = self._dispatch
         try:
-            while self._heap:
-                entry = heapq.heappop(self._heap)
+            while heap:
+                entry = heappop(heap)
                 process = entry[3]
                 if process is None:
                     # Tombstoned wakeup of a cancelled process: skip it
@@ -139,7 +153,7 @@ class Engine:
                 when = entry[0]
                 if until is not None and when > until:
                     # Push back and stop at the horizon.
-                    heapq.heappush(self._heap, entry)
+                    heappush(heap, entry)
                     self.now = until
                     return self.now
                 process._entry = None
@@ -153,7 +167,29 @@ class Engine:
                         f"exceeded max_events={self._max_events}; "
                         "likely a runaway simulation"
                     )
-                self._step(process, entry[4])
+                # Resume the process and hand its next effect to the
+                # handler for that effect's type.
+                if not process.alive:
+                    raise SimulationError(
+                        f"resumed finished process {process.name!r}"
+                    )
+                if process.started_at is None:
+                    process.started_at = when
+                process.state = _RUNNING
+                process.waiting_on = None
+                process.blocked_on = None
+                try:
+                    effect = process.generator.send(entry[4])
+                except StopIteration as stop:
+                    self._finish(process, stop.value)
+                    continue
+                except BaseException as exc:
+                    self._crash(process, exc)
+                try:
+                    handler = dispatch[type(effect)]
+                except KeyError:
+                    handler = self._handler_for(process, effect)
+                handler(self, process, effect)
         finally:
             self._running = False
 
@@ -205,6 +241,7 @@ class Engine:
             entry[3] = None
             entry[4] = None
         process.state = ProcessState.CANCELLED
+        process.alive = False
         process.result = Cancelled(reason)
         process.finished_at = self.now
         process.waiting_on = None
@@ -276,7 +313,7 @@ class Engine:
         """
         heap = self._heap
         while heap and heap[0][3] is None:
-            heapq.heappop(heap)
+            heappop(heap)
         return heap[0][0] if heap else None
 
     @property
@@ -292,29 +329,12 @@ class Engine:
         entry: List[Any] = [when, priority, self._seq, process, value]
         process._entry = entry
         self._live += 1
-        heapq.heappush(self._heap, entry)
-
-    def _step(self, process: Process, value: Any) -> None:
-        """Resume ``process`` with ``value`` and dispatch its next effect."""
-        if not process.alive:
-            raise SimulationError(f"resumed finished process {process.name!r}")
-        if process.started_at is None:
-            process.started_at = self.now
-        process.state = ProcessState.RUNNING
-        process.waiting_on = None
-        process.blocked_on = None
-        try:
-            effect = process.generator.send(value)
-        except StopIteration as stop:
-            self._finish(process, stop.value)
-            return
-        except BaseException as exc:
-            self._crash(process, exc)
-        self._dispatch(process, effect)
+        heappush(self._heap, entry)
 
     def _crash(self, process: Process, exc: BaseException) -> NoReturn:
         """Record a process failure and re-raise it annotated."""
         process.state = ProcessState.FAILED
+        process.alive = False
         process.exception = exc
         process.finished_at = self.now
         from repro.errors import ReproError
@@ -329,6 +349,7 @@ class Engine:
 
     def _finish(self, process: Process, result: Any) -> None:
         process.state = ProcessState.DONE
+        process.alive = False
         process.result = result
         process.finished_at = self.now
         for joiner in process.joiners:
@@ -336,63 +357,90 @@ class Engine:
             self._schedule(joiner, self.now, result)
         process.joiners.clear()
 
-    def _dispatch(self, process: Process, effect: Effect) -> None:
-        if isinstance(effect, Delay):
-            self._schedule(process, self.now + int(round(effect.ns)), None)
-        elif isinstance(effect, WaitUntil):
-            if effect.predicate():
-                self._schedule(process, self.now, 0)
-            else:
-                process.state = ProcessState.BLOCKED
-                process.waiting_on = (
-                    f"{effect.reason} (signal {effect.signal.name!r})"
-                )
-                process.blocked_on = effect.signal
-                effect.signal._add_waiter(process, effect.predicate, effect.reason)
-        elif isinstance(effect, Acquire):
-            resource = effect.resource
-            if resource._try_acquire():
-                process.holding.append(resource)
-                self._schedule(process, self.now, 0)
-            else:
-                process.state = ProcessState.BLOCKED
-                process.waiting_on = (
-                    f"{effect.reason} (resource {resource.name!r})"
-                )
-                process.blocked_on = resource
-                resource._enqueue(process, self.now, effect.reason)
-        elif isinstance(effect, Release):
-            if effect.resource not in process.holding:
-                raise ProcessError(
-                    f"process {process.name!r} released resource "
-                    f"{effect.resource.name!r} it does not hold"
-                )
-            process.holding.remove(effect.resource)
-            granted = effect.resource._release()
-            if granted is not None:
-                woken, enq_time = granted
-                woken.waiting_on = None
-                woken.blocked_on = None
-                woken.holding.append(effect.resource)
-                self._schedule(woken, self.now, self.now - enq_time)
-            self._schedule(process, self.now, None)
-        elif isinstance(effect, Spawn):
-            child = self.spawn(effect.generator, name=effect.name)
-            self._schedule(process, self.now, child)
-        elif isinstance(effect, Join):
-            target = effect.process
-            if not target.alive:
-                self._schedule(process, self.now, target.result)
-            else:
-                process.state = ProcessState.BLOCKED
-                process.waiting_on = f"{effect.reason} (process {target.name!r})"
-                process.blocked_on = target
-                target.joiners.append(process)
-        elif isinstance(effect, Fire):
-            self.fire(effect.signal)
-            self._schedule(process, self.now, None)
+    # -- effect handlers: ``_dispatch`` maps each effect type to one ------------
+
+    def _handler_for(self, process: Process, effect: Any) -> Callable[..., None]:
+        """The handler of an :class:`Effect` subclass, or raise for a non-effect."""
+        for cls in type(effect).__mro__:
+            handler = self._dispatch.get(cls)
+            if handler is not None:
+                return handler
+        raise ProcessError(
+            f"process {process.name!r} yielded non-effect "
+            f"{type(effect).__name__}: {effect!r}"
+        )
+
+    def _on_delay(self, process: Process, effect: Delay) -> None:
+        # About half of all events are Delays: _schedule is inlined here
+        # to save a call on each (same draw, seq and entry as _schedule).
+        priority = self._tiebreak() if self._tiebreak is not None else 0.0
+        self._seq += 1
+        entry = [self.now + int(round(effect.ns)), priority, self._seq, process, None]
+        process._entry = entry
+        self._live += 1
+        heappush(self._heap, entry)
+
+    def _on_wait_until(self, process: Process, effect: WaitUntil) -> None:
+        if effect.predicate():
+            self._schedule(process, self.now, 0)
         else:
+            process.state = ProcessState.BLOCKED
+            process.waiting_on = f"{effect.reason} (signal {effect.signal.name!r})"
+            process.blocked_on = effect.signal
+            effect.signal._add_waiter(process, effect.predicate, effect.reason)
+
+    def _on_acquire(self, process: Process, effect: Acquire) -> None:
+        resource = effect.resource
+        if resource._try_acquire():
+            process.holding.append(resource)
+            self._schedule(process, self.now, 0)
+        else:
+            process.state = ProcessState.BLOCKED
+            process.waiting_on = f"{effect.reason} (resource {resource.name!r})"
+            process.blocked_on = resource
+            resource._enqueue(process, self.now, effect.reason)
+
+    def _on_release(self, process: Process, effect: Release) -> None:
+        if effect.resource not in process.holding:
             raise ProcessError(
-                f"process {process.name!r} yielded non-effect "
-                f"{type(effect).__name__}: {effect!r}"
+                f"process {process.name!r} released resource "
+                f"{effect.resource.name!r} it does not hold"
             )
+        process.holding.remove(effect.resource)
+        granted = effect.resource._release()
+        if granted is not None:
+            woken, enq_time = granted
+            woken.waiting_on = None
+            woken.blocked_on = None
+            woken.holding.append(effect.resource)
+            self._schedule(woken, self.now, self.now - enq_time)
+        self._schedule(process, self.now, None)
+
+    def _on_spawn(self, process: Process, effect: Spawn) -> None:
+        child = self.spawn(effect.generator, name=effect.name)
+        self._schedule(process, self.now, child)
+
+    def _on_join(self, process: Process, effect: Join) -> None:
+        target = effect.process
+        if not target.alive:
+            self._schedule(process, self.now, target.result)
+        else:
+            process.state = ProcessState.BLOCKED
+            process.waiting_on = f"{effect.reason} (process {target.name!r})"
+            process.blocked_on = target
+            target.joiners.append(process)
+
+    def _on_fire(self, process: Process, effect: Fire) -> None:
+        self.fire(effect.signal)
+        self._schedule(process, self.now, None)
+
+    #: effect type -> handler, looked up once per event by :meth:`run`.
+    _dispatch: Dict[type, Callable[..., None]] = {
+        Delay: _on_delay,
+        WaitUntil: _on_wait_until,
+        Acquire: _on_acquire,
+        Release: _on_release,
+        Spawn: _on_spawn,
+        Join: _on_join,
+        Fire: _on_fire,
+    }

@@ -46,6 +46,7 @@ class Process:
         "pid",
         "generator",
         "state",
+        "alive",
         "result",
         "exception",
         "waiting_on",
@@ -62,6 +63,10 @@ class Process:
         self.name = name
         self.generator = generator
         self.state = ProcessState.CREATED
+        #: True while the process has not finished, failed or been
+        #: killed; the engine clears it when it moves the process to
+        #: DONE, FAILED or CANCELLED.
+        self.alive = True
         self.result: Any = None
         self.exception: Optional[BaseException] = None
         #: human-readable description of what the process is blocked on.
@@ -79,15 +84,6 @@ class Process:
         #: the process's single pending event-queue entry, if any (engine
         #: bookkeeping: lets Engine.cancel tombstone the wakeup in O(1)).
         self._entry: Optional[List[Any]] = None
-
-    @property
-    def alive(self) -> bool:
-        """True while the process has not finished, failed or been killed."""
-        return self.state not in (
-            ProcessState.DONE,
-            ProcessState.FAILED,
-            ProcessState.CANCELLED,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Process(#{self.pid} {self.name!r} {self.state.value})"

@@ -7,10 +7,16 @@ records *spans* — ``(owner, phase, start, end)`` intervals — so breakdowns
 ordering invariants ("no block enters round i+1 before every block left
 round i").
 
+Spans are stored as plain ``(owner, phase, start, end, meta)`` rows —
+one tuple per span, appended on the device's hot path — and
+:class:`Span` objects are built from them only when something reads
+them.  Counts, totals, per-phase totals and the digest come straight
+from the rows.
+
 A trace can also hold a *spliced* run: :meth:`Trace.splice` repeats one
 recorded period many times (the harness's steady-state fast-forward).
 Counts and per-phase totals of a spliced trace are arithmetic; its
-spans are built only when something reads them.
+rows are built only when something reads them.
 """
 
 from __future__ import annotations
@@ -50,23 +56,35 @@ class Span:
         A ``round`` meta entry advances by ``rounds``; ``relabel(owner,
         rounds)``, when given, renames the owner (per-round kernel names).
         """
-        meta = self.meta
-        if meta is not None and "round" in meta:
-            meta = {**meta, "round": meta["round"] + rounds}
-        owner = self.owner if relabel is None else relabel(self.owner, rounds)
-        return Span(owner, self.phase, self.start + ns, self.end + ns, meta)
+        return Span(*shifted_row(
+            (self.owner, self.phase, self.start, self.end, self.meta),
+            ns, rounds, relabel,
+        ))
 
 
 #: ``(owner, rounds) -> owner`` renaming for :meth:`Span.shifted`.
 Relabel = Callable[[str, int], str]
 
+#: one stored span: ``(owner, phase, start, end, meta)``.
+Row = Tuple[str, str, int, int, Optional[Dict[str, Any]]]
+
+
+def shifted_row(row: Row, ns: int, rounds: int, relabel: Optional[Relabel]) -> Row:
+    """:meth:`Span.shifted` on a stored row."""
+    owner, phase, start, end, meta = row
+    if meta is not None and "round" in meta:
+        meta = {**meta, "round": meta["round"] + rounds}
+    if relabel is not None:
+        owner = relabel(owner, rounds)
+    return (owner, phase, start + ns, end + ns, meta)
+
 
 @dataclass(frozen=True)
 class _Splice:
-    """``copies`` repeats of the ``period`` spans ending at index ``at``.
+    """``copies`` repeats of the ``period`` rows ending at index ``at``.
 
-    ``end`` is the span count when the splice was made: the tail
-    ``[at, end)`` moves past the copies, spans added later do not.
+    ``end`` is the row count when the splice was made: the tail
+    ``[at, end)`` moves past the copies, rows added later do not.
     """
 
     at: int
@@ -77,15 +95,27 @@ class _Splice:
     relabel: Optional[Relabel]
 
 
-def _duration(spans: List[Span], phase: Optional[str]) -> int:
-    """Summed length of the ``spans`` in ``phase`` (all when None)."""
-    return sum(s.end - s.start for s in spans if phase is None or s.phase == phase)
+def _duration(
+    rows: List[Row], phase: Optional[str], owner: Optional[str] = None
+) -> int:
+    """Summed length of the ``rows`` in ``phase`` and of ``owner`` (None: all)."""
+    return sum(
+        r[3] - r[2]
+        for r in rows
+        if (phase is None or r[1] == phase) and (owner is None or r[0] == owner)
+    )
 
 
 class Trace:
     """An append-only collection of spans with simple aggregation helpers."""
 
     def __init__(self) -> None:
+        #: the spans in recording order, as ``(owner, phase, start, end,
+        #: meta)`` rows.  Append-only: the device appends to it directly
+        #: (``start <= end`` always holds there); other code should go
+        #: through :meth:`add`, which validates.
+        self.rows: List[Row] = []
+        #: :class:`Span` objects built so far, for ``rows[:len(_spans)]``.
         self._spans: List[Span] = []
         self._splice: Optional[_Splice] = None
 
@@ -99,7 +129,7 @@ class Trace:
     ) -> Span:
         """Record a span and return it."""
         span = Span(owner, phase, start, end, meta or None)
-        self._spans.append(span)
+        self.rows.append((owner, phase, start, end, span.meta))
         return span
 
     def splice(
@@ -118,33 +148,42 @@ class Trace:
         they are).  Nothing is built here: :func:`len`,
         :meth:`total` and :meth:`by_phase` count the copies
         arithmetically, and the first read of the spans themselves
-        materializes them.
+        builds them.
         """
-        spans = self._materialize()
-        if not 0 < period <= at <= len(spans) or copies < 0:
+        rows = self._unsplice()
+        if not 0 < period <= at <= len(rows) or copies < 0:
             raise ValueError(
                 f"bad splice: period {period} ending at {at} of "
-                f"{len(spans)} spans, {copies} copies"
+                f"{len(rows)} spans, {copies} copies"
             )
-        self._splice = _Splice(at, len(spans), period, copies, period_ns, relabel)
+        self._splice = _Splice(at, len(rows), period, copies, period_ns, relabel)
 
-    def _materialize(self) -> List[Span]:
-        """The full span list, building a pending splice first."""
+    def _unsplice(self) -> List[Row]:
+        """The full row list, building a pending splice's rows first."""
         cut = self._splice
+        rows = self.rows
         if cut is not None:
-            spans = self._spans
-            segment = spans[cut.at - cut.period : cut.at]
-            out = spans[: cut.at]
+            segment = rows[cut.at - cut.period : cut.at]
+            out = rows[: cut.at]
             for k in range(1, cut.copies + 1):
                 ns = k * cut.period_ns
-                out.extend(s.shifted(ns, k, cut.relabel) for s in segment)
+                out.extend(shifted_row(r, ns, k, cut.relabel) for r in segment)
             ns = cut.copies * cut.period_ns
-            tail = spans[cut.at : cut.end]
-            out.extend(s.shifted(ns, cut.copies, cut.relabel) for s in tail)
-            out.extend(spans[cut.end :])
-            self._spans = out
+            tail = rows[cut.at : cut.end]
+            out.extend(shifted_row(r, ns, cut.copies, cut.relabel) for r in tail)
+            out.extend(rows[cut.end :])
+            rows[:] = out
+            del self._spans[cut.at :]
             self._splice = None
-        return self._spans
+        return rows
+
+    def _materialize(self) -> List[Span]:
+        """Every span as a :class:`Span`, building the ones not yet read."""
+        rows = self._unsplice()
+        spans = self._spans
+        if len(spans) < len(rows):
+            spans.extend(Span(*row) for row in rows[len(spans) :])
+        return spans
 
     def __iter__(self) -> Iterator[Span]:
         return iter(self._materialize())
@@ -152,7 +191,7 @@ class Trace:
     def __len__(self) -> int:
         cut = self._splice
         extra = 0 if cut is None else cut.period * cut.copies
-        return len(self._spans) + extra
+        return len(self.rows) + extra
 
     def spans(
         self, phase: Optional[str] = None, owner: Optional[str] = None
@@ -169,39 +208,42 @@ class Trace:
         """Sum of durations over the filtered spans (ns)."""
         cut = self._splice
         if owner is not None or cut is None:
-            return sum(s.duration for s in self.spans(phase, owner))
-        segment = self._spans[cut.at - cut.period : cut.at]
-        return _duration(self._spans, phase) + cut.copies * _duration(segment, phase)
+            return _duration(self._unsplice(), phase, owner)
+        segment = self.rows[cut.at - cut.period : cut.at]
+        return _duration(self.rows, phase) + cut.copies * _duration(segment, phase)
 
     def phases(self) -> List[str]:
         """Distinct phase names in first-appearance order."""
-        seen: Dict[str, None] = {}
-        for s in self._spans:
-            seen.setdefault(s.phase, None)
-        return list(seen)
+        return list(dict.fromkeys(r[1] for r in self.rows))
 
     def by_phase(self) -> Dict[str, int]:
         """Total duration per phase (ns)."""
         totals: Dict[str, int] = {}
-        for s in self._spans:
-            totals[s.phase] = totals.get(s.phase, 0) + s.duration
+        for _owner, phase, start, end, _meta in self.rows:
+            if phase in totals:
+                totals[phase] += end - start
+            else:
+                totals[phase] = end - start
         cut = self._splice
         if cut is not None:
-            for s in self._spans[cut.at - cut.period : cut.at]:
-                totals[s.phase] += cut.copies * s.duration
+            for _owner, phase, start, end, _meta in self.rows[
+                cut.at - cut.period : cut.at
+            ]:
+                totals[phase] += cut.copies * (end - start)
         return totals
 
     def merge(self, others: Iterable["Trace"]) -> "Trace":
         """Return a new trace containing this trace's spans plus ``others``'."""
         merged = Trace()
-        merged._spans.extend(self._materialize())
+        merged.rows.extend(self._unsplice())
         for other in others:
-            merged._spans.extend(other._materialize())
-        merged._spans.sort(key=lambda s: (s.start, s.end))
+            merged.rows.extend(other._unsplice())
+        merged.rows.sort(key=lambda r: (r[2], r[3]))
         return merged
 
     def clear(self) -> None:
         """Drop all recorded spans."""
+        self.rows.clear()
         self._spans.clear()
         self._splice = None
 
@@ -215,14 +257,8 @@ class Trace:
         (the cross-commit goldens digest exactly this).
         """
         return [
-            (
-                s.owner,
-                s.phase,
-                s.start,
-                s.end,
-                tuple(sorted(s.meta.items())) if s.meta else (),
-            )
-            for s in self._materialize()
+            (owner, phase, start, end, tuple(sorted(meta.items())) if meta else ())
+            for owner, phase, start, end, meta in self._unsplice()
         ]
 
     def digest(self) -> str:

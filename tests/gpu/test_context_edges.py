@@ -78,3 +78,11 @@ def test_direct_ctx_gets_full_shared_budget(device):
     ctx = BlockCtx(device, "k", 0, 1, 32)
     tile = ctx.shared_alloc("big", device.config.shared_mem_per_sm // 8)
     assert tile.nbytes == device.config.shared_mem_per_sm
+
+
+@pytest.mark.parametrize("cost", [float("nan"), float("inf")])
+def test_non_finite_compute_cost_rejected(device, cost):
+    ctx = BlockCtx(device, "k", 0, 1, 32)
+    with pytest.raises(ConfigError, match="finite"):
+        next(ctx.compute(cost))
+    assert len(device.trace) == 0

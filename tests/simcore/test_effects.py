@@ -49,3 +49,9 @@ def test_join_reason_default():
 
     j = Join(FakeProcess())  # type: ignore[arg-type]
     assert j.reason == "join"
+
+
+@pytest.mark.parametrize("ns", [float("nan"), float("inf"), float("-inf")])
+def test_delay_rejects_non_finite(ns):
+    with pytest.raises(ValueError, match="finite"):
+        Delay(ns)

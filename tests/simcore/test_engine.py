@@ -610,3 +610,40 @@ def test_use_engine_mode_names_select_the_one_engine():
     with pytest.raises(ConfigError, match="unknown engine mode"):
         with use_engine_mode("turbo"):
             pass  # pragma: no cover - never entered
+
+
+def test_effect_subclass_is_dispatched_as_its_base():
+    class LongDelay(Delay):
+        pass
+
+    eng = Engine()
+
+    def proc():
+        yield LongDelay(7)
+
+    eng.spawn(proc())
+    assert eng.run() == 7
+
+
+def test_alive_clears_on_done_failed_and_cancelled():
+    eng = Engine()
+
+    def done():
+        yield Delay(1)
+
+    def failed():
+        yield Delay(1)
+        raise ValueError("boom")
+
+    def parked():
+        yield WaitUntil(Signal("never"), lambda: False, "forever")
+
+    d, f, c = eng.spawn(done()), eng.spawn(failed()), eng.spawn(parked())
+    assert d.alive and f.alive and c.alive
+    with pytest.raises(ProcessError):
+        eng.run()
+    assert (d.state, d.alive) == (ProcessState.DONE, False)
+    assert (f.state, f.alive) == (ProcessState.FAILED, False)
+    assert c.alive
+    eng.cancel(c)
+    assert (c.state, c.alive) == (ProcessState.CANCELLED, False)

@@ -116,3 +116,57 @@ def test_splice_with_zero_copies_is_a_no_op_and_bad_splices_raise():
     for at, period in ((5, 0), (7, 2), (1, 2)):
         with pytest.raises(ValueError):
             tr.splice(at=at, period=period, copies=1, period_ns=10)
+
+
+# -- row-stored spans ----------------------------------------------------------
+
+
+def _observables(tr):
+    return (
+        len(tr),
+        tr.total(),
+        tr.total("compute"),
+        tr.total("sync", owner="k:r0/b0"),
+        tr.by_phase(),
+        tr.phases(),
+        tr.digest(),
+        tr.to_tuples(),
+    )
+
+
+def test_add_returns_an_equal_span_and_validates():
+    tr = Trace()
+    span = tr.add("b0", "sync", 0, 3, round=7)
+    assert span == Span("b0", "sync", 0, 3, {"round": 7})
+    assert tr.spans() == [span]
+    with pytest.raises(ValueError):
+        tr.add("b0", "sync", 5, 4)
+    assert len(tr) == 1
+
+
+def test_aggregates_agree_before_and_after_spans_are_read():
+    tr = _periodic_trace()
+    unread = _observables(tr)
+    spans = tr.spans()
+    assert _observables(tr) == unread
+    assert [s.duration for s in spans] == [4, 5, 5, 5, 5, 6]
+
+
+def test_spans_added_after_a_read_are_built_on_the_next_read():
+    tr = _periodic_trace()
+    assert len(tr.spans()) == 6
+    tr.add("host", "late", 30, 31, round=9)
+    assert tr.spans()[-1] == Span("host", "late", 30, 31, {"round": 9})
+    assert [s.owner for s in tr][-2:] == ["k:r0", "host"]
+
+
+def test_splice_over_spans_never_read_matches_splice_over_read_spans():
+    read, unread = _periodic_trace(), _periodic_trace()
+    read.spans()
+    for tr in (read, unread):
+        tr.splice(at=5, period=2, copies=3, period_ns=10)
+    before = _observables(unread)
+    assert before == _observables(read)
+    assert unread.spans() == read.spans()
+    assert _observables(unread) == before
+    assert len(unread.spans()) == 12

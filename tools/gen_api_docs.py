@@ -80,7 +80,8 @@ def generate() -> str:
                 "class"
                 if inspect.isclass(obj)
                 else "function"
-                if inspect.isfunction(obj)
+                # a decorated function (e.g. memoized) is still a function
+                if inspect.isfunction(inspect.unwrap(obj))
                 else "data"
             )
             rows.append((name, kind, _first_line(obj)))
