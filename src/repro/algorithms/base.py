@@ -11,13 +11,16 @@ from repro.errors import ConfigError
 __all__ = ["RoundAlgorithm", "VerificationError", "require_int"]
 
 
-def require_int(label: str, value: Any, minimum: int) -> None:
-    """Check that ``value`` is an ``int`` of at least ``minimum``.
+def require_int(label: str, value: Any, minimum: Optional[int] = None) -> None:
+    """Check that ``value`` is an ``int``, of at least ``minimum`` if given.
 
     Raises :class:`~repro.errors.ConfigError` otherwise, also for a
     ``bool``; ``label`` names the value in the message.
     """
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{label} must be an int{bound}, got {value!r}")
+    if minimum is not None and value < minimum:
         raise ConfigError(f"{label} must be an int >= {minimum}, got {value!r}")
 
 

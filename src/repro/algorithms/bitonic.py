@@ -18,16 +18,23 @@ The CUDA SDK version the paper contrasts against (§3) is limited to one
 ``__syncthreads()``; a grid-wide barrier lifts that limit, which is the
 motivating example for this whole line of work.
 
-Per-round tables: the first time a step runs, :class:`BitonicSort`
-builds that step's lower indices, partners and directions for all
-``n/2`` pairs and keeps them; a block's work is its
-:func:`~repro.algorithms.costs.block_items` slice of the three arrays.
-Nothing is built in ``__init__``, and every later run of the same
-instance reuses the tables.
+Per-size shared tables: the first time a step runs,
+:class:`BitonicSort` builds that step's ``(small, large)`` pair of index
+arrays over all ``n/2`` pairs.  ``small`` holds the index that receives
+the pair's smaller key and ``large`` the one that receives the larger:
+``(i, partner)`` for an ascending pair, ``(partner, i)`` for a
+descending one.  A block's compare-exchange is then two gathers,
+``np.minimum``/``np.maximum`` and two scatters over its
+:func:`~repro.algorithms.costs.block_items` slice of the two arrays.
+The tables depend only on ``n``, so every instance of that size fills
+and reads one shared dict, held by a ``maxsize=1`` cache; the shared
+arrays are read-only.  Nothing is built in ``__init__``; once its last
+instance is gone, the module keeps the tables of at most one ``n``.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -55,6 +62,20 @@ def bitonic_steps(n: int) -> List[Tuple[int, int]]:
     return steps
 
 
+#: one step's ``(small, large)`` index arrays over every pair.
+_StepTable = Tuple[np.ndarray, np.ndarray]
+
+
+@functools.lru_cache(maxsize=1)
+def _step_tables(n: int) -> Dict[int, _StepTable]:
+    """The step-index -> table dict every size-``n`` sort shares.
+
+    Returned empty; :meth:`BitonicSort._table` fills it one step at a
+    time.
+    """
+    return {}
+
+
 class BitonicSort(RoundAlgorithm):
     """Batcher's bitonic sorting network over float keys."""
 
@@ -69,8 +90,8 @@ class BitonicSort(RoundAlgorithm):
         self.input = rng.random(n)
         self.keys = np.empty(n)
         self._pairs = n // 2
-        #: step index -> (lower index, partner, ascending) for every pair.
-        self._tables: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        #: step index -> (small, large), shared by every sort of size n.
+        self._tables = _step_tables(n)
         self.reset()
 
     def num_rounds(self) -> int:
@@ -83,8 +104,8 @@ class BitonicSort(RoundAlgorithm):
         items = len(block_items(self._pairs, block_id, num_blocks))
         return block_cost(items, BITONIC_PAIR_NS)
 
-    def _table(self, round_idx: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Step ``round_idx``'s ``(i, partner, ascending)`` for every pair."""
+    def _table(self, round_idx: int) -> _StepTable:
+        """Step ``round_idx``'s ``(small, large)`` for every pair."""
         try:
             return self._tables[round_idx]
         except KeyError:
@@ -93,7 +114,12 @@ class BitonicSort(RoundAlgorithm):
         # Pair p owns lower index i = (p // stride)·2·stride + (p % stride).
         p = np.arange(self._pairs, dtype=np.int64)
         i = (p // stride) * (stride << 1) + (p % stride)
-        table = self._tables[round_idx] = (i, i | stride, (i & size) == 0)
+        partner = i | stride
+        ascending = (i & size) == 0
+        table = (np.where(ascending, i, partner), np.where(ascending, partner, i))
+        for array in table:
+            array.setflags(write=False)
+        self._tables[round_idx] = table
         return table
 
     def round_work(
@@ -105,13 +131,12 @@ class BitonicSort(RoundAlgorithm):
         lo, hi = span.start, span.stop
 
         def work() -> None:
-            i, partner, ascending = self._table(round_idx)
-            i, partner = i[lo:hi], partner[lo:hi]
+            small, large = self._table(round_idx)
+            small, large = small[lo:hi], large[lo:hi]
             keys = self.keys
-            a, b = keys[i], keys[partner]
-            swap = np.where(ascending[lo:hi], a > b, a < b)
-            keys[i] = np.where(swap, b, a)
-            keys[partner] = np.where(swap, a, b)
+            a, b = keys[small], keys[large]
+            keys[small] = np.minimum(a, b)
+            keys[large] = np.maximum(a, b)
 
         return work
 

@@ -16,16 +16,21 @@ round partitions the ``n/2`` butterflies across blocks; every stage reads
 values the *previous* stage wrote — other blocks' writes included —
 which is what makes the inter-block barrier load-bearing.
 
-Per-round tables: the first time a stage runs, :class:`FFT` builds that
-stage's ``i1``/``i2`` index arrays and twiddles for all ``n/2``
-butterflies and keeps them; a block's work is its
+Per-size shared tables: the first time a stage runs, :class:`FFT`
+builds that stage's ``i1``/``i2`` index arrays and twiddles for all
+``n/2`` butterflies; a block's work is its
 :func:`~repro.algorithms.costs.block_items` slice of the three arrays.
-Nothing is built in ``__init__``, and every later run of the same
-instance reuses the tables.
+The tables depend only on ``(n, inverse)``, so every instance of that
+size and direction fills and reads one shared dict, held by a
+``maxsize=1`` cache: a sweep that builds one FFT per cell builds each
+stage's tables once.  The shared arrays are read-only.  Nothing is
+built in ``__init__``; once its last instance is gone, the module keeps
+the tables of at most one ``(n, inverse)``.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -50,6 +55,19 @@ def bit_reverse_permutation(n: int) -> np.ndarray:
     return rev
 
 
+#: one stage's ``(i1, i2, twiddles)`` over every butterfly.
+_StageTable = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+@functools.lru_cache(maxsize=1)
+def _stage_tables(n: int, inverse: bool) -> Dict[int, _StageTable]:
+    """The stage-index -> table dict every ``(n, inverse)`` FFT shares.
+
+    Returned empty; :meth:`FFT._table` fills it one stage at a time.
+    """
+    return {}
+
+
 class FFT(RoundAlgorithm):
     """Radix-2 DIT FFT over a complex input vector."""
 
@@ -61,6 +79,8 @@ class FFT(RoundAlgorithm):
         require_int("seed", seed, 0)
         if n & (n - 1):
             raise ConfigError(f"FFT size must be a power of two >= 2, got {n}")
+        if not isinstance(inverse, bool):
+            raise ConfigError(f"FFT inverse must be a bool, got {inverse!r}")
         self.n = n
         self.stages = n.bit_length() - 1
         #: compute the inverse DFT (unnormalized; verify() accounts for
@@ -73,8 +93,9 @@ class FFT(RoundAlgorithm):
         self._rev = bit_reverse_permutation(n)
         self.buf = np.empty(n, dtype=np.complex128)
         self._butterflies = n // 2
-        #: stage index -> (i1, i2, twiddles) over all butterflies.
-        self._tables: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        #: stage index -> (i1, i2, twiddles), shared by every FFT of
+        #: this size and direction.
+        self._tables = _stage_tables(n, inverse)
         self.reset()
 
     def num_rounds(self) -> int:
@@ -89,7 +110,7 @@ class FFT(RoundAlgorithm):
         items = len(block_items(self._butterflies, block_id, num_blocks))
         return block_cost(items, FFT_BUTTERFLY_NS)
 
-    def _table(self, round_idx: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _table(self, round_idx: int) -> _StageTable:
         """Stage ``round_idx + 1``'s ``(i1, i2, twiddles)`` for every butterfly."""
         try:
             return self._tables[round_idx]
@@ -101,7 +122,10 @@ class FFT(RoundAlgorithm):
         b = np.arange(self._butterflies, dtype=np.int64)
         j = b % h
         i1 = (b // h) * m + j
-        table = self._tables[round_idx] = (i1, i1 + h, np.exp(sign * np.pi * j / m))
+        table = (i1, i1 + h, np.exp(sign * np.pi * j / m))
+        for array in table:
+            array.setflags(write=False)
+        self._tables[round_idx] = table
         return table
 
     def round_work(

@@ -29,7 +29,9 @@ the row-major ``(n+1)×(m+1)`` matrices, cell ``(i, d−i)`` sits at flat
 offset ``i·m + d``, so a block's cells and their three neighbours
 (``(i, j−1)``, ``(i−1, j)``, ``(i−1, j−1)`` at offsets ``−1``, ``−m−1``
 and ``−m−2``) are all stride-``m`` views of the flattened matrices: no
-index arrays at all.  Nothing is built in ``__init__``.
+index arrays at all.  Nothing is built in ``__init__``.  Unlike FFT's
+and bitonic sort's, these tables stay per instance, because the scores
+depend on the sequences and not only on the size.
 """
 
 from __future__ import annotations
@@ -99,6 +101,10 @@ class SmithWaterman(RoundAlgorithm):
         gap_extend: int = 1,
         seed: int = 0,
     ):
+        require_int("match score", match)
+        require_int("mismatch score", mismatch)
+        require_int("gap-open penalty", gap_open, 0)
+        require_int("gap-extend penalty", gap_extend, 0)
         self.query = random_sequence(query_len, seed)
         self.subject = random_sequence(subject_len, seed + 1)
         self.match = match

@@ -21,7 +21,7 @@ from typing import Any, Callable, Generator, Optional
 from repro.errors import ConfigError, MemoryError_
 from repro.gpu.memory import GlobalArray
 from repro.gpu.shared import SharedMemory
-from repro.simcore.effects import Acquire, Delay, Release, WaitUntil
+from repro.simcore.effects import Acquire, Release, WaitUntil
 from repro.simcore.trace import Trace
 
 __all__ = ["BlockCtx"]
@@ -49,6 +49,7 @@ class BlockCtx:
         # span rows without going through the properties below.
         self._engine = device.engine
         self._rows = device.trace.rows
+        self._delays = device.delays
         #: the device's calibrated timing parameters.
         self.timings = device.config.timings
         self.kernel_name = kernel_name
@@ -89,7 +90,7 @@ class BlockCtx:
     @property
     def now(self) -> int:
         """Current virtual time (ns)."""
-        return self.device.engine.now
+        return self._engine.now
 
     @property
     def trace(self) -> Trace:
@@ -148,7 +149,7 @@ class BlockCtx:
         engine = self._engine
         start = engine.now
         if cost_ns > 0:
-            yield Delay(cost_ns)
+            yield self._delays[cost_ns]
         if work is not None:
             work()
         self._rows.append((self.owner, phase, start, engine.now, meta or None))
@@ -159,7 +160,7 @@ class BlockCtx:
         """Read one element/slice of global memory (charges read latency,
         plus the interconnect crossing when the array is homed in another
         sync domain)."""
-        yield Delay(self.timings.global_read_ns + self._remote_ns(array))
+        yield self._delays[self.timings.global_read_ns + self._remote_ns(array)]
         if self.device.probes:
             self.device.notify_access(self, array, index, "read")
         return array.load(index)
@@ -167,7 +168,7 @@ class BlockCtx:
     def gwrite(self, array: GlobalArray, index: Any, value: Any) -> Generator:
         """Write global memory; visible (and waking spinners) after the
         write latency — plus any interconnect crossing — elapses."""
-        yield Delay(self.timings.global_write_ns + self._remote_ns(array))
+        yield self._delays[self.timings.global_write_ns + self._remote_ns(array)]
         if self.device.faults is not None:
             value = self.device.faults.corrupt_store(self.block_id, value)
         if self.device.probes:
@@ -185,7 +186,7 @@ class BlockCtx:
         unit = self.device.atomics.unit_for(array.name, flat)
         start = self.now
         queued = yield Acquire(unit, f"atomic on {array.name}[{flat}]")
-        yield Delay(self.timings.atomic_ns + self._remote_ns(array))
+        yield self._delays[self.timings.atomic_ns + self._remote_ns(array)]
         if self.device.probes:
             self.device.notify_access(self, array, index, "atomic")
         old = array.load(index)
@@ -225,9 +226,9 @@ class BlockCtx:
             # observation latency, none affect correctness.
             extra = self.device.faults.spurious_polls(self.block_id)
             for _ in range(extra):
-                yield Delay(self.timings.spin_read_ns)
+                yield self._delays[self.timings.spin_read_ns]
             polls += extra
-        yield Delay(self.timings.spin_read_ns + self._remote_ns(array))
+        yield self._delays[self.timings.spin_read_ns + self._remote_ns(array)]
         if self.device.probes:
             self.device.notify_access(self, array, None, "spin")
         self.record("spin", start, on=array.name, polls=polls)
@@ -250,12 +251,12 @@ class BlockCtx:
 
     def sread(self, array: Any, index: Any) -> Generator:
         """Read shared memory (fast: a few cycles, paper §2)."""
-        yield Delay(self.timings.shared_access_ns)
+        yield self._delays[self.timings.shared_access_ns]
         return array[index]
 
     def swrite(self, array: Any, index: Any, value: Any) -> Generator:
         """Write shared memory (fast; visible to this block only)."""
-        yield Delay(self.timings.shared_access_ns)
+        yield self._delays[self.timings.shared_access_ns]
         array[index] = value
 
     # -- intra-block -------------------------------------------------------------
@@ -268,7 +269,7 @@ class BlockCtx:
         protocol code calls it exactly where the CUDA code would.
         """
         start = self.now
-        yield Delay(self.timings.syncthreads_ns)
+        yield self._delays[self.timings.syncthreads_ns]
         self.record("syncthreads", start)
 
     # -- helpers ---------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional
+from typing import Any, Dict, Generator, List, Optional
 
 from repro.errors import KernelTimeoutError
 from repro.gpu.atomics import AtomicRegistry
@@ -16,6 +16,19 @@ from repro.simcore.trace import Trace
 from repro.gpu.memory import GlobalMemory
 
 __all__ = ["Device"]
+
+
+class _Delays(Dict[float, Delay]):
+    """Duration (ns) -> the one shared :class:`Delay` of that duration.
+
+    A missing duration builds its ``Delay`` on first lookup; ``Delay``
+    validates it first, so a NaN or negative duration raises and is
+    never stored.
+    """
+
+    def __missing__(self, ns: float) -> Delay:
+        delay = self[ns] = Delay(ns)
+        return delay
 
 
 class Device:
@@ -48,6 +61,10 @@ class Device:
         self.atomics = AtomicRegistry(device_wide=device_wide_atomics)
         self.scheduler = BlockScheduler(self.config, fuzz=fuzzer)
         self.trace = Trace()
+        #: duration (ns) -> the one :class:`Delay` every
+        #: :class:`~repro.gpu.context.BlockCtx` op of that duration
+        #: yields, so hot ops do not build a new effect each time.
+        self.delays: Dict[float, Delay] = _Delays()
         #: observers of device-side execution (barrier rounds, global
         #: memory traffic); see :class:`repro.sanitize.SanitizerProbe`.
         #: Kept empty in normal runs so instrumentation costs nothing.

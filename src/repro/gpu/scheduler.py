@@ -64,22 +64,23 @@ class SmPlacement:
             raise SimulationError(
                 f"block {block_id} of {self.kernel_name!r} placed twice"
             )
-        least = min(self._load)
-        candidates = [i for i in range(self.num_sms) if self._load[i] == least]
-        if self._tiebreak is not None:
+        load = self._load
+        least = min(load)
+        if self._tiebreak is None:
+            sm = load.index(least)
+        else:
+            candidates = [i for i in range(self.num_sms) if load[i] == least]
             sm = self._tiebreak(candidates)
             if sm not in candidates:
                 raise SimulationError(
                     f"placement tiebreak chose SM{sm}, not among {candidates}"
                 )
-        else:
-            sm = candidates[0]
-        if self._load[sm] >= self.per_sm:
+        if load[sm] >= self.per_sm:
             raise SimulationError(
                 f"placement overflow on SM{sm} for {self.kernel_name!r} "
                 "(aggregate gate out of sync)"
             )
-        self._load[sm] += 1
+        load[sm] += 1
         self.placements[block_id] = sm
         return sm
 

@@ -39,16 +39,14 @@ class RaceMonitor:
 
     def __init__(self, rounds: int, num_blocks: int):
         self.num_blocks = num_blocks
-        self._done = np.zeros(rounds, dtype=np.int64)
+        self._done = [0] * rounds
         #: ``(round, block, blocks_done_in_previous_round)`` records.
         self.violations: List[Tuple[int, int, int]] = []
 
     def record(self, round_idx: int, block_id: int) -> None:
         """Block ``block_id`` has just done its work for ``round_idx``."""
         if round_idx > 0 and self._done[round_idx - 1] < self.num_blocks:
-            self.violations.append(
-                (round_idx, block_id, int(self._done[round_idx - 1]))
-            )
+            self.violations.append((round_idx, block_id, self._done[round_idx - 1]))
         self._done[round_idx] += 1
 
     def wrap(self, round_idx: int, block_id: int, work):

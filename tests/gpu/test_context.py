@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import MemoryError_
+from repro.errors import ConfigError, MemoryError_
+from repro.faults import FaultPlan, FaultSpec
 from repro.gpu.context import BlockCtx
 from repro.gpu.device import Device
 
@@ -201,3 +202,33 @@ def test_atomic_bad_2d_index_rejected(device):
     arr = device.memory.alloc("b", (2, 2), dtype=np.int64)
     with pytest.raises(MemoryError_):
         ctx._flat_index(arr, (5, 9))
+
+
+def test_equal_durations_share_one_delay(device):
+    a, b = make_ctx(device, 0), make_ctx(device, 1)
+    arr = device.memory.alloc("d", 4)
+    first = next(a.compute(500))
+    assert next(b.compute(500)) is first
+    assert next(a.compute(700)) is not first
+    read = next(a.gread(arr, 0))
+    assert next(b.gread(arr, 1)) is read
+    assert next(a.syncthreads()) is next(b.syncthreads())
+    assert device.delays[500] is first
+    # Another device has its own delays.
+    assert next(make_ctx(Device()).compute(500)) is not first
+
+
+def test_fault_scaled_compute_gets_its_own_delay():
+    plan = FaultPlan([FaultSpec("straggler", block=0, factor=2.5)])
+    device = Device(faults=plan)
+    slow = next(make_ctx(device, 0).compute(400))
+    plain = next(make_ctx(device, 1).compute(400))
+    assert slow.ns == 1000 and plain.ns == 400
+    assert slow is not plain
+    assert next(make_ctx(device, 0).compute(400)) is slow
+
+
+def test_rejected_cost_is_never_a_delay_key(device):
+    with pytest.raises(ConfigError):
+        next(make_ctx(device).compute(float("nan")))
+    assert device.delays == {}
