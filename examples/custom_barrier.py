@@ -11,7 +11,6 @@ Usage::
     python examples/custom_barrier.py
 """
 
-from itertools import count
 from typing import Generator
 
 import numpy as np
@@ -21,24 +20,14 @@ from repro.harness import probe_barrier_cost
 from repro.harness.report import format_table
 from repro.sync.base import SyncStrategy, register_strategy
 
-_IDS = count()
-
-
 class TicketBarrier(SyncStrategy):
     """Centralized ticket barrier: the last ticket-holder releases."""
 
     name = "gpu-ticket"
     mode = "device"
 
-    def __init__(self) -> None:
-        self._uid = next(_IDS)
-        self._tickets = None
-        self._epoch = None
-        self._num_blocks = 0
-
     def prepare(self, device, num_blocks: int) -> None:
-        self.validate_grid(device.config, num_blocks)
-        self._num_blocks = num_blocks
+        super().prepare(device, num_blocks)
         self._tickets = device.memory.alloc(
             f"tickets#{self._uid}", 1, dtype=np.int64
         )
@@ -46,8 +35,7 @@ class TicketBarrier(SyncStrategy):
             f"epoch#{self._uid}", 1, dtype=np.int64
         )
 
-    def barrier(self, ctx, round_idx: int) -> Generator:
-        start = ctx.now
+    def protocol(self, ctx, round_idx: int) -> Generator:
         goal = (round_idx + 1) * self._num_blocks
         epoch = round_idx + 1
         ticket = yield from ctx.atomic_add(self._tickets, 0, 1)
@@ -59,8 +47,6 @@ class TicketBarrier(SyncStrategy):
                 lambda e=self._epoch, t=epoch: e.data[0] >= t,
                 f"epoch {epoch}",
             )
-        yield from ctx.syncthreads()
-        ctx.record("sync", start, round=round_idx, strategy=self.name)
 
 
 def main() -> None:

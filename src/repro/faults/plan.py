@@ -128,10 +128,10 @@ class FaultPlan:
     Arm a plan by passing it to ``Device(faults=...)`` (the harness
     does this via ``run(..., faults=plan)``).  Injection hooks in
     :class:`repro.gpu.context.BlockCtx`, :meth:`repro.gpu.device.Device.
-    kernel_process` and :meth:`repro.sync.base.SyncStrategy.
-    instrumented_barrier` consult the plan; every hook is behind a
-    single ``device.faults is not None`` check, so an unarmed device
-    pays nothing.
+    kernel_process` and :meth:`repro.sync.base.SyncStrategy.barrier`
+    consult the plan; every hook is behind a single
+    ``device.faults is not None`` check, so an unarmed device pays
+    nothing.
 
     The plan is *stateful across attempts*: transient faults are
     consumed when they fire, so the same plan object threaded through a

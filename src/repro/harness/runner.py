@@ -6,12 +6,12 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Real
 from typing import Callable, Generator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.algorithms.base import RoundAlgorithm
+from repro.algorithms.base import RoundAlgorithm, require_int
 from repro.errors import BarrierTimeoutError, ConfigError, FaultError, OccupancyError
 from repro.faults.watchdog import DEFAULT_BARRIER_DEADLINE_NS, BarrierWatchdog
 from repro.gpu.config import DeviceConfig
@@ -208,33 +208,41 @@ def run(
     faults or a barrier deadline keep every round simulated.
 
     Malformed inputs raise :class:`~repro.errors.ConfigError` before
-    anything is simulated: a ``num_blocks`` that is not an ``int``,
-    ``threads_per_block`` or ``barrier_deadline_ns`` below 1, and a
-    negative or non-finite ``jitter_pct``.
+    anything is simulated: a ``strategy`` that is neither a registered
+    name nor a :class:`~repro.sync.base.SyncStrategy`, a ``config`` that
+    is not a :class:`~repro.gpu.config.DeviceConfig`, a ``num_blocks``,
+    ``threads_per_block``, ``jitter_seed`` or ``barrier_deadline_ns``
+    that is not an ``int`` (``bool`` included), ``threads_per_block`` or
+    ``barrier_deadline_ns`` below 1, and a ``jitter_pct`` that is not a
+    finite, non-negative number.
     """
-    if isinstance(strategy, str):
+    if not isinstance(strategy, SyncStrategy):
         strategy = get_strategy(strategy)
-    if isinstance(num_blocks, bool) or not isinstance(num_blocks, Integral):
-        raise ConfigError(f"num_blocks must be an int, got {num_blocks!r}")
+    require_int("num_blocks", num_blocks)
+    if config is not None and not isinstance(config, DeviceConfig):
+        raise ConfigError(f"config must be a DeviceConfig, got {config!r}")
     cfg = config or get_preset("gtx280")
     threads = (
         algorithm.default_threads if threads_per_block is None else threads_per_block
     )
-    if threads < 1:
-        raise ConfigError(f"threads_per_block must be >= 1, got {threads}")
+    require_int("threads_per_block", threads, minimum=1)
     if threads > cfg.max_threads_per_block:
         raise ConfigError(
             f"{threads} threads/block exceeds the device limit "
             f"{cfg.max_threads_per_block}"
         )
-    if not math.isfinite(jitter_pct) or jitter_pct < 0:
+    if (
+        isinstance(jitter_pct, bool)
+        or not isinstance(jitter_pct, Real)
+        or not math.isfinite(jitter_pct)
+        or jitter_pct < 0
+    ):
         raise ConfigError(
-            f"jitter_pct must be finite and non-negative, got {jitter_pct}"
+            f"jitter_pct must be a finite, non-negative number, got {jitter_pct!r}"
         )
-    if barrier_deadline_ns is not None and barrier_deadline_ns < 1:
-        raise ConfigError(
-            f"barrier_deadline_ns must be >= 1, got {barrier_deadline_ns}"
-        )
+    require_int("jitter_seed", jitter_seed)
+    if barrier_deadline_ns is not None:
+        require_int("barrier_deadline_ns", barrier_deadline_ns, minimum=1)
 
     def steady_blocker() -> Optional[str]:
         """Why this run may not be fast-forwarded (None: it may)."""
@@ -327,16 +335,7 @@ def run(
         # the same event as the work, before anything else can run.
         if strategy.mode == "device":
             strategy.prepare(device, num_blocks)
-            # instrumented_barrier only adds the probe and hang-fault
-            # hooks; without either, call the protocol itself.
-            barrier = (
-                strategy.barrier
-                if not device.probes
-                and faults is None
-                and type(strategy).instrumented_barrier
-                is SyncStrategy.instrumented_barrier
-                else strategy.instrumented_barrier
-            )
+            barrier = strategy.barrier
 
             def program(ctx: BlockCtx) -> Generator:
                 block_id = ctx.block_id

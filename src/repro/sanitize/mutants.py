@@ -37,7 +37,7 @@ class BrokenLockFreeNoScatter(GpuLockFreeSync):
 
     name = "broken-lockfree-noscatter"
 
-    def barrier(self, ctx: "BlockCtx", round_idx: int) -> Generator:
+    def protocol(self, ctx: "BlockCtx", round_idx: int) -> Generator:
         arr_in, arr_out = self._array_in, self._array_out
         bid = ctx.block_id
         goal = round_idx + 1
@@ -58,7 +58,6 @@ class BrokenLockFreeNoScatter(GpuLockFreeSync):
             lambda a=arr_out, b=bid, g=goal: a.data[b] >= g,
             f"Arrayout[{bid}] (round {round_idx})",
         )
-        yield from ctx.syncthreads()
 
 
 class BrokenSimpleUndercount(GpuSimpleSync):
@@ -73,7 +72,7 @@ class BrokenSimpleUndercount(GpuSimpleSync):
 
     name = "broken-simple-undercount"
 
-    def barrier(self, ctx: "BlockCtx", round_idx: int) -> Generator:
+    def protocol(self, ctx: "BlockCtx", round_idx: int) -> Generator:
         mutex = self._mutex
         n = ctx.num_blocks
         goal = round_idx * n + 1  # BUG: not (round_idx + 1) * n  # repro: noqa SC005
@@ -81,7 +80,6 @@ class BrokenSimpleUndercount(GpuSimpleSync):
         yield from ctx.spin_until(
             mutex, lambda: mutex.data[0] >= goal, f"g_mutex>={goal} (broken)"
         )
-        yield from ctx.syncthreads()
 
 
 class BrokenSimpleSkipRound(GpuSimpleSync):
@@ -97,10 +95,10 @@ class BrokenSimpleSkipRound(GpuSimpleSync):
 
     name = "broken-simple-skipround"
 
-    def instrumented_barrier(self, ctx: "BlockCtx", round_idx: int) -> Generator:
+    def barrier(self, ctx: "BlockCtx", round_idx: int) -> Generator:
         if round_idx == 0 and ctx.block_id == ctx.num_blocks - 1:  # repro: noqa SC001
             return  # BUG: this block never synchronizes round 0
-        yield from super().instrumented_barrier(ctx, round_idx)
+        yield from super().barrier(ctx, round_idx)
 
 
 register_strategy("broken-lockfree-noscatter", BrokenLockFreeNoScatter)

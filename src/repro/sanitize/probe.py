@@ -3,10 +3,10 @@
 A :class:`SanitizerProbe` registers on ``Device.probes`` and receives
 two event streams while the simulation runs:
 
-* **barrier events** from
-  :meth:`repro.sync.base.SyncStrategy.instrumented_barrier` — every
-  block's entry into and exit from each barrier round, timestamped in
-  virtual time;
+* **barrier events** from :meth:`repro.sync.base.SyncStrategy.barrier`
+  — every block's entry into and exit from each barrier round,
+  timestamped in virtual time, whether the runner or a hand-written
+  kernel calls the barrier;
 * **global-memory accesses** from :class:`repro.gpu.context.BlockCtx` —
   every ``gread``/``gwrite``/``atomic_add``/``spin_until``, tagged with
   the issuing block, the touched cells, and the block's current barrier

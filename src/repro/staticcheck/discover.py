@@ -4,8 +4,8 @@ The linter does not analyze arbitrary Python — it looks for the three
 shapes device code takes in this repository:
 
 * **strategy classes** — ``class FooSync(SyncStrategy)`` (or a subclass
-  of another strategy class); their generator methods (``barrier``,
-  ``instrumented_barrier``, helpers) are barrier protocol bodies and
+  of another strategy class); their generator methods (``protocol``,
+  a ``barrier`` override, helpers) are barrier protocol bodies and
   ``prepare`` holds the device-state allocations;
 * **kernel generators** — any generator function whose first parameter
   is named ``ctx`` or ``wctx`` (the :class:`~repro.gpu.context.BlockCtx`
@@ -59,7 +59,6 @@ BARRIER_CALLS: Set[str] = {
     "syncthreads",
     "spin_until",
     "barrier",
-    "instrumented_barrier",
     "run_warps",
 }
 

@@ -15,6 +15,15 @@ name                  mode    mechanism
 ``null``              device  no barrier — compute-only timing runs (§7.3)
 ====================  ======  =====================================================
 
+Every device barrier has the paper's frame (Figs. 6, 8, 9): the leading
+thread runs a protocol, then ``__syncthreads()`` releases the block.
+:meth:`SyncStrategy.barrier <repro.sync.base.SyncStrategy.barrier>` owns
+that frame — the prepare and grid checks, the sanitizer-probe and
+hang-fault hooks, the closing ``__syncthreads()`` and the ``sync`` span —
+so each strategy implements only its ``protocol`` and allocates its
+state in ``prepare`` after ``super().prepare(...)``.  The hooks run
+whoever calls the barrier: the runner or a hand-written kernel.
+
 Device strategies enforce the safety rule through the device topology
 (:mod:`repro.gpu.topology`): under the paper's exclusive co-residency
 they request an SM's full shared memory and validate the grid against

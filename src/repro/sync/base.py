@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import abc
+from itertools import count
 from typing import Any, Callable, Dict, Generator, List, TYPE_CHECKING
 
-from repro.errors import ConfigError, OccupancyError
+from repro.errors import ConfigError, OccupancyError, SyncProtocolError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.config import DeviceConfig
@@ -13,6 +14,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.device import Device
 
 __all__ = ["SyncStrategy", "register_strategy", "get_strategy", "strategy_names"]
+
+_UIDS = count()
 
 
 def _hang_forever(ctx: "BlockCtx", strategy_name: str, round_idx: int) -> Generator[Any, Any, Any]:
@@ -51,6 +54,12 @@ class SyncStrategy(abc.ABC):
       :meth:`prepare` allocates the strategy's device state;
       :meth:`shared_mem_request` and :meth:`max_blocks` enforce the
       one-block-per-SM co-residency rule.
+
+    Every device barrier has the same frame (paper Figs. 6, 8, 9): the
+    leading thread runs a protocol, then ``__syncthreads()`` releases the
+    block.  :meth:`barrier` owns that frame; a device strategy implements
+    only :meth:`protocol`, and its :meth:`prepare` calls
+    ``super().prepare(...)`` before allocating.
     """
 
     #: strategy identifier, e.g. ``"gpu-lockfree"``.
@@ -59,61 +68,84 @@ class SyncStrategy(abc.ABC):
     mode: str = "device"
     #: host mode only: call cudaThreadSynchronize() between launches.
     explicit: bool = False
-    #: registered name of the strategy to degrade to when this barrier
-    #: repeatedly times out (or its grid is rejected).  ``None`` means
-    #: "use the mode default": device barriers fall back to the host-side
-    #: barrier (paper §4.1 — the kernel boundary always synchronizes, so
-    #: it can never deadlock); host barriers have nothing safer to
-    #: fall back to.
-    fallback: "str | None" = None
+    #: grid size of the last :meth:`prepare` (0: not prepared yet).
+    _num_blocks: int = 0
+
+    def __init__(self) -> None:
+        #: per-instance suffix for allocation names (``g_mutex#<uid>``),
+        #: so several strategies can share one device.
+        self._uid = next(_UIDS)
 
     # -- device-mode API ------------------------------------------------------
 
     def prepare(self, device: "Device", num_blocks: int) -> None:
-        """Allocate device state for a grid of ``num_blocks`` blocks."""
-        raise NotImplementedError(f"{self.name} is a host-side strategy")
+        """Validate a grid of ``num_blocks`` blocks and remember its size.
+
+        Subclasses call this first, then allocate their device state.
+        """
+        if self.mode != "device":
+            raise NotImplementedError(f"{self.name} is a host-side strategy")
+        self.validate_grid(device.config, num_blocks)
+        self._num_blocks = num_blocks
 
     def barrier(self, ctx: "BlockCtx", round_idx: int) -> Generator[Any, Any, Any]:
-        """The device barrier; called by every block, once per round."""
-        raise NotImplementedError(f"{self.name} is a host-side strategy")
+        """The device barrier; called by every block, once per round.
 
-    def instrumented_barrier(self, ctx: "BlockCtx", round_idx: int) -> Generator[Any, Any, Any]:
-        """:meth:`barrier` bracketed by sanitizer notifications.
-
-        Every registered probe on the device sees this block *enter* the
-        round's barrier before the protocol runs and *exit* it after —
-        the per-strategy instrumentation point the barrier sanitizer
-        (:mod:`repro.sanitize`) derives divergence, premature-release
-        and stuck-round findings from.  With no probes registered this
-        is exactly :meth:`barrier`: enter/exit dispatch is skipped, so
-        measured runs pay nothing.
-
-        This is also the ``hang`` fault's injection point
-        (:mod:`repro.faults`): a hung block parks *before* the enter
-        notification, so the probe sees exactly what hardware would —
-        every other block stuck inside the round, the hung one absent.
+        Raises at once unless the strategy was prepared for this grid;
+        otherwise returns the frame every device barrier shares: the
+        ``hang`` fault's injection point (:mod:`repro.faults`; a hung
+        block parks before any probe sees it enter), the probes' *enter*
+        notification (:mod:`repro.sanitize`), :meth:`protocol`, the
+        closing ``__syncthreads()``, the ``sync`` span and the probes'
+        *exit* notification.  Without faults or probes each hook costs
+        one check.
         """
-        faults = ctx.device.faults
+        if self.mode != "device":
+            raise NotImplementedError(f"{self.name} is a host-side strategy")
+        if not self._num_blocks:
+            raise SyncProtocolError(f"{self.name} barrier used before prepare()")
+        if ctx.num_blocks != self._num_blocks:
+            raise SyncProtocolError(
+                f"{self.name} prepared for {self._num_blocks} blocks, "
+                f"called with {ctx.num_blocks}"
+            )
+        return self._frame(ctx, round_idx)
+
+    def _frame(self, ctx: "BlockCtx", round_idx: int) -> Generator[Any, Any, Any]:
+        """The body of :meth:`barrier`, once its checks have passed."""
+        device = ctx.device
+        faults = device.faults
         if faults is not None and faults.should_hang(ctx.block_id, round_idx):
             yield from _hang_forever(ctx, self.name, round_idx)
-        probes = ctx.device.probes
+        probes = device.probes
         for probe in probes:
             probe.on_barrier_enter(ctx, self, round_idx)
-        yield from self.barrier(ctx, round_idx)
+        start = ctx.now
+        yield from self.protocol(ctx, round_idx)
+        yield from ctx.syncthreads()
+        ctx.record("sync", start, round=round_idx, strategy=self.name)
         for probe in probes:
             probe.on_barrier_exit(ctx, self, round_idx)
+
+    def protocol(self, ctx: "BlockCtx", round_idx: int) -> Generator[Any, Any, Any]:
+        """The leading thread's part of the barrier (paper Figs. 6, 8, 9).
+
+        It returns once this block may leave the round; :meth:`barrier`
+        adds the closing ``__syncthreads()``.
+        """
+        raise NotImplementedError(f"{self.name} has no device protocol")
 
     def fallback_strategy(self) -> "str | None":
         """Name of the barrier to degrade to, or ``None`` (no fallback).
 
-        Device-side barriers degrade to ``cpu-implicit`` by default:
-        relaunching per round is slower but structurally immune to the
-        spin-barrier failure modes (a block that dies takes one kernel
-        down, not the grid's liveness).  Override via the
-        :attr:`fallback` class attribute.
+        Device-side barriers degrade to ``cpu-implicit``: relaunching
+        per round is slower but structurally immune to the spin-barrier
+        failure modes (paper §4.1 — the kernel boundary always
+        synchronizes, so a block that dies takes one kernel down, not
+        the grid's liveness).  Host barriers have nothing safer to fall
+        back to.  :class:`~repro.harness.resilient.DegradePolicy`
+        overrides the choice per run.
         """
-        if self.fallback is not None:
-            return self.fallback
         return "cpu-implicit" if self.mode == "device" else None
 
     def shared_mem_request(self, config: "DeviceConfig") -> int:
@@ -171,6 +203,8 @@ def register_strategy(name: str, factory: Callable[[], SyncStrategy]) -> None:
 
 def get_strategy(name: str) -> SyncStrategy:
     """Instantiate a registered strategy by name."""
+    if not isinstance(name, str):
+        raise ConfigError(f"strategy name must be a str, got {name!r}")
     try:
         factory = _REGISTRY[name]
     except KeyError:

@@ -26,12 +26,10 @@ rounds can never observe each other's state.
 
 from __future__ import annotations
 
-from itertools import count
 from typing import Any, Dict, Generator, List, TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import SyncProtocolError
 from repro.sync.base import SyncStrategy, register_strategy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,33 +39,25 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["GpuClusterTreeSync"]
 
-_INSTANCES = count()
-
 
 class GpuClusterTreeSync(SyncStrategy):
     """Local arrive → one crossing per domain → local release."""
 
     name = "gpu-cluster-tree"
     mode = "device"
-    #: degrade target when the barrier repeatedly stalls (resilient runtime).
-    fallback = "cpu-implicit"
-
-    def __init__(self) -> None:
-        self._uid = next(_INSTANCES)
-        self._num_blocks = 0
-        #: occupied domain → sorted member block ids.
-        self._members: Dict[int, List[int]] = {}
-        #: occupied domain → locally-homed arrival counter.
-        self._arrive: Dict[int, "GlobalArray"] = {}
-        #: occupied domain → locally-homed release flag.
-        self._release: Dict[int, "GlobalArray"] = {}
-        self._global: "GlobalArray | None" = None
+    #: occupied domain → sorted member block ids.
+    _members: Dict[int, List[int]]
+    #: occupied domain → locally-homed arrival counter.
+    _arrive: Dict[int, "GlobalArray"]
+    #: occupied domain → locally-homed release flag.
+    _release: Dict[int, "GlobalArray"]
+    #: the one counter whose arrivals cross the interconnect.
+    _global: "GlobalArray"
 
     # -- setup ---------------------------------------------------------------
 
     def prepare(self, device: "Device", num_blocks: int) -> None:
-        self.validate_grid(device.config, num_blocks)
-        self._num_blocks = num_blocks
+        super().prepare(device, num_blocks)
         topology = device.config.topology
         self._members = topology.members_by_domain(num_blocks)
         self._arrive = {}
@@ -97,15 +87,7 @@ class GpuClusterTreeSync(SyncStrategy):
 
     # -- the barrier -----------------------------------------------------------
 
-    def barrier(self, ctx: "BlockCtx", round_idx: int) -> Generator[Any, Any, Any]:
-        if self._global is None:
-            raise SyncProtocolError(f"{self.name} barrier used before prepare()")
-        if ctx.num_blocks != self._num_blocks:
-            raise SyncProtocolError(
-                f"{self.name} prepared for {self._num_blocks} blocks, "
-                f"called with {ctx.num_blocks}"
-            )
-        start = ctx.now
+    def protocol(self, ctx: "BlockCtx", round_idx: int) -> Generator[Any, Any, Any]:
         timings = ctx.timings
         domain = ctx.domain
         members = self._members[domain]
@@ -150,8 +132,6 @@ class GpuClusterTreeSync(SyncStrategy):
                 lambda r=release, t=round_idx + 1: bool(r.data[0] >= t),
                 f"domain {domain} release (round {round_idx})",
             )
-        yield from ctx.syncthreads()
-        ctx.record("sync", start, round=round_idx, strategy=self.name)
 
 
 register_strategy("gpu-cluster-tree", GpuClusterTreeSync)

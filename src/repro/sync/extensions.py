@@ -30,12 +30,10 @@ Analytic costs (same style as Eqs. 6–9) live in
 from __future__ import annotations
 
 import math
-from itertools import count
 from typing import Any, Generator, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import SyncProtocolError
 from repro.model.calibration import CalibratedTimings, default_timings
 from repro.sync.base import SyncStrategy, register_strategy
 
@@ -50,9 +48,6 @@ __all__ = [
     "dissemination_cost",
     "sense_reversal_cost",
 ]
-
-_INSTANCES = count()
-
 
 def sense_reversal_cost(
     num_blocks: int, timings: Optional[CalibratedTimings] = None
@@ -94,16 +89,11 @@ class GpuSenseReversalSync(SyncStrategy):
 
     name = "gpu-sense-reversal"
     mode = "device"
-
-    def __init__(self) -> None:
-        self._uid = next(_INSTANCES)
-        self._num_blocks = 0
-        self._count: Optional["GlobalArray"] = None
-        self._sense: Optional["GlobalArray"] = None
+    _count: "GlobalArray"
+    _sense: "GlobalArray"
 
     def prepare(self, device: "Device", num_blocks: int) -> None:
-        self.validate_grid(device.config, num_blocks)
-        self._num_blocks = num_blocks
+        super().prepare(device, num_blocks)
         self._count = device.memory.alloc(
             f"sr_count#{self._uid}", 1, dtype=np.int64, reuse=True
         )
@@ -111,17 +101,7 @@ class GpuSenseReversalSync(SyncStrategy):
             f"sr_sense#{self._uid}", 1, dtype=np.int64, reuse=True
         )
 
-    def barrier(self, ctx: "BlockCtx", round_idx: int) -> Generator[Any, Any, Any]:
-        if self._count is None or self._sense is None:
-            raise SyncProtocolError(
-                "gpu-sense-reversal barrier used before prepare()"
-            )
-        if ctx.num_blocks != self._num_blocks:
-            raise SyncProtocolError(
-                f"gpu-sense-reversal prepared for {self._num_blocks} blocks, "
-                f"called with {ctx.num_blocks}"
-            )
-        start = ctx.now
+    def protocol(self, ctx: "BlockCtx", round_idx: int) -> Generator[Any, Any, Any]:
         n = ctx.num_blocks
         epoch = round_idx + 1
         old = yield from ctx.atomic_add(self._count, 0, 1)
@@ -140,8 +120,6 @@ class GpuSenseReversalSync(SyncStrategy):
                 lambda s=self._sense, e=epoch: s.data[0] >= e,
                 f"sense epoch {epoch}",
             )
-        yield from ctx.syncthreads()
-        ctx.record("sync", start, round=round_idx, strategy=self.name)
 
 
 class GpuDisseminationSync(SyncStrategy):
@@ -149,16 +127,12 @@ class GpuDisseminationSync(SyncStrategy):
 
     name = "gpu-dissemination"
     mode = "device"
-
-    def __init__(self) -> None:
-        self._uid = next(_INSTANCES)
-        self._num_blocks = 0
-        self._rounds = 0
-        self._flags: Optional["GlobalArray"] = None  # shape (rounds, N)
+    #: signalling rounds per barrier, ``ceil(log2 N)``.
+    _rounds: int
+    _flags: "GlobalArray"  # shape (rounds, N)
 
     def prepare(self, device: "Device", num_blocks: int) -> None:
-        self.validate_grid(device.config, num_blocks)
-        self._num_blocks = num_blocks
+        super().prepare(device, num_blocks)
         self._rounds = (
             max(1, math.ceil(math.log2(num_blocks))) if num_blocks > 1 else 0
         )
@@ -167,18 +141,8 @@ class GpuDisseminationSync(SyncStrategy):
             f"dissem_flags#{self._uid}", shape, dtype=np.int64, reuse=True
         )
 
-    def barrier(self, ctx: "BlockCtx", round_idx: int) -> Generator[Any, Any, Any]:
+    def protocol(self, ctx: "BlockCtx", round_idx: int) -> Generator[Any, Any, Any]:
         flags = self._flags
-        if flags is None:
-            raise SyncProtocolError(
-                "gpu-dissemination barrier used before prepare()"
-            )
-        if ctx.num_blocks != self._num_blocks:
-            raise SyncProtocolError(
-                f"gpu-dissemination prepared for {self._num_blocks} blocks, "
-                f"called with {ctx.num_blocks}"
-            )
-        start = ctx.now
         n = ctx.num_blocks
         bid = ctx.block_id
         epoch = round_idx + 1
@@ -193,8 +157,6 @@ class GpuDisseminationSync(SyncStrategy):
                 lambda f=flags, k=k, b=bid, e=epoch: f.data[k, b] >= e,
                 f"dissemination round {k} epoch {epoch}",
             )
-        yield from ctx.syncthreads()
-        ctx.record("sync", start, round=round_idx, strategy=self.name)
 
 
 register_strategy("gpu-sense-reversal", GpuSenseReversalSync)

@@ -22,8 +22,7 @@ cost grows linearly with N.
 
 from __future__ import annotations
 
-from itertools import count
-from typing import Any, Generator, Optional, TYPE_CHECKING
+from typing import Any, Generator, TYPE_CHECKING
 
 import numpy as np
 
@@ -38,18 +37,17 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["GpuLockFreeSync"]
 
-_INSTANCES = count()
-
 
 class GpuLockFreeSync(SyncStrategy):
     """The two-array, atomic-free device barrier."""
 
     name = "gpu-lockfree"
     mode = "device"
-    #: degrade target when the barrier repeatedly stalls (resilient runtime).
-    fallback = "cpu-implicit"
+    _array_in: "GlobalArray"
+    _array_out: "GlobalArray"
 
     def __init__(self, serial_gather: bool = False, detailed: bool = False) -> None:
+        super().__init__()
         #: ablation flag: one checker thread scans Arrayin serially
         #: instead of N threads in parallel (paper §5.3 step 2 note).
         self.serial_gather = serial_gather
@@ -66,14 +64,9 @@ class GpuLockFreeSync(SyncStrategy):
             self.name = "gpu-lockfree-serial"
         elif detailed:
             self.name = "gpu-lockfree-detailed"
-        self._uid = next(_INSTANCES)
-        self._num_blocks = 0
-        self._array_in: Optional["GlobalArray"] = None
-        self._array_out: Optional["GlobalArray"] = None
 
     def prepare(self, device: "Device", num_blocks: int) -> None:
-        self.validate_grid(device.config, num_blocks)
-        self._num_blocks = num_blocks
+        super().prepare(device, num_blocks)
         self._array_in = device.memory.alloc(
             f"Arrayin#{self._uid}", num_blocks, dtype=np.int64, reuse=True
         )
@@ -87,21 +80,18 @@ class GpuLockFreeSync(SyncStrategy):
         return 1 if self._num_blocks > 1 else 0
 
     def barrier(self, ctx: "BlockCtx", round_idx: int) -> Generator[Any, Any, Any]:
-        arr_in, arr_out = self._array_in, self._array_out
-        if arr_in is None or arr_out is None:
-            raise SyncProtocolError("gpu-lockfree barrier used before prepare()")
-        if ctx.num_blocks != self._num_blocks:
-            raise SyncProtocolError(
-                f"gpu-lockfree prepared for {self._num_blocks} blocks, "
-                f"called with {ctx.num_blocks}"
-            )
+        """The base frame, after checking that a block has a thread per block."""
+        frame = super().barrier(ctx, round_idx)
         if ctx.block_threads < self._num_blocks:
             raise SyncProtocolError(
                 f"gpu-lockfree needs >= {self._num_blocks} threads in the "
                 f"checking block to watch Arrayin in parallel; kernel has "
                 f"{ctx.block_threads} threads/block"
             )
-        start = ctx.now
+        return frame
+
+    def protocol(self, ctx: "BlockCtx", round_idx: int) -> Generator[Any, Any, Any]:
+        arr_in, arr_out = self._array_in, self._array_out
         bid = ctx.block_id
         goal = round_idx + 1
         n = ctx.num_blocks
@@ -164,8 +154,6 @@ class GpuLockFreeSync(SyncStrategy):
             lambda a=arr_out, b=bid, g=goal: a.data[b] >= g,
             f"Arrayout[{bid}] (round {round_idx})",
         )
-        yield from ctx.syncthreads()
-        ctx.record("sync", start, round=round_idx, strategy=self.name)
 
 
 register_strategy("gpu-lockfree", GpuLockFreeSync)

@@ -23,12 +23,10 @@ the ``!=`` test safe on hardware) and robust if it is not.
 
 from __future__ import annotations
 
-from itertools import count
-from typing import Any, Generator, Optional, TYPE_CHECKING
+from typing import Any, Generator, TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import SyncProtocolError
 from repro.sync.base import SyncStrategy, register_strategy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -38,44 +36,30 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["GpuSimpleSync"]
 
-_INSTANCES = count()
-
 
 class GpuSimpleSync(SyncStrategy):
     """The single-mutex device barrier."""
 
     name = "gpu-simple"
     mode = "device"
-    #: degrade target when the barrier repeatedly stalls (resilient runtime).
-    fallback = "cpu-implicit"
+    _mutex: "GlobalArray"
 
     def __init__(self, reset_mutex: bool = False) -> None:
+        super().__init__()
         #: ablation flag: reset ``g_mutex`` each round instead of
         #: accumulating ``goalVal`` (paper §5.1 calls this less efficient).
         self.reset_mutex = reset_mutex
         if reset_mutex:
             self.name = "gpu-simple-reset"
-        self._uid = next(_INSTANCES)
-        self._mutex: Optional["GlobalArray"] = None
-        self._num_blocks = 0
 
     def prepare(self, device: "Device", num_blocks: int) -> None:
-        self.validate_grid(device.config, num_blocks)
-        self._num_blocks = num_blocks
+        super().prepare(device, num_blocks)
         self._mutex = device.memory.alloc(
             f"g_mutex#{self._uid}", 1, dtype=np.int64, reuse=True
         )
 
-    def barrier(self, ctx: "BlockCtx", round_idx: int) -> Generator[Any, Any, Any]:
+    def protocol(self, ctx: "BlockCtx", round_idx: int) -> Generator[Any, Any, Any]:
         mutex = self._mutex
-        if mutex is None:
-            raise SyncProtocolError("gpu-simple barrier used before prepare()")
-        if ctx.num_blocks != self._num_blocks:
-            raise SyncProtocolError(
-                f"gpu-simple prepared for {self._num_blocks} blocks, "
-                f"called with {ctx.num_blocks}"
-            )
-        start = ctx.now
         n = ctx.num_blocks
         if self.reset_mutex:
             yield from self._barrier_with_reset(ctx, mutex, n)
@@ -89,8 +73,6 @@ class GpuSimpleSync(SyncStrategy):
                 lambda: mutex.data[0] >= goal,
                 f"g_mutex>={goal}",
             )
-        yield from ctx.syncthreads()
-        ctx.record("sync", start, round=round_idx, strategy=self.name)
 
     def _barrier_with_reset(
         self, ctx: "BlockCtx", mutex: "GlobalArray", n: int

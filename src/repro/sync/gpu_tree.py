@@ -17,7 +17,7 @@ prediction cannot drift apart.
 
 from __future__ import annotations
 
-from itertools import count
+from numbers import Integral
 from typing import Any, Dict, Generator, List, TYPE_CHECKING, Tuple
 
 import numpy as np
@@ -33,40 +33,34 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["GpuTreeSync"]
 
-_INSTANCES = count()
-
 
 class GpuTreeSync(SyncStrategy):
     """The multi-level mutex-tree device barrier."""
 
     mode = "device"
-    #: degrade target when the barrier repeatedly stalls (resilient runtime).
-    fallback = "cpu-implicit"
+    #: one mutex array per level, one cell per group.
+    _mutexes: List["GlobalArray"]
+    #: per level: group sizes.
+    _plan: List[List[int]]
+    #: per level: participant block id → (group index, is_representative).
+    _roles: List[Dict[int, Tuple[int, bool]]]
 
     def __init__(self, levels: int = 2) -> None:
-        if levels < 2:
-            raise SyncProtocolError(f"tree barrier needs >= 2 levels, got {levels}")
-        self.levels = levels
-        self.name = f"gpu-tree-{levels}"
-        self._uid = next(_INSTANCES)
-        self._num_blocks = 0
-        self._mutexes: List["GlobalArray"] = []
-        #: per level: group sizes.
-        self._plan: List[List[int]] = []
-        #: per level: participant block id → (group index, is_representative).
-        self._roles: List[Dict[int, Tuple[int, bool]]] = []
-        #: participants (block ids) at each level.
-        self._participants: List[List[int]] = []
+        if isinstance(levels, bool) or not isinstance(levels, Integral) or levels < 2:
+            raise SyncProtocolError(
+                f"tree barrier levels must be an int >= 2, got {levels!r}"
+            )
+        super().__init__()
+        self.levels = int(levels)
+        self.name = f"gpu-tree-{self.levels}"
 
     # -- setup ---------------------------------------------------------------
 
     def prepare(self, device: "Device", num_blocks: int) -> None:
-        self.validate_grid(device.config, num_blocks)
-        self._num_blocks = num_blocks
+        super().prepare(device, num_blocks)
         self._plan = tree_level_plan(num_blocks, self.levels)
         self._mutexes = []
         self._roles = []
-        self._participants = []
 
         participants = list(range(num_blocks))
         for level, sizes in enumerate(self._plan):
@@ -84,20 +78,11 @@ class GpuTreeSync(SyncStrategy):
                 reps.append(members[0])
                 offset += size
             self._roles.append(roles)
-            self._participants.append(participants)
             participants = reps
 
     # -- the barrier -----------------------------------------------------------
 
-    def barrier(self, ctx: "BlockCtx", round_idx: int) -> Generator[Any, Any, Any]:
-        if not self._mutexes:
-            raise SyncProtocolError(f"{self.name} barrier used before prepare()")
-        if ctx.num_blocks != self._num_blocks:
-            raise SyncProtocolError(
-                f"{self.name} prepared for {self._num_blocks} blocks, "
-                f"called with {ctx.num_blocks}"
-            )
-        start = ctx.now
+    def protocol(self, ctx: "BlockCtx", round_idx: int) -> Generator[Any, Any, Any]:
         bid = ctx.block_id
         timings = ctx.timings
 
@@ -138,8 +123,6 @@ class GpuTreeSync(SyncStrategy):
             lambda m=top, t=top_goal: m.data[0] >= t,
             f"top mutex (round {round_idx})",
         )
-        yield from ctx.syncthreads()
-        ctx.record("sync", start, round=round_idx, strategy=self.name)
 
 
 register_strategy("gpu-tree-2", lambda: GpuTreeSync(levels=2))

@@ -16,7 +16,6 @@ from repro.sync.base import SyncStrategy, register_strategy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.context import BlockCtx
-    from repro.gpu.device import Device
 
 __all__ = ["NullSync"]
 
@@ -26,9 +25,6 @@ class NullSync(SyncStrategy):
 
     name = "null"
     mode = "device"
-
-    def prepare(self, device: "Device", num_blocks: int) -> None:
-        self.validate_grid(device.config, num_blocks)
 
     def barrier(self, ctx: "BlockCtx", round_idx: int) -> Generator[Any, Any, Any]:
         return

@@ -91,6 +91,16 @@ class TestRun:
             (8, {"jitter_pct": float("inf")}, "jitter_pct"),
             (2.5, {}, "num_blocks"),
             ("8", {}, "num_blocks"),
+            (8, {"threads_per_block": 2.5}, "threads_per_block"),
+            (8, {"threads_per_block": True}, "threads_per_block"),
+            (8, {"threads_per_block": "8"}, "threads_per_block"),
+            (8, {"barrier_deadline_ns": 2.5}, "barrier_deadline_ns"),
+            (8, {"barrier_deadline_ns": "x"}, "barrier_deadline_ns"),
+            (8, {"jitter_pct": "1"}, "jitter_pct"),
+            (8, {"jitter_seed": "a"}, "jitter_seed"),
+            (8, {"strategy": []}, "strategy"),
+            (8, {"strategy": 3}, "strategy"),
+            (8, {"config": "gtx280"}, "config"),
         ],
     )
     def test_bad_input_is_a_config_error_before_simulating(
@@ -100,8 +110,9 @@ class TestRun:
             raise AssertionError("simulated a malformed configuration")
 
         monkeypatch.setattr("repro.harness.runner.Device", no_device)
+        args = {"strategy": "gpu-lockfree", **kwargs}
         with pytest.raises(ConfigError, match=match):
-            run(micro, "gpu-lockfree", num_blocks, **kwargs)
+            run(micro, num_blocks=num_blocks, **args)
 
 
 class TestRaceMonitor:

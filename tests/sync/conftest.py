@@ -16,14 +16,18 @@ def run_barrier_kernel(
     rounds: int,
     compute_ns: int = 0,
     threads: int = 64,
+    probe=None,
 ) -> Tuple[int, List[Tuple[int, int, int]], Device]:
     """Run a kernel that is nothing but rounds of (compute, barrier).
 
     Returns ``(total_ns, events, device)`` where ``events`` records
     ``(round, block, time)`` at each block's barrier *exit* — enough to
-    assert the fundamental barrier invariant.
+    assert the fundamental barrier invariant.  ``probe`` (a
+    :class:`repro.sanitize.SanitizerProbe`) is registered on the device.
     """
     device = Device()
+    if probe is not None:
+        device.probes.append(probe)
     host = Host(device)
     strategy.prepare(device, num_blocks)
     events: List[Tuple[int, int, int]] = []

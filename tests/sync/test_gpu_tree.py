@@ -81,6 +81,12 @@ def test_invalid_levels_rejected():
         GpuTreeSync(levels=1)
 
 
+@pytest.mark.parametrize("levels", [2.5, 4.0, "3", True, None])
+def test_non_int_levels_rejected(levels):
+    with pytest.raises(SyncProtocolError, match="levels"):
+        GpuTreeSync(levels=levels)
+
+
 def test_barrier_before_prepare_rejected():
     with pytest.raises(SyncProtocolError, match="prepare"):
         next(GpuTreeSync().barrier(None, 0))
