@@ -39,6 +39,11 @@ class RoundAlgorithm(abc.ABC):
     * rounds are numbered ``0 .. num_rounds()-1``; in each round every
       block ``b`` of ``B`` executes :meth:`round_work` on its disjoint
       slice, at a simulated cost of :meth:`round_cost` nanoseconds;
+    * :meth:`round_cost` depends on the shape only (the round, the
+      block, the block count and the sizes fixed at construction), never
+      on the working arrays: the compute-only run of §7.3
+      (:func:`repro.harness.phases.compute_only`) charges these costs
+      without applying any round work;
     * :meth:`round_work` is applied *after* its cost elapses, so
       out-of-order execution under a broken barrier really does read
       stale data;
@@ -69,7 +74,10 @@ class RoundAlgorithm(abc.ABC):
 
     @abc.abstractmethod
     def round_cost(self, round_idx: int, block_id: int, num_blocks: int) -> float:
-        """Simulated computation cost (ns) of this block's round slice."""
+        """Simulated computation cost (ns) of this block's round slice.
+
+        A function of the shape only, never of the working arrays.
+        """
 
     @abc.abstractmethod
     def round_work(

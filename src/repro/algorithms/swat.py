@@ -36,6 +36,7 @@ depend on the sequences and not only on the size.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -67,8 +68,32 @@ def swat_reference(
     """Independent row-by-row affine-gap fill; returns (H, best score).
 
     Row-ordered rather than wavefront-ordered, so it shares no traversal
-    logic with the class under test.
+    logic with the class under test.  The scalar fill is slow, so it is
+    memoized per process on the sequences' bytes and the scoring: every
+    instance aligning the same inputs (one per sweep cell) shares one
+    fill.  The returned ``H`` is read-only.
     """
+    query, subject = np.asarray(query), np.asarray(subject)
+    return _reference(
+        query.dtype.str, query.tobytes(), subject.dtype.str, subject.tobytes(),
+        match, mismatch, gap_open, gap_extend,
+    )
+
+
+@functools.lru_cache(maxsize=8)
+def _reference(
+    query_dtype: str,
+    query_bytes: bytes,
+    subject_dtype: str,
+    subject_bytes: bytes,
+    match: int,
+    mismatch: int,
+    gap_open: int,
+    gap_extend: int,
+) -> Tuple[np.ndarray, int]:
+    """:func:`swat_reference`'s fill, keyed on hashable inputs."""
+    query = np.frombuffer(query_bytes, dtype=query_dtype)
+    subject = np.frombuffer(subject_bytes, dtype=subject_dtype)
     n, m = len(query), len(subject)
     H = np.zeros((n + 1, m + 1), dtype=np.int64)
     E = np.zeros((n + 1, m + 1), dtype=np.int64)
@@ -82,6 +107,7 @@ def swat_reference(
             E[i, j] = max(H[i, j - 1] - gap_open, E[i, j - 1] - gap_extend)
             F[i, j] = max(H[i - 1, j] - gap_open, F[i - 1, j] - gap_extend)
             H[i, j] = max(0, H[i - 1, j - 1] + s, E[i, j], F[i, j])
+    H.setflags(write=False)
     return H, int(H.max())
 
 
@@ -121,7 +147,6 @@ class SmithWaterman(RoundAlgorithm):
         #: round -> (ilo, ihi, scores) of its anti-diagonal.
         self._tables: Dict[int, Tuple[int, int, np.ndarray]] = {}
         self._neg = np.iinfo(np.int64).min // 4
-        self._expected: Optional[Tuple[np.ndarray, int]] = None
         self.reset()
 
     @property
@@ -207,18 +232,14 @@ class SmithWaterman(RoundAlgorithm):
         return int(self.H.max())
 
     def verify(self) -> None:
-        # The reference fill is a slow scalar loop; inputs are immutable,
-        # so compute it once per instance and reuse across sweep runs.
-        if self._expected is None:
-            self._expected = swat_reference(
-                self.query,
-                self.subject,
-                self.match,
-                self.mismatch,
-                self.gap_open,
-                self.gap_extend,
-            )
-        expected_H, expected_best = self._expected
+        expected_H, expected_best = swat_reference(
+            self.query,
+            self.subject,
+            self.match,
+            self.mismatch,
+            self.gap_open,
+            self.gap_extend,
+        )
         if not np.array_equal(self.H, expected_H):
             bad = np.argwhere(self.H != expected_H)[0]
             raise VerificationError(

@@ -121,15 +121,27 @@ def _fig11(args: argparse.Namespace) -> Tuple[str, int]:
     return "\n\n".join(chunks), 0
 
 
+def _algorithm_sweep(args: argparse.Namespace, algo: str, resume: Optional[str]):
+    """``algo``'s Figs. 13/14 sweep.  ``all`` sets ``args.sweeps``, a
+    memo through which both figures render from one sweep."""
+    memo = getattr(args, "sweeps", None)
+    if memo is not None and algo in memo:
+        return memo[algo]
+    sweep = experiments.algorithm_sweep(
+        algo, config=args.cfg, step=args.step, executor=args.executor,
+        resume=resume,
+    )
+    if memo is not None:
+        memo[algo] = sweep
+    return sweep
+
+
 def _fig13_14(args: argparse.Namespace, sync: bool) -> Tuple[str, int]:
     chunks: List[str] = []
     resume = _per_batch_resume(args.resume, len(args.algorithms))
     fig = 14 if sync else 13
     for algo in args.algorithms:
-        sweep = experiments.algorithm_sweep(
-            algo, config=args.cfg, step=args.step, executor=args.executor,
-            resume=resume,
-        )
+        sweep = _algorithm_sweep(args, algo, resume)
         title = f"Fig. {fig} ({algo})"
         render = report.render_sweep_sync if sync else report.render_sweep_totals
         chunks.append(render(sweep, title))
@@ -403,6 +415,7 @@ def _crashtest(args: argparse.Namespace) -> Tuple[str, int]:
 def _all(args: argparse.Namespace) -> Tuple[str, int]:
     if args.resume is not None:
         args.resume = "auto"  # many batches; each resumes its own journal
+    args.sweeps = {}  # Figs. 13 and 14 share each algorithm's sweep
     return "\n\n".join(v.handler(args)[0] for v in VERBS if v.paper), 0
 
 

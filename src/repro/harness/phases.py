@@ -6,7 +6,8 @@ implementation ... with the synchronization function __gpu_sync()
 removed.  For the implementation with the CPU [synchronization] method,
 we assume its computation time is the same as the others."
 
-:func:`compute_only` is the removed-barrier run (the ``null`` strategy);
+:func:`compute_only` is the removed-barrier run (the ``null`` strategy on
+a cost-only view of the algorithm);
 :func:`sync_time_ns` and :func:`breakdown` derive synchronization time
 and the Fig. 15 percentage split from it; :func:`probe_barrier_cost`
 applies the same subtraction to a micro-benchmark to measure one
@@ -34,6 +35,43 @@ __all__ = [
 ]
 
 
+class _CostOnly(RoundAlgorithm):
+    """``algorithm`` without its arithmetic: the same rounds at the same
+    costs, no round work, and nothing to reset or verify.
+
+    Sound because :meth:`~RoundAlgorithm.round_cost` depends on the
+    shape only, never on the working arrays.  An algorithm that opts in
+    to fast-forward stays eligible; skipping rounds of no work is a
+    no-op.
+    """
+
+    def __init__(self, algorithm: RoundAlgorithm):
+        self._algorithm = algorithm
+        self.name = algorithm.name
+        self.default_threads = algorithm.default_threads
+        if algorithm.skip_rounds is not None:
+            self.skip_rounds = _skip_nothing
+
+    def num_rounds(self) -> int:
+        return self._algorithm.num_rounds()
+
+    def reset(self) -> None:
+        pass
+
+    def round_cost(self, round_idx: int, block_id: int, num_blocks: int) -> float:
+        return self._algorithm.round_cost(round_idx, block_id, num_blocks)
+
+    def round_work(self, round_idx: int, block_id: int, num_blocks: int) -> None:
+        return None
+
+    def verify(self) -> None:
+        pass
+
+
+def _skip_nothing(count: int) -> None:
+    """Fast-forward ``count`` rounds that have no work."""
+
+
 def compute_only(
     algorithm: RoundAlgorithm,
     num_blocks: int,
@@ -42,11 +80,15 @@ def compute_only(
 ) -> RunResult:
     """Run the algorithm with the barrier removed (timing only).
 
-    Verification is disabled — without barriers the results are
-    unspecified; only the clock matters here.
+    The ``null`` strategy runs a cost-only view of ``algorithm``: every
+    block is charged its :meth:`~RoundAlgorithm.round_cost` each round,
+    but no round work is applied.  Without barriers the results would be
+    unspecified anyway, so only the clock matters, and the result, event
+    count and trace equal those of a ``null`` run of ``algorithm``
+    itself.  ``algorithm``'s working arrays are left as they were.
     """
     return run(
-        algorithm,
+        _CostOnly(algorithm),
         "null",
         num_blocks,
         threads_per_block=threads_per_block,

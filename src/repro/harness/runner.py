@@ -31,10 +31,11 @@ logger = logging.getLogger(__name__)
 class RaceMonitor:
     """Detects barrier violations during a run.
 
-    Every block's round work is wrapped; when block ``b`` executes round
-    ``r`` before every block finished round ``r-1``, a violation is
-    recorded.  A correct barrier yields zero violations; the broken/null
-    configurations exercised in tests and the deadlock demo yield many.
+    The runner calls :meth:`record` as each block finishes a round's
+    work; when block ``b`` executes round ``r`` before every block
+    finished round ``r-1``, a violation is recorded.  A correct barrier
+    yields zero violations; the broken/null configurations exercised in
+    tests and the deadlock demo yield many.
     """
 
     def __init__(self, rounds: int, num_blocks: int):
@@ -48,16 +49,6 @@ class RaceMonitor:
         if round_idx > 0 and self._done[round_idx - 1] < self.num_blocks:
             self.violations.append((round_idx, block_id, self._done[round_idx - 1]))
         self._done[round_idx] += 1
-
-    def wrap(self, round_idx: int, block_id: int, work):
-        """Wrap (possibly ``None``) round work with violation tracking."""
-
-        def wrapped() -> None:
-            if work is not None:
-                work()
-            self.record(round_idx, block_id)
-
-        return wrapped
 
     @property
     def clean(self) -> bool:

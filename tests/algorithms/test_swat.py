@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import SmithWaterman, VerificationError
+from repro.algorithms import swat
 from repro.algorithms.swat import random_sequence, swat_reference
 from repro.errors import ConfigError
 
@@ -46,6 +47,47 @@ class TestReference:
         H, best = swat_reference(q, s)
         assert (H >= 0).all()
         assert best >= 0
+
+
+class TestReferenceMemo:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        swat._reference.cache_clear()
+
+    def test_h_is_read_only(self):
+        H, _best = swat_reference(random_sequence(8, 1), random_sequence(9, 2))
+        with pytest.raises(ValueError):
+            H[1, 1] = 7
+
+    def test_one_fill_per_sequences_and_scoring(self):
+        q, s = random_sequence(10, 5), random_sequence(12, 6)
+        first = swat_reference(q, s)
+        # A copy of the same sequences, as another instance would hold.
+        again = swat_reference(q.copy(), s.copy())
+        assert again[0] is first[0]
+        assert swat._reference.cache_info().misses == 1
+
+    def test_gap_penalties_key_distinct_entries(self):
+        q, s = random_sequence(10, 5), random_sequence(12, 6)
+        strict, _ = swat_reference(q, s, gap_open=10, gap_extend=10)
+        lenient, _ = swat_reference(q, s, gap_open=1, gap_extend=1)
+        assert strict is not lenient
+        assert swat._reference.cache_info().misses == 2
+
+    def test_instances_share_the_fill(self):
+        for _ in range(3):
+            algo = SmithWaterman(9, 7, seed=4)
+            run_rounds_serially(algo, 3)
+            algo.verify()
+        assert swat._reference.cache_info().misses == 1
+
+    def test_one_corrupted_cell_still_fails_verification(self):
+        algo = SmithWaterman(12, 10, seed=2)
+        run_rounds_serially(algo, 3)
+        algo.verify()  # fills the memo
+        algo.H[5, 4] += 1
+        with pytest.raises(VerificationError, match=r"H\[5,4\]"):
+            algo.verify()
 
 
 class TestSmithWaterman:

@@ -16,7 +16,6 @@ def filled(query: bytes, subject: bytes, **kw) -> SmithWaterman:
     algo = SmithWaterman(len(query), len(subject), **kw)
     algo.query = np.frombuffer(query, dtype=np.uint8)
     algo.subject = np.frombuffer(subject, dtype=np.uint8)
-    algo._expected = None
     run_rounds_serially(algo, 4)
     return algo
 

@@ -101,6 +101,49 @@ def test_save_sweeps_option(tmp_path, capsys):
     assert len(sweep.blocks) == 30
 
 
+def test_all_renders_figs_13_and_14_from_one_sweep(tmp_path, capsys, monkeypatch):
+    """``all`` sweeps each algorithm once for both figures, with the same
+    stdout and saved sweeps as separate fig13 and fig14 runs."""
+    from repro.algorithms import FFT, BitonicSort, SmithWaterman
+    from repro.harness import cli, experiments
+
+    for name, make in (
+        ("fft", lambda: FFT(n=64)),
+        ("swat", lambda: SmithWaterman(12, 12)),
+        ("bitonic", lambda: BitonicSort(n=64)),
+    ):
+        monkeypatch.setitem(experiments.ALGORITHM_FACTORIES, name, make)
+    real_sweep = experiments.algorithm_sweep
+    swept = []
+
+    def tiny_sweep(algorithm_name, *args, **kwargs):
+        swept.append(algorithm_name)
+        return real_sweep(algorithm_name, *args, blocks=[2, 5], **kwargs)
+
+    monkeypatch.setattr(experiments, "algorithm_sweep", tiny_sweep)
+    monkeypatch.setattr(cli, "VERBS", tuple(
+        v for v in VERBS if v.name in ("fig13", "fig14", "all")
+    ))
+
+    assert main(["all", "--save-sweeps", str(tmp_path / "all")]) == 0
+    together = capsys.readouterr().out
+    assert swept == ["fft", "swat", "bitonic"]
+
+    apart = []
+    for fig in ("fig13", "fig14"):
+        assert main([fig, "--save-sweeps", str(tmp_path / "apart")]) == 0
+        apart.append(capsys.readouterr().out)
+    assert len(swept) == 3 + 6
+    assert together == "\n\n".join(o.rstrip("\n") for o in apart) + "\n"
+    saved = sorted(p.name for p in (tmp_path / "all").iterdir())
+    assert saved == sorted(p.name for p in (tmp_path / "apart").iterdir())
+    assert {name[:5] for name in saved} == {"fig13", "fig14"}
+    for name in saved:
+        assert (tmp_path / "all" / name).read_bytes() == (
+            tmp_path / "apart" / name
+        ).read_bytes()
+
+
 def test_chaos_command_clean_exit(capsys):
     assert main(["chaos", "--strategy", "gpu-lockfree", "--plans", "6"]) == 0
     out = capsys.readouterr().out

@@ -1,10 +1,22 @@
 """Tests for the §7.3 phase-accounting methodology."""
 
+import dataclasses
+import logging
+
+import numpy as np
 import pytest
 
-from repro.algorithms import MeanMicrobench
+from repro.algorithms import (
+    FFT,
+    BitonicSort,
+    JacobiPoisson,
+    MeanMicrobench,
+    PrefixSum,
+    Reduction,
+    SmithWaterman,
+)
 from repro.errors import ConfigError, ExperimentError
-from repro.harness import run
+from repro.harness import phases, run
 from repro.harness.phases import (
     breakdown,
     compute_only,
@@ -79,3 +91,85 @@ def test_probe_cpu_implicit():
 def test_probe_validation():
     with pytest.raises(ConfigError):
         probe_barrier_cost("gpu-lockfree", 8, probe_rounds=0)
+
+
+# -- compute_only is a cost-only view: same clock, no arithmetic ------------
+
+#: every shipped RoundAlgorithm at a size that simulates in milliseconds.
+ALGORITHMS = {
+    "fft": lambda: FFT(n=256, seed=1),
+    "swat": lambda: SmithWaterman(24, 20, seed=1),
+    "bitonic": lambda: BitonicSort(n=256, seed=1),
+    "micro": lambda: MeanMicrobench(rounds=12, num_blocks_hint=30),
+    "reduce": lambda: Reduction(n=1000, num_blocks_hint=30, seed=1),
+    "scan": lambda: PrefixSum(n=256, seed=1),
+    "stencil": lambda: JacobiPoisson(n=64, sweeps=12, seed=1),
+}
+
+
+@pytest.fixture
+def kept_devices(monkeypatch):
+    """compute_only's runs, each keeping its device."""
+    results = []
+
+    def keeping(*args, **kwargs):
+        results.append(run(*args, keep_device=True, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(phases, "run", keeping)
+    return results
+
+
+def _arrays(algorithm) -> dict:
+    """Copies of every ndarray the instance holds, directly or in a
+    tuple or list."""
+    found = {}
+    for name, value in vars(algorithm).items():
+        items = value if isinstance(value, (tuple, list)) else [value]
+        for i, item in enumerate(items):
+            if isinstance(item, np.ndarray):
+                found[f"{name}[{i}]"] = item.copy()
+    return found
+
+
+@pytest.mark.parametrize("num_blocks", [1, 7, 30])
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_compute_only_equals_a_null_run(name, num_blocks, kept_devices):
+    algorithm = ALGORITHMS[name]()
+    null = run(
+        algorithm, "null", num_blocks,
+        verify=False, monitor_races=False, keep_device=True,
+    )
+    cost_only = compute_only(algorithm, num_blocks)
+    (kept,) = kept_devices
+    fields = [f.name for f in dataclasses.fields(null) if f.name != "device"]
+    assert {f: getattr(cost_only, f) for f in fields} == {
+        f: getattr(null, f) for f in fields
+    }
+    assert (
+        kept.device.engine.events_dispatched
+        == null.device.engine.events_dispatched
+    )
+    assert kept.device.trace.digest() == null.device.trace.digest()
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_compute_only_leaves_working_arrays_alone(name):
+    algorithm = ALGORITHMS[name]()
+    before = _arrays(algorithm)
+    assert before
+    compute_only(algorithm, 7)
+    after = _arrays(algorithm)
+    assert after.keys() == before.keys()
+    for key, array in before.items():
+        np.testing.assert_array_equal(after[key], array, err_msg=key)
+
+
+def test_compute_only_micro_still_fast_forwards(caplog):
+    caplog.set_level(logging.DEBUG, logger="repro.harness.runner")
+    compute_only(MeanMicrobench(rounds=200, num_blocks_hint=30), 30)
+    (record,) = [
+        r.getMessage() for r in caplog.records
+        if r.name == "repro.harness.runner"
+    ]
+    assert record.startswith("fast-forward engaged for micro on null")

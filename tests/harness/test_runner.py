@@ -120,21 +120,15 @@ class TestRaceMonitor:
         mon = RaceMonitor(rounds=3, num_blocks=2)
         for r in range(3):
             for b in range(2):
-                mon.wrap(r, b, None)()
+                mon.record(r, b)
         assert mon.clean
 
     def test_detects_out_of_order_round(self):
         mon = RaceMonitor(rounds=2, num_blocks=2)
-        mon.wrap(0, 0, None)()
-        mon.wrap(1, 0, None)()  # block 0 races ahead of block 1's round 0
+        mon.record(0, 0)
+        mon.record(1, 0)  # block 0 races ahead of block 1's round 0
         assert not mon.clean
         assert mon.violations == [(1, 0, 1)]
-
-    def test_wraps_real_work(self):
-        mon = RaceMonitor(rounds=1, num_blocks=1)
-        hits = []
-        mon.wrap(0, 0, lambda: hits.append(1))()
-        assert hits == [1]
 
     def test_broken_barrier_detected_through_simulator(self):
         """Under the null strategy with uneven compute, fast blocks enter
