@@ -21,7 +21,7 @@ from typing import Any, Callable, Generator, Optional
 from repro.errors import ConfigError, MemoryError_
 from repro.gpu.memory import GlobalArray
 from repro.gpu.shared import SharedMemory
-from repro.simcore.effects import Acquire, Release, WaitUntil
+from repro.simcore.effects import Acquire, Delay, Release, WaitUntil
 from repro.simcore.trace import Trace
 
 __all__ = ["BlockCtx"]
@@ -43,6 +43,7 @@ class BlockCtx:
         shared_mem_bytes: Optional[int] = None,
         grid_dim: Optional[tuple] = None,
         block_dim: Optional[tuple] = None,
+        owner: Optional[str] = None,
     ):
         self.device = device
         # The hot path (compute, record) reads the clock and appends
@@ -50,8 +51,9 @@ class BlockCtx:
         self._engine = device.engine
         self._rows = device.trace.rows
         self._delays = device.delays
+        config = device.config
         #: the device's calibrated timing parameters.
-        self.timings = device.config.timings
+        self.timings = config.timings
         self.kernel_name = kernel_name
         self.block_id = block_id
         self.num_blocks = num_blocks
@@ -59,12 +61,14 @@ class BlockCtx:
         #: the SM hosting this block (None when constructed directly,
         #: outside the scheduler).
         self.sm_id = sm_id
-        self.owner = f"{kernel_name}/b{block_id}"
+        #: span owner, ``"{kernel_name}/b{block_id}"``; a launch builds
+        #: it once and passes it in, as it names the block's process too.
+        self.owner = owner or f"{kernel_name}/b{block_id}"
         # Shared-memory budget: what the kernel requested at launch, or
         # the SM's full scratchpad for directly-constructed contexts.
-        if shared_mem_bytes is None:
-            shared_mem_bytes = device.config.shared_mem_per_sm
-        self._shared_budget = shared_mem_bytes
+        self._shared_budget = (
+            config.shared_mem_per_sm if shared_mem_bytes is None else shared_mem_bytes
+        )
         self._shared: Optional[SharedMemory] = None
         #: 2-D shapes; defaults match a 1-D launch.
         self.grid_dim = grid_dim or (num_blocks, 1)
@@ -73,7 +77,7 @@ class BlockCtx:
         # whether cross-domain traffic costs anything.  Single-domain
         # (the default) keeps both at the zero-cost fast path so the
         # paper's traces stay bit-identical.
-        topo = device.config.topology
+        topo = config.topology
         self.domain = (
             topo.domain_of(block_id, num_blocks) if topo.num_domains > 1 else 0
         )
@@ -139,6 +143,28 @@ class BlockCtx:
         as on hardware.  A negative or non-finite ``cost_ns`` raises
         :class:`~repro.errors.ConfigError`.
         """
+        start = self._engine.now
+        delay = self.compute_effect(cost_ns)
+        if delay is not None:
+            yield delay
+        self.compute_done(start, work, meta or None, phase)
+
+    # The two halves of compute() and syncthreads(), for hot loops that
+    # yield the op's effect themselves instead of delegating to a
+    # generator per op (the runner's round loop, the barrier frame):
+    #
+    #     start = engine.now
+    #     delay = ctx.compute_effect(cost)
+    #     if delay is not None:
+    #         yield delay
+    #     ctx.compute_done(start, work, {"round": r})
+
+    def compute_effect(self, cost_ns: float) -> Optional[Delay]:
+        """The effect :meth:`compute` yields for ``cost_ns``, or ``None``.
+
+        Validates ``cost_ns`` and applies fault-plan compute scaling;
+        ``None`` means the (scaled) cost is zero and nothing is yielded.
+        """
         if not 0 <= cost_ns < _INF:
             raise ConfigError(
                 f"compute cost must be finite and non-negative, got {cost_ns}"
@@ -146,13 +172,19 @@ class BlockCtx:
         faults = self.device.faults
         if faults is not None:
             cost_ns = faults.scale_compute(self.block_id, cost_ns)
-        engine = self._engine
-        start = engine.now
-        if cost_ns > 0:
-            yield self._delays[cost_ns]
+        return self._delays[cost_ns] if cost_ns > 0 else None
+
+    def compute_done(
+        self,
+        start: int,
+        work: Optional[Callable[[], None]],
+        meta: Optional[dict] = None,
+        phase: str = "compute",
+    ) -> None:
+        """Finish a compute begun at ``start``: apply ``work``, record the span."""
         if work is not None:
             work()
-        self._rows.append((self.owner, phase, start, engine.now, meta or None))
+        self._rows.append((self.owner, phase, start, self._engine.now, meta))
 
     # -- global memory ---------------------------------------------------------
 
@@ -268,9 +300,17 @@ class BlockCtx:
         barrier's cost; it is still semantically load-bearing because the
         protocol code calls it exactly where the CUDA code would.
         """
-        start = self.now
-        yield self._delays[self.timings.syncthreads_ns]
-        self.record("syncthreads", start)
+        start = self._engine.now
+        yield self.syncthreads_effect()
+        self.syncthreads_done(start)
+
+    def syncthreads_effect(self) -> Delay:
+        """The effect :meth:`syncthreads` yields."""
+        return self._delays[self.timings.syncthreads_ns]
+
+    def syncthreads_done(self, start: int) -> None:
+        """Finish a ``__syncthreads()`` begun at ``start``: record its span."""
+        self._rows.append((self.owner, "syncthreads", start, self._engine.now, None))
 
     # -- helpers ---------------------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, List, NamedTuple, Optional, Tuple
 
 from repro.errors import KernelTimeoutError
 from repro.gpu.atomics import AtomicRegistry
@@ -29,6 +29,16 @@ class _Delays(Dict[float, Delay]):
     def __missing__(self, ns: float) -> Delay:
         delay = self[ns] = Delay(ns)
         return delay
+
+
+class _Launch(NamedTuple):
+    """What the blocks of one kernel launch share, built once per launch."""
+
+    spec: KernelSpec
+    slots: Any  #: the SM-slot resource the blocks acquire
+    placement: Any  #: the launch's SM placement tracker
+    grid_dim: Tuple[int, int]
+    block_dim: Tuple[int, int]
 
 
 class Device:
@@ -141,25 +151,28 @@ class Device:
                 )
 
         setup_start = self.engine.now
-        yield Delay(timings.kernel_setup_ns)
+        yield self.delays[timings.kernel_setup_ns]
         self.trace.add(spec.name, "kernel-setup", setup_start, self.engine.now)
 
         slots = self.scheduler.slots_for(spec)
         placement = self.scheduler.placement_for(spec)
         self.placements[spec.name] = placement
+        # What every block of this launch shares is built once here.
+        launch = _Launch(
+            spec, slots, placement, spec.effective_grid_dim, spec.effective_block_dim
+        )
         blocks: List = []
         for block_id in range(spec.grid_blocks):
-            proc = yield Spawn(
-                self._block_process(spec, slots, placement, block_id),
-                f"{spec.name}/b{block_id}",
-            )
+            name = f"{spec.name}/b{block_id}"
+            proc = yield Spawn(self._block_process(launch, block_id, name), name)
             blocks.append(proc)
             handle.block_processes.append(proc)
+        drain = f"drain {spec.name}"
         for proc in blocks:
-            yield Join(proc, reason=f"drain {spec.name}")
+            yield Join(proc, drain)
 
         teardown_start = self.engine.now
-        yield Delay(timings.kernel_teardown_ns)
+        yield self.delays[timings.kernel_teardown_ns]
         self.trace.add(spec.name, "kernel-teardown", teardown_start, self.engine.now)
 
         handle.end_ns = self.engine.now
@@ -199,32 +212,32 @@ class Device:
         if handle.kill(self.engine, reason):
             self.faults.note_driver_kill_fired()
 
-    def _block_process(
-        self, spec: KernelSpec, slots, placement, block_id: int
-    ) -> Generator:
+    def _block_process(self, launch: "_Launch", block_id: int, name: str) -> Generator:
         """One block: acquire an SM slot, run to completion, release.
 
         Non-preemptive by construction — the slot is held across the whole
         program, including any spin-waits inside device barriers.  The
         aggregate slot resource gates capacity; the placement tracker
         records *which* SM hosts the block (least-loaded placement).
+        ``name`` names both the block's process and its context's owner.
         """
-        yield Acquire(slots, f"SM slot for {spec.name}/b{block_id}")
-        sm_id = placement.place(block_id)
+        spec = launch.spec
+        yield Acquire(launch.slots, f"SM slot for {name}")
         ctx = BlockCtx(
-            device=self,
-            kernel_name=spec.name,
-            block_id=block_id,
-            num_blocks=spec.grid_blocks,
-            block_threads=spec.block_threads,
-            sm_id=sm_id,
-            shared_mem_bytes=spec.shared_mem_per_block,
-            grid_dim=spec.effective_grid_dim,
-            block_dim=spec.effective_block_dim,
+            self,
+            spec.name,
+            block_id,
+            spec.grid_blocks,
+            spec.block_threads,
+            launch.placement.place(block_id),
+            spec.shared_mem_per_block,
+            launch.grid_dim,
+            launch.block_dim,
+            name,
         )
         yield from spec.program(ctx, **spec.params)
-        placement.release(block_id)
-        yield Release(slots)
+        launch.placement.release(block_id)
+        yield Release(launch.slots)
 
     # -- convenience -----------------------------------------------------------
 

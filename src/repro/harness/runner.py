@@ -321,9 +321,11 @@ def run(
 
             jitter = lognormal
 
-        # Both programs below run a block's round the same way.  The race
-        # monitor records the round right after ctx.compute returns: in
-        # the same event as the work, before anything else can run.
+        # Both programs below run a block's round the same way: the
+        # round's ctx.compute, taken in its two halves so no generator
+        # is built per round.  The race monitor records the round right
+        # after the work: in the same event, before anything else runs.
+        engine = device.engine
         if strategy.mode == "device":
             strategy.prepare(device, num_blocks)
             barrier = strategy.barrier
@@ -337,7 +339,11 @@ def run(
                     if jitter is not None:
                         cost = jitter(cost)
                     work = algorithm.round_work(r, block_id, num_blocks)
-                    yield from ctx.compute(cost, work, round=r)
+                    start = engine.now
+                    delay = ctx.compute_effect(cost)
+                    if delay is not None:
+                        yield delay
+                    ctx.compute_done(start, work, {"round": r})
                     if monitor is not None:
                         monitor.record(r, block_id)
                     yield from barrier(ctx, r)
@@ -386,7 +392,11 @@ def run(
                 if jitter is not None:
                     cost = jitter(cost)
                 work = algorithm.round_work(round_idx, block_id, num_blocks)
-                yield from ctx.compute(cost, work, round=round_idx)
+                start = engine.now
+                delay = ctx.compute_effect(cost)
+                if delay is not None:
+                    yield delay
+                ctx.compute_done(start, work, {"round": round_idx})
                 if monitor is not None:
                     monitor.record(round_idx, block_id)
 

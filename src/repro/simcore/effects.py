@@ -4,15 +4,17 @@ A process is a generator.  Each ``yield`` hands the engine one of the
 effect objects below; the engine performs the effect and resumes the
 generator with the effect's result (via ``generator.send``).
 
-Effects are deliberately plain dataclasses with no behaviour: all
-semantics live in :class:`repro.simcore.engine.Engine`, which keeps the
-protocol auditable in one place.
+Effects are plain records with no behaviour: all semantics live in
+:class:`repro.simcore.engine.Engine`, which keeps the protocol auditable
+in one place.  :class:`Delay` is an immutable dataclass, shared by every
+op of one duration; the others are built afresh per yield, so they are
+lightweight ``__slots__`` classes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Generator
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 _INF = float("inf")
 
@@ -27,6 +29,14 @@ class Effect:
 
     __slots__ = ()
 
+    #: whole nanoseconds a :class:`Delay` suspends for; ``None`` for
+    #: every other effect.  The engine dispatches on it.
+    tick: Optional[int] = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
 
 @dataclass(frozen=True)
 class Delay(Effect):
@@ -34,20 +44,21 @@ class Delay(Effect):
 
     ``ns`` must be a finite, non-negative number (NaN and infinity raise
     :class:`ValueError`); fractional nanoseconds are rounded to the
-    nearest integer (the engine's clock is integral).  Resumes with
-    ``None``.
+    nearest integer (the engine's clock is integral), once, into
+    :attr:`tick`.  Resumes with ``None``.
     """
 
     ns: float
+    tick: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.ns < _INF:
             raise ValueError(
                 f"Delay must be finite and non-negative, got {self.ns!r}"
             )
+        object.__setattr__(self, "tick", int(round(self.ns)))
 
 
-@dataclass(frozen=True)
 class WaitUntil(Effect):
     """Block until ``predicate()`` is true, re-checking when ``signal`` fires.
 
@@ -61,12 +72,19 @@ class WaitUntil(Effect):
     loops use this count to charge a per-poll cost.
     """
 
-    signal: "Signal"
-    predicate: Callable[[], bool]
-    reason: str = "wait-until"
+    __slots__ = ("signal", "predicate", "reason")
+
+    def __init__(
+        self,
+        signal: "Signal",
+        predicate: Callable[[], bool],
+        reason: str = "wait-until",
+    ) -> None:
+        self.signal = signal
+        self.predicate = predicate
+        self.reason = reason
 
 
-@dataclass(frozen=True)
 class Acquire(Effect):
     """Acquire one unit of a FIFO :class:`~repro.simcore.resource.Resource`.
 
@@ -75,18 +93,22 @@ class Acquire(Effect):
     atomic-unit contention).
     """
 
-    resource: "Resource"
-    reason: str = "acquire"
+    __slots__ = ("resource", "reason")
+
+    def __init__(self, resource: "Resource", reason: str = "acquire") -> None:
+        self.resource = resource
+        self.reason = reason
 
 
-@dataclass(frozen=True)
 class Release(Effect):
     """Release one unit of a resource previously acquired. Resumes with None."""
 
-    resource: "Resource"
+    __slots__ = ("resource",)
+
+    def __init__(self, resource: "Resource") -> None:
+        self.resource = resource
 
 
-@dataclass(frozen=True)
 class Spawn(Effect):
     """Start a child process running ``generator``.
 
@@ -94,19 +116,25 @@ class Spawn(Effect):
     The child is scheduled at the current virtual time.
     """
 
-    generator: Generator[Effect, Any, Any]
-    name: str = "proc"
+    __slots__ = ("generator", "name")
+
+    def __init__(
+        self, generator: Generator[Effect, Any, Any], name: str = "proc"
+    ) -> None:
+        self.generator = generator
+        self.name = name
 
 
-@dataclass(frozen=True)
 class Join(Effect):
     """Block until ``process`` finishes. Resumes with its return value."""
 
-    process: "Process"
-    reason: str = "join"
+    __slots__ = ("process", "reason")
+
+    def __init__(self, process: "Process", reason: str = "join") -> None:
+        self.process = process
+        self.reason = reason
 
 
-@dataclass(frozen=True)
 class Fire(Effect):
     """Fire a signal, waking any waiters whose predicates now hold.
 
@@ -115,6 +143,8 @@ class Fire(Effect):
     and custom protocols.
     """
 
-    signal: "Signal"
-    payload: Any = None
+    __slots__ = ("signal", "payload")
 
+    def __init__(self, signal: "Signal", payload: Any = None) -> None:
+        self.signal = signal
+        self.payload = payload

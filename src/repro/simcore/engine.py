@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from contextlib import contextmanager
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heappushpop
+from itertools import count
 from typing import (
     Any,
     Callable,
@@ -19,7 +20,6 @@ from typing import (
 from repro.errors import ConfigError, DeadlockError, ProcessError, SimulationError
 from repro.simcore.effects import (
     Acquire,
-    Delay,
     Effect,
     Fire,
     Join,
@@ -34,6 +34,10 @@ from repro.simcore.signal import Signal
 __all__ = ["Engine", "use_engine_mode"]
 
 _RUNNING = ProcessState.RUNNING
+_BLOCKED = ProcessState.BLOCKED
+#: a handler's return for "the process is parked; schedule nothing".
+_PARKED = object()
+_INF = float("inf")
 
 
 @contextmanager
@@ -84,18 +88,17 @@ class Engine:
     ):
         #: current virtual time in nanoseconds.
         self.now: int = 0
-        #: pending wakeups as mutable ``[when, priority, seq, process,
-        #: value]`` entries; a cancelled entry is tombstoned in place
-        #: (process slot set to None) and dropped lazily when popped.
+        #: pending wakeups as ``[when, priority, seq, process, value]``
+        #: entries.  A cancelled process's wakeup stays queued and is
+        #: dropped when popped (its process is no longer alive).
         self._heap: List[List[Any]] = []
         self._tiebreak = tiebreak
-        self._seq = 0
+        #: FIFO sequence numbers for the entries, in scheduling order.
+        self._seq = count()
         self._pid = 0
         self._processes: List[Process] = []
         self._max_events = max_events
         self._events_dispatched = 0
-        #: count of live (non-tombstoned) pending entries.
-        self._live = 0
         self._running = False
 
     # -- public API ----------------------------------------------------------
@@ -103,16 +106,23 @@ class Engine:
     def spawn(
         self, generator: Generator[Effect, Any, Any], name: str = "proc", delay: int = 0
     ) -> Process:
-        """Register ``generator`` as a new process starting ``delay`` ns from now."""
+        """Register ``generator`` as a new process starting ``delay`` ns from now.
+
+        ``delay`` must be an ``int`` >= 0 (``bool`` is refused); anything
+        else raises :class:`repro.errors.ConfigError`.
+        """
         if not hasattr(generator, "send"):
             raise ProcessError(
                 f"spawn expects a generator, got {type(generator).__name__}"
             )
+        if isinstance(delay, bool) or not isinstance(delay, int) or delay < 0:
+            raise ConfigError(f"spawn delay must be an int >= 0, got {delay!r}")
         self._pid += 1
         process = Process(self._pid, name, generator)
         self._processes.append(process)
-        process.state = ProcessState.RUNNING
-        self._schedule(process, self.now + int(delay), None)
+        process.state = _RUNNING
+        process.started_at = when = self.now + delay
+        self._schedule(process, when, None)
         return process
 
     def run(self, until: Optional[int] = None) -> int:
@@ -121,7 +131,9 @@ class Engine:
         Returns the final virtual time.  Raises
         :class:`repro.errors.DeadlockError` if processes remain blocked
         when the heap drains, and re-raises any exception raised inside a
-        process (annotated with the process name).
+        process (annotated with the process name).  An ``until`` earlier
+        than :attr:`now` raises :class:`repro.errors.ConfigError`: the
+        clock never moves backwards.
 
         **Horizon semantics.** With ``until`` given, the engine stops as
         soon as the next pending event lies beyond the horizon and
@@ -137,59 +149,87 @@ class Engine:
         """
         if self._running:
             raise SimulationError("engine.run() is not reentrant")
+        now = self.now
+        if until is not None and until < now:
+            raise ConfigError(f"run(until={until}) is before now={now}")
+        horizon = _INF if until is None else until
         self._running = True
+        # The loop keeps everything it touches per event in locals.  A
+        # process's state and blocking fields are written where it
+        # blocks and where it is woken, not on every resume.  A Delay
+        # (about half of all events) is scheduled inline from its tick;
+        # any other effect's handler returns the value to resume with at
+        # once, or _PARKED.  The loop schedules that resumption itself,
+        # and heappushpop hands back the same next entry a push followed
+        # by a pop would.
         heap = self._heap
         dispatch = self._dispatch
+        tiebreak = self._tiebreak
+        seq = self._seq
+        events = self._events_dispatched
+        limit = self._max_events
         try:
             while heap:
                 entry = heappop(heap)
-                process = entry[3]
-                if process is None:
-                    # Tombstoned wakeup of a cancelled process: skip it
-                    # *before* the horizon check or advancing the clock,
-                    # so dead wakeups neither pause the run nor inflate
-                    # the final virtual time.
-                    continue
-                when = entry[0]
-                if until is not None and when > until:
-                    # Push back and stop at the horizon.
-                    heappush(heap, entry)
-                    self.now = until
-                    return self.now
-                process._entry = None
-                self._live -= 1
-                if when < self.now:
-                    raise SimulationError("time went backwards (engine bug)")
-                self.now = when
-                self._events_dispatched += 1
-                if self._events_dispatched > self._max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={self._max_events}; "
-                        "likely a runaway simulation"
-                    )
-                # Resume the process and hand its next effect to the
-                # handler for that effect's type.
-                if not process.alive:
-                    raise SimulationError(
-                        f"resumed finished process {process.name!r}"
-                    )
-                if process.started_at is None:
-                    process.started_at = when
-                process.state = _RUNNING
-                process.waiting_on = None
-                process.blocked_on = None
-                try:
-                    effect = process.generator.send(entry[4])
-                except StopIteration as stop:
-                    self._finish(process, stop.value)
-                    continue
-                except BaseException as exc:
-                    self._crash(process, exc)
-                try:
-                    handler = dispatch[type(effect)]
-                except KeyError:
-                    handler = self._handler_for(process, effect)
-                handler(self, process, effect)
+                while True:
+                    when, _priority, _seq, process, value = entry
+                    if not process.alive:
+                        # The wakeup of a cancelled process: skipped
+                        # *before* the horizon check or advancing the
+                        # clock, so dead wakeups neither pause the run
+                        # nor inflate the final virtual time.
+                        break
+                    if when != now:
+                        if when > horizon:
+                            heappush(heap, entry)
+                            self.now = until
+                            return until
+                        if when < now:
+                            raise SimulationError("time went backwards (engine bug)")
+                        self.now = now = when
+                    events += 1
+                    if events > limit:
+                        raise SimulationError(
+                            f"exceeded max_events={limit}; "
+                            "likely a runaway simulation"
+                        )
+                    self._events_dispatched = events
+                    try:
+                        effect = process.generator.send(value)
+                    except StopIteration as stop:
+                        self._finish(process, stop.value)
+                        break
+                    except BaseException as exc:
+                        self._crash(process, exc)
+                    try:
+                        tick = effect.tick
+                    except AttributeError:
+                        tick = None
+                    # The process's next wakeup, built as _schedule does.
+                    if tick is not None:
+                        entry = [
+                            now + tick,
+                            0.0 if tiebreak is None else tiebreak(),
+                            next(seq),
+                            process,
+                            None,
+                        ]
+                    else:
+                        try:
+                            handler = dispatch[effect.__class__]
+                        except KeyError:
+                            handler = self._handler_for(process, effect)
+                        value = handler(self, process, effect)
+                        if value is _PARKED:
+                            break
+                        entry = [
+                            now,
+                            0.0 if tiebreak is None else tiebreak(),
+                            next(seq),
+                            process,
+                            value,
+                        ]
+                    entry = heappushpop(heap, entry)
         finally:
             self._running = False
 
@@ -208,10 +248,12 @@ class Engine:
         it held are granted to the next waiters, and anything joined on
         it resumes with a :class:`~repro.simcore.process.Cancelled`
         sentinel carrying ``reason``.  Returns ``False`` if the process
-        had already finished.
+        had already finished.  A process cancelled before its start time
+        keeps ``started_at`` at ``None``.
         """
         if not process.alive:
             return False
+        now = self.now
         # Detach from whatever it is parked on.
         blocker = process.blocked_on
         if isinstance(blocker, Signal):
@@ -224,33 +266,19 @@ class Engine:
         process.blocked_on = None
         # Hand its held resource units to the next waiters.
         for resource in process.holding:
-            granted = resource._release()
-            if granted is not None:
-                woken, enq_time = granted
-                woken.waiting_on = None
-                woken.blocked_on = None
-                woken.holding.append(resource)
-                self._schedule(woken, self.now, self.now - enq_time)
+            self._grant(resource)
         process.holding.clear()
-        # Tombstone its pending wakeup, if any: O(1), no heap scan.  The
-        # dead entry is dropped lazily when it reaches the queue head.
-        entry = process._entry
-        if entry is not None:
-            process._entry = None
-            self._live -= 1
-            entry[3] = None
-            entry[4] = None
+        # A pending wakeup stays queued: run() drops it when popped, as
+        # the process is no longer alive.
+        if process.started_at is not None and process.started_at > now:
+            process.started_at = None
         process.state = ProcessState.CANCELLED
         process.alive = False
         process.result = Cancelled(reason)
-        process.finished_at = self.now
+        process.finished_at = now
         process.waiting_on = None
         process.generator.close()
-        for joiner in process.joiners:
-            joiner.waiting_on = None
-            joiner.blocked_on = None
-            self._schedule(joiner, self.now, process.result)
-        process.joiners.clear()
+        self._wake_joiners(process, process.result)
         return True
 
     def fire(self, signal: Signal) -> int:
@@ -261,10 +289,12 @@ class Engine:
         another process's effect).
         """
         ready = signal._collect_ready()
+        now = self.now
         for process, polls in ready:
+            process.state = _RUNNING
             process.waiting_on = None
             process.blocked_on = None
-            self._schedule(process, self.now, polls)
+            self._schedule(process, now, polls)
         return len(ready)
 
     @property
@@ -295,24 +325,24 @@ class Engine:
         outside help; zero with :attr:`blocked_processes` non-empty is a
         certain deadlock (nothing left to fire the signals they wait
         on).  ``ignore`` lets a watchdog discount its own timer when it
-        asks "can anyone *else* still make progress?".
+        asks "can anyone *else* still make progress?".  Counting scans
+        the queue, so the event loop keeps no live-entry counter.
         """
-        pending = self._live
-        for p in ignore:
-            if p._entry is not None:
-                pending -= 1
-        return pending
+        return sum(
+            1 for entry in self._heap
+            if entry[3].alive and entry[3] not in ignore
+        )
 
     def next_event_time(self) -> Optional[int]:
         """Timestamp of the next live scheduled wakeup, or ``None``.
 
         The step-driver API (:mod:`repro.cudaapi`) uses this with
         ``run(until=...)`` to advance the clock one event at a time.
-        Tombstoned (cancelled) entries at the head are pruned as a side
+        Wakeups of cancelled processes at the head are pruned as a side
         effect.
         """
         heap = self._heap
-        while heap and heap[0][3] is None:
+        while heap and not heap[0][3].alive:
             heappop(heap)
         return heap[0][0] if heap else None
 
@@ -324,12 +354,36 @@ class Engine:
     # -- internals -------------------------------------------------------------
 
     def _schedule(self, process: Process, when: int, value: Any) -> None:
-        priority = self._tiebreak() if self._tiebreak is not None else 0.0
-        self._seq += 1
-        entry: List[Any] = [when, priority, self._seq, process, value]
-        process._entry = entry
-        self._live += 1
+        tiebreak = self._tiebreak
+        entry = [
+            when,
+            0.0 if tiebreak is None else tiebreak(),
+            next(self._seq),
+            process,
+            value,
+        ]
         heappush(self._heap, entry)
+
+    def _grant(self, resource: Resource) -> None:
+        """Return a unit of ``resource``, waking the queue head it passes to."""
+        granted = resource._release()
+        if granted is not None:
+            woken, enq_time = granted
+            woken.state = _RUNNING
+            woken.waiting_on = None
+            woken.blocked_on = None
+            woken.holding.append(resource)
+            self._schedule(woken, self.now, self.now - enq_time)
+
+    def _wake_joiners(self, process: Process, result: Any) -> None:
+        """Resume every process joined on the finished ``process``."""
+        now = self.now
+        for joiner in process.joiners:
+            joiner.state = _RUNNING
+            joiner.waiting_on = None
+            joiner.blocked_on = None
+            self._schedule(joiner, now, result)
+        process.joiners.clear()
 
     def _crash(self, process: Process, exc: BaseException) -> NoReturn:
         """Record a process failure and re-raise it annotated."""
@@ -352,14 +406,18 @@ class Engine:
         process.alive = False
         process.result = result
         process.finished_at = self.now
-        for joiner in process.joiners:
-            joiner.waiting_on = None
-            self._schedule(joiner, self.now, result)
-        process.joiners.clear()
+        if process.joiners:
+            self._wake_joiners(process, result)
 
     # -- effect handlers: ``_dispatch`` maps each effect type to one ------------
+    #
+    # A Delay never reaches this table: :meth:`run` schedules it inline
+    # from its tick.  A handler returns the value to resume the process
+    # with now, and :meth:`run` schedules that; a handler that parks the
+    # process sets its blocking fields and returns _PARKED, and whatever
+    # wakes it clears them.
 
-    def _handler_for(self, process: Process, effect: Any) -> Callable[..., None]:
+    def _handler_for(self, process: Process, effect: Any) -> Callable[..., Any]:
         """The handler of an :class:`Effect` subclass, or raise for a non-effect."""
         for cls in type(effect).__mro__:
             handler = self._dispatch.get(cls)
@@ -370,73 +428,58 @@ class Engine:
             f"{type(effect).__name__}: {effect!r}"
         )
 
-    def _on_delay(self, process: Process, effect: Delay) -> None:
-        # About half of all events are Delays: _schedule is inlined here
-        # to save a call on each (same draw, seq and entry as _schedule).
-        priority = self._tiebreak() if self._tiebreak is not None else 0.0
-        self._seq += 1
-        entry = [self.now + int(round(effect.ns)), priority, self._seq, process, None]
-        process._entry = entry
-        self._live += 1
-        heappush(self._heap, entry)
-
-    def _on_wait_until(self, process: Process, effect: WaitUntil) -> None:
+    def _on_wait_until(self, process: Process, effect: WaitUntil) -> Any:
         if effect.predicate():
-            self._schedule(process, self.now, 0)
-        else:
-            process.state = ProcessState.BLOCKED
-            process.waiting_on = f"{effect.reason} (signal {effect.signal.name!r})"
-            process.blocked_on = effect.signal
-            effect.signal._add_waiter(process, effect.predicate, effect.reason)
+            return 0
+        signal = effect.signal
+        process.state = _BLOCKED
+        process.waiting_on = f"{effect.reason} (signal {signal.name!r})"
+        process.blocked_on = signal
+        signal._add_waiter(process, effect.predicate, effect.reason)
+        return _PARKED
 
-    def _on_acquire(self, process: Process, effect: Acquire) -> None:
+    def _on_acquire(self, process: Process, effect: Acquire) -> Any:
         resource = effect.resource
         if resource._try_acquire():
             process.holding.append(resource)
-            self._schedule(process, self.now, 0)
-        else:
-            process.state = ProcessState.BLOCKED
-            process.waiting_on = f"{effect.reason} (resource {resource.name!r})"
-            process.blocked_on = resource
-            resource._enqueue(process, self.now, effect.reason)
+            return 0
+        process.state = _BLOCKED
+        process.waiting_on = f"{effect.reason} (resource {resource.name!r})"
+        process.blocked_on = resource
+        resource._enqueue(process, self.now, effect.reason)
+        return _PARKED
 
     def _on_release(self, process: Process, effect: Release) -> None:
-        if effect.resource not in process.holding:
+        resource = effect.resource
+        holding = process.holding
+        if resource not in holding:
             raise ProcessError(
                 f"process {process.name!r} released resource "
-                f"{effect.resource.name!r} it does not hold"
+                f"{resource.name!r} it does not hold"
             )
-        process.holding.remove(effect.resource)
-        granted = effect.resource._release()
-        if granted is not None:
-            woken, enq_time = granted
-            woken.waiting_on = None
-            woken.blocked_on = None
-            woken.holding.append(effect.resource)
-            self._schedule(woken, self.now, self.now - enq_time)
-        self._schedule(process, self.now, None)
+        holding.remove(resource)
+        self._grant(resource)
+        return None
 
-    def _on_spawn(self, process: Process, effect: Spawn) -> None:
-        child = self.spawn(effect.generator, name=effect.name)
-        self._schedule(process, self.now, child)
+    def _on_spawn(self, process: Process, effect: Spawn) -> Process:
+        return self.spawn(effect.generator, name=effect.name)
 
-    def _on_join(self, process: Process, effect: Join) -> None:
+    def _on_join(self, process: Process, effect: Join) -> Any:
         target = effect.process
         if not target.alive:
-            self._schedule(process, self.now, target.result)
-        else:
-            process.state = ProcessState.BLOCKED
-            process.waiting_on = f"{effect.reason} (process {target.name!r})"
-            process.blocked_on = target
-            target.joiners.append(process)
+            return target.result
+        process.state = _BLOCKED
+        process.waiting_on = f"{effect.reason} (process {target.name!r})"
+        process.blocked_on = target
+        target.joiners.append(process)
+        return _PARKED
 
     def _on_fire(self, process: Process, effect: Fire) -> None:
         self.fire(effect.signal)
-        self._schedule(process, self.now, None)
+        return None
 
-    #: effect type -> handler, looked up once per event by :meth:`run`.
-    _dispatch: Dict[type, Callable[..., None]] = {
-        Delay: _on_delay,
+    #: effect type -> handler, looked up once per non-Delay event by :meth:`run`.
+    _dispatch: Dict[type, Callable[..., Any]] = {
         WaitUntil: _on_wait_until,
         Acquire: _on_acquire,
         Release: _on_release,

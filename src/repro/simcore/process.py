@@ -55,7 +55,6 @@ class Process:
         "finished_at",
         "blocked_on",
         "holding",
-        "_entry",
     )
 
     def __init__(self, pid: int, name: str, generator: Generator[Effect, Any, Any]) -> None:
@@ -73,6 +72,8 @@ class Process:
         self.waiting_on: Optional[str] = None
         #: processes blocked in a Join on this one.
         self.joiners: List["Process"] = []
+        #: virtual time the process starts: set at spawn to the spawn
+        #: time plus delay; ``None`` if it was cancelled before then.
         self.started_at: Optional[int] = None
         self.finished_at: Optional[int] = None
         #: the Signal / Resource / Process this process is parked on
@@ -81,9 +82,6 @@ class Process:
         #: resources currently held (units acquired and not yet released),
         #: in acquisition order — released on cancellation.
         self.holding: List[Any] = []
-        #: the process's single pending event-queue entry, if any (engine
-        #: bookkeeping: lets Engine.cancel tombstone the wakeup in O(1)).
-        self._entry: Optional[List[Any]] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Process(#{self.pid} {self.name!r} {self.state.value})"

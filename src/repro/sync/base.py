@@ -120,9 +120,13 @@ class SyncStrategy(abc.ABC):
         probes = device.probes
         for probe in probes:
             probe.on_barrier_enter(ctx, self, round_idx)
-        start = ctx.now
+        engine = device.engine
+        start = engine.now
         yield from self.protocol(ctx, round_idx)
-        yield from ctx.syncthreads()
+        # ctx.syncthreads(), in its two halves: no generator per barrier.
+        sync_start = engine.now
+        yield ctx.syncthreads_effect()
+        ctx.syncthreads_done(sync_start)
         ctx.record("sync", start, round=round_idx, strategy=self.name)
         for probe in probes:
             probe.on_barrier_exit(ctx, self, round_idx)

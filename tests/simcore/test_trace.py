@@ -40,6 +40,14 @@ def test_trace_by_phase_totals():
     tr.add("b", "x", 0, 5)
     tr.add("a", "y", 5, 6)
     assert tr.by_phase() == {"x": 10, "y": 1}
+    tr.add("c", "z", 0, 2)
+    tr.add("c", "x", 2, 9)
+    tr.add("c", "y", 9, 9)
+    expected = {}
+    for row in tr.rows:  # the plain loop by_phase replaced
+        expected[row[1]] = expected.get(row[1], 0) + row[3] - row[2]
+    assert list(tr.by_phase().items()) == list(expected.items())
+    assert list(tr.by_phase()) == tr.phases() == ["x", "y", "z"]
 
 
 def test_trace_meta_is_preserved():
