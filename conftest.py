@@ -31,6 +31,7 @@ def pytest_addoption(parser):
         "--update-golden",
         action="store_true",
         default=False,
-        help="rewrite tests/golden/runs.json from the current code instead "
-        "of checking against it (tests/test_golden.py)",
+        help="rewrite tests/golden/runs.json and tests/golden/cli.json from "
+        "the current code instead of checking against them "
+        "(tests/test_golden.py, tests/test_cli_golden.py)",
     )

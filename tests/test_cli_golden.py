@@ -1,0 +1,92 @@
+"""Cross-commit CLI goldens: the exit code and stdout of fixed invocations.
+
+``tests/golden/cli.json`` maps each invocation (its argv joined by
+spaces) to the exit code of :func:`repro.harness.cli.main` and the
+SHA-256 of everything it printed on stdout.  The verbs run in process.
+The ``[<verb> completed in Ns]`` epilogue and typed-error messages go to
+stderr, so no wall-clock text reaches the hash.
+
+The invocations cover the cost-model verbs on every preset:
+
+* ``models --preset P``;
+* ``tune --preset P --blocks N --rounds 100 --strategy gpu-simple`` for
+  N in {4, 30}, clamped to the preset's co-residency limit;
+* ``tune --blocks 200`` with a host and a device strategy, a grid beyond
+  the paper card's 30-block limit.
+
+The file changes only through ``pytest tests/test_cli_golden.py
+--update-golden``; a change that moves an entry must say why.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+from typing import Any, Dict, List
+
+import pytest
+
+from repro.gpu.presets import get_preset, preset_names
+from repro.harness.cli import main
+
+GOLDEN = Path(__file__).parent / "golden" / "cli.json"
+
+
+def _invocations() -> List[List[str]]:
+    argvs = [["models", "--preset", preset] for preset in preset_names()]
+    for preset in preset_names():
+        cfg = get_preset(preset)
+        limit = cfg.topology.max_co_resident_blocks(cfg)
+        for blocks in sorted({min(4, limit), min(30, limit)}):
+            argvs.append(["tune", "--preset", preset, "--blocks", str(blocks),
+                          "--rounds", "100", "--strategy", "gpu-simple"])
+    for strategy in ("cpu-implicit", "gpu-lockfree"):
+        argvs.append(["tune", "--blocks", "200", "--strategy", strategy])
+    return argvs
+
+
+INVOCATIONS = {" ".join(argv): argv for argv in _invocations()}
+
+
+def _record(argv: List[str]) -> Dict[str, Any]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {
+        "exit": code,
+        "stdout_sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(),
+    }
+
+
+@pytest.fixture(scope="module")
+def golden(request):
+    """The pinned entries; with ``--update-golden``, a dict to refill."""
+    update = request.config.getoption("--update-golden")
+    pinned = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    if not update:
+        yield pinned
+        return
+    fresh: Dict[str, Any] = {}
+    yield fresh
+    merged = {k: v for k, v in pinned.items() if k in INVOCATIONS}
+    merged.update(fresh)
+    GOLDEN.write_text(json.dumps(dict(sorted(merged.items())), indent=1) + "\n")
+
+
+@pytest.mark.parametrize("invocation", sorted(INVOCATIONS))
+def test_cli_golden(invocation, golden, request):
+    record = _record(INVOCATIONS[invocation])
+    if request.config.getoption("--update-golden"):
+        golden[invocation] = record
+        return
+    assert invocation in golden, f"no golden entry for {invocation!r}; run --update-golden"
+    assert record == golden[invocation]
+
+
+def test_cli_golden_has_no_stale_entries(golden, request):
+    if request.config.getoption("--update-golden"):
+        pytest.skip("rewriting the goldens")
+    assert sorted(golden) == sorted(INVOCATIONS)
