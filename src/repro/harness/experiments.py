@@ -34,7 +34,7 @@ from repro.errors import ConfigError, ExperimentError
 from repro.gpu.config import DeviceConfig
 from repro.gpu.presets import get_preset
 from repro.harness.phases import Breakdown, probe_barrier_cost
-from repro.model.barrier_costs import lockfree_cost, simple_cost, tree_cost
+from repro.model.barrier_costs import MODELED_BARRIERS, barrier_cost
 from repro.parallel import Executor
 from repro.serialization import (
     device_config_to_dict,
@@ -497,27 +497,21 @@ def model_validation(
     Returns ``{strategy: {N: {"measured": ns, "predicted": ns}}}``.
     Measured cost is :func:`~repro.harness.phases.probe_barrier_cost`
     (``(total − compute-only) / rounds`` on the micro-benchmark);
-    predictions come from
-    :mod:`repro.model.barrier_costs`.  The model assumes all blocks hit
-    the barrier simultaneously, so measurements may fall slightly below
-    predictions for unbalanced trees.
+    predictions are :func:`~repro.model.barrier_costs.barrier_cost` on
+    ``config``, topology included, for every strategy in
+    :data:`~repro.model.barrier_costs.MODELED_BARRIERS`.  The model
+    assumes all blocks hit the barrier simultaneously, so measurements
+    may fall slightly below predictions for unbalanced trees.
     """
     cfg = config or get_preset("gtx280")
     xs = _block_counts(blocks, [1, 2, 4, 8, 16, 24, 30])
-    timings = cfg.timings
-    predictors = {
-        "gpu-simple": lambda n: simple_cost(n, timings),
-        "gpu-tree-2": lambda n: tree_cost(n, 2, timings),
-        "gpu-tree-3": lambda n: tree_cost(n, 3, timings),
-        "gpu-lockfree": lambda n: lockfree_cost(n, timings),
-    }
     return {
         strat: {
             n: {
                 "measured": probe_barrier_cost(strat, n, cfg, rounds),
-                "predicted": float(predict(n)),
+                "predicted": float(barrier_cost(strat, n, cfg)),
             }
             for n in xs
         }
-        for strat, predict in predictors.items()
+        for strat in MODELED_BARRIERS
     }

@@ -7,12 +7,15 @@
 * :mod:`repro.model.speedup` — Eq. 2 (Amdahl-style bound on kernel speedup
   from accelerating synchronization only).
 * :mod:`repro.model.barrier_costs` — Eqs. 6, 7, 9 (analytic barrier costs)
-  and Eq. 8 (optimal tree grouping).
+  and Eq. 8 (optimal tree grouping); :func:`barrier_cost` is the one
+  strategy→equation lookup, over :data:`MODELED_BARRIERS`.
 * :mod:`repro.model.tune` — strategy recommendation from the models
   (the paper's future-work item) and the ``repro tune`` report.
 """
 
 from repro.model.barrier_costs import (
+    MODELED_BARRIERS,
+    barrier_cost,
     lockfree_cost,
     simple_cost,
     tree_cost,
@@ -29,7 +32,9 @@ from repro.model.kernel_time import (
 from repro.model.speedup import kernel_speedup, max_speedup, rho
 
 __all__ = [
+    "MODELED_BARRIERS",
     "CalibratedTimings",
+    "barrier_cost",
     "cpu_explicit_time",
     "cpu_implicit_time",
     "default_timings",

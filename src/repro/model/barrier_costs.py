@@ -1,9 +1,18 @@
 """Analytic barrier cost models — Eqs. 6, 7, 8 and 9 of the paper.
 
 These are the *predictions*; the simulator produces *measurements*.
-``benchmarks/bench_models.py`` and ``tests/model/test_barrier_costs.py``
-check that the two agree (paper §5.4: "the time needed for each GPU
-synchronization approach matches the time consumption model well").
+``benchmarks/bench_models.py``, ``tests/model/test_barrier_costs.py``
+and ``tests/model/test_model_agreement.py`` check that the two agree
+(paper §5.4: "the time needed for each GPU synchronization approach
+matches the time consumption model well").
+
+:data:`MODELED_BARRIERS` is the one strategy→equation table and
+:func:`barrier_cost` the one lookup: ``repro tune``
+(:func:`repro.model.tune.predict_all`) and ``repro models``
+(:func:`repro.harness.experiments.model_validation`) both price a
+device barrier through it, with the device's calibrated timings and
+topology.  The extension barriers' costs (:func:`sense_reversal_cost`,
+:func:`dissemination_cost`) live here too, outside the table.
 
 Each cost accepts an optional ``topology``
 (:class:`~repro.gpu.topology.Topology`): on multi-domain devices, the
@@ -17,25 +26,33 @@ crossing latency, per strategy's actual traffic pattern (see
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
+from repro.algorithms.base import require_int
 from repro.errors import ConfigError
 from repro.gpu.topology import Topology
 from repro.model.calibration import CalibratedTimings, default_timings
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.gpu.config import DeviceConfig
+
 __all__ = [
+    "MODELED_BARRIERS",
+    "barrier_cost",
     "simple_cost",
     "tree_num_groups",
     "tree_group_sizes",
     "tree_level_plan",
     "tree_cost",
     "lockfree_cost",
+    "sense_reversal_cost",
+    "dissemination_cost",
 ]
 
 
 def _check_blocks(num_blocks: int) -> None:
-    if num_blocks < 1:
-        raise ConfigError(f"num_blocks must be >= 1, got {num_blocks}")
+    require_int("num_blocks", num_blocks, 1)
 
 
 def _remote_blocks(num_blocks: int, topology: Optional[Topology]) -> int:
@@ -90,10 +107,7 @@ def tree_num_groups(num_participants: int, levels_remaining: int) -> int:
     For ``k == 2`` this is exactly the paper's ``m = ceil(sqrt(N))``.
     """
     _check_blocks(num_participants)
-    if levels_remaining < 2:
-        raise ConfigError(
-            f"levels_remaining must be >= 2, got {levels_remaining}"
-        )
+    require_int("levels_remaining", levels_remaining, 2)
     k = levels_remaining
     m = math.ceil(num_participants ** ((k - 1) / k))
     return max(1, min(m, num_participants))
@@ -110,8 +124,7 @@ def tree_group_sizes(num_blocks: int, num_groups: int) -> List[int]:
     function total.
     """
     _check_blocks(num_blocks)
-    if num_groups < 1:
-        raise ConfigError(f"num_groups must be >= 1, got {num_groups}")
+    require_int("num_groups", num_groups, 1)
     if num_groups == 1:
         return [num_blocks]
     if num_groups >= num_blocks:
@@ -139,8 +152,7 @@ def tree_level_plan(num_blocks: int, levels: int) -> List[List[int]]:
     never drift apart structurally.
     """
     _check_blocks(num_blocks)
-    if levels < 2:
-        raise ConfigError(f"a tree barrier needs >= 2 levels, got {levels}")
+    require_int("levels", levels, 2)
     plan: List[List[int]] = []
     remaining = num_blocks
     for level in range(levels - 1):
@@ -219,3 +231,73 @@ def lockfree_cost(
     if _remote_blocks(num_blocks, topology) and topology is not None:
         cost += 2 * topology.crossing_ns
     return cost
+
+
+def sense_reversal_cost(
+    num_blocks: int, timings: Optional[CalibratedTimings] = None
+) -> int:
+    """Analytic cost of the centralized sense-reversing barrier.
+
+    ``N·t_a`` serialized arrivals, then the last arriver's two stores
+    (counter reset, then the sense flip — ordered, so both are exposed),
+    then one observation and the closing ``__syncthreads()`` — i.e. the
+    paper's Eq. 6 plus two global writes, which is exactly what the
+    §5.1 goal-accumulation optimization saves.
+    """
+    _check_blocks(num_blocks)
+    t = timings or default_timings()
+    return (
+        num_blocks * t.atomic_ns
+        + 2 * t.global_write_ns
+        + t.spin_read_ns
+        + t.syncthreads_ns
+    )
+
+
+def dissemination_cost(
+    num_blocks: int, timings: Optional[CalibratedTimings] = None
+) -> int:
+    """Analytic cost of the dissemination barrier.
+
+    ``ceil(log2 N)`` rounds, each a remote store plus one observation of
+    the incoming flag; all blocks proceed in lock-step so the critical
+    path is the per-round cost times the round count, plus the closing
+    ``__syncthreads()``.
+    """
+    _check_blocks(num_blocks)
+    t = timings or default_timings()
+    rounds = max(1, math.ceil(math.log2(num_blocks))) if num_blocks > 1 else 0
+    return rounds * (t.global_write_ns + t.spin_read_ns) + t.syncthreads_ns
+
+
+#: the paper's device barriers, by registered strategy name, and the
+#: equation that prices each (Eqs. 6, 7/8 and 9).  Each entry takes
+#: ``(num_blocks, *, timings, topology)``.
+MODELED_BARRIERS: Dict[str, Callable[..., int]] = {
+    "gpu-simple": simple_cost,
+    "gpu-tree-2": partial(tree_cost, levels=2),
+    "gpu-tree-3": partial(tree_cost, levels=3),
+    "gpu-lockfree": lockfree_cost,
+}
+
+
+def barrier_cost(strategy: str, num_blocks: int, config: "DeviceConfig") -> int:
+    """Modeled per-round cost (ns) of ``strategy``'s barrier on ``config``.
+
+    Looks ``strategy`` up in :data:`MODELED_BARRIERS` and prices it with
+    the device's calibrated timings and topology, so a multi-domain
+    preset pays the interconnect crossings its barrier really makes.
+    Raises :class:`~repro.errors.ConfigError` for an unmodeled strategy,
+    a non-``DeviceConfig`` config or a bad ``num_blocks``.
+    """
+    from repro.gpu.config import DeviceConfig  # repro.gpu.config imports repro.model
+
+    cost = MODELED_BARRIERS.get(strategy) if isinstance(strategy, str) else None
+    if cost is None:
+        raise ConfigError(
+            f"no barrier model for {strategy!r}; "
+            f"modeled: {', '.join(MODELED_BARRIERS)}"
+        )
+    if not isinstance(config, DeviceConfig):
+        raise ConfigError(f"config must be a DeviceConfig, got {config!r}")
+    return cost(num_blocks, timings=config.timings, topology=config.topology)

@@ -8,8 +8,12 @@ these predictions to simulator measurements.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
+from numbers import Real
 from typing import Optional, Sequence, Union
 
+from repro.algorithms.base import require_int
 from repro.errors import ConfigError
 from repro.model.calibration import CalibratedTimings, default_timings
 
@@ -23,17 +27,39 @@ __all__ = [
 Number = Union[int, float]
 
 
+def _compute_time(value: object) -> bool:
+    """True for a finite, non-negative number of nanoseconds."""
+    return (
+        isinstance(value, Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value >= 0
+    )
+
+
 def _per_round(compute_ns: Union[Number, Sequence[Number]], rounds: int) -> list:
-    """Normalize a scalar or per-round sequence of compute times."""
-    if rounds < 1:
-        raise ConfigError(f"rounds must be >= 1, got {rounds}")
-    if isinstance(compute_ns, (int, float)):
-        return [compute_ns] * rounds
-    seq = list(compute_ns)
+    """Normalize a scalar or per-round sequence of compute times.
+
+    Raises :class:`~repro.errors.ConfigError` unless ``rounds`` is an
+    int >= 1 and every compute time is a finite number >= 0.
+    """
+    require_int("rounds", rounds, 1)
+    if isinstance(compute_ns, Real):
+        seq = [compute_ns] * rounds
+    elif isinstance(compute_ns, Iterable) and not isinstance(compute_ns, str):
+        seq = list(compute_ns)
+    else:
+        raise ConfigError(
+            "compute_ns must be a number or a sequence of numbers, "
+            f"got {compute_ns!r}"
+        )
     if len(seq) != rounds:
         raise ConfigError(
             f"got {len(seq)} per-round compute times for {rounds} rounds"
         )
+    for value in seq:
+        if not _compute_time(value):
+            raise ConfigError(f"compute_ns must be finite and >= 0, got {value!r}")
     return seq
 
 

@@ -27,10 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Union
 
+from repro.algorithms.base import require_int
 from repro.errors import ConfigError
 from repro.gpu.config import DeviceConfig
 from repro.gpu.presets import get_preset
-from repro.model.barrier_costs import lockfree_cost, simple_cost, tree_cost
+from repro.model.barrier_costs import MODELED_BARRIERS, barrier_cost
 from repro.model.kernel_time import (
     cpu_explicit_time,
     cpu_implicit_time,
@@ -42,16 +43,16 @@ __all__ = ["MODELED_STRATEGIES", "TuneReport", "predict_all", "tune_workload"]
 
 Number = Union[int, float]
 
+#: the host barriers and the equation that prices a whole run under
+#: each (Eqs. 3 and 4).
+_HOST_MODELS = {
+    "cpu-explicit": cpu_explicit_time,
+    "cpu-implicit": cpu_implicit_time,
+}
+
 #: every strategy the cost model predicts (Eqs. 3–9); all are
 #: registered under the same names, so the measured sweep can run each.
-MODELED_STRATEGIES = (
-    "cpu-explicit",
-    "cpu-implicit",
-    "gpu-simple",
-    "gpu-tree-2",
-    "gpu-tree-3",
-    "gpu-lockfree",
-)
+MODELED_STRATEGIES = (*_HOST_MODELS, *MODELED_BARRIERS)
 
 
 def predict_all(
@@ -60,7 +61,7 @@ def predict_all(
     num_blocks: int,
     config: Optional[DeviceConfig] = None,
 ) -> Dict[str, float]:
-    """Predicted total time (ns) for every strategy at this configuration.
+    """Predicted total time (ns) for every strategy that can run this grid.
 
     ``compute_ns`` is the per-round computation time, or a sequence of
     per-round costs.  ``config`` (default: the ``gtx280`` preset) supplies
@@ -68,27 +69,29 @@ def predict_all(
     (``dual_gpu``, ``riscv_cluster_1024``) charge the interconnect
     crossings their barriers would really pay.  For a what-if on other
     timings, pass ``dataclasses.replace(config, timings=...)``.
+
+    A strategy whose :meth:`~repro.sync.base.SyncStrategy.max_blocks`
+    on ``config`` is below ``num_blocks`` is left out: ``run`` would
+    reject that grid with :class:`~repro.errors.OccupancyError`.  Bad
+    inputs raise :class:`~repro.errors.ConfigError`.
     """
-    if num_blocks < 1:
-        raise ConfigError(f"num_blocks must be >= 1, got {num_blocks}")
-    cfg = config or get_preset("gtx280")
-    t, topo = cfg.timings, cfg.topology
-    return {
-        "cpu-explicit": cpu_explicit_time(rounds, compute_ns, t),
-        "cpu-implicit": cpu_implicit_time(rounds, compute_ns, t),
-        "gpu-simple": gpu_sync_time(
-            rounds, compute_ns, simple_cost(num_blocks, t, topology=topo), t
-        ),
-        "gpu-tree-2": gpu_sync_time(
-            rounds, compute_ns, tree_cost(num_blocks, 2, t, topology=topo), t
-        ),
-        "gpu-tree-3": gpu_sync_time(
-            rounds, compute_ns, tree_cost(num_blocks, 3, t, topology=topo), t
-        ),
-        "gpu-lockfree": gpu_sync_time(
-            rounds, compute_ns, lockfree_cost(num_blocks, t, topology=topo), t
-        ),
-    }
+    from repro.sync import get_strategy  # repro.sync imports repro.model
+
+    require_int("num_blocks", num_blocks, 1)
+    cfg = get_preset("gtx280") if config is None else config
+    if not isinstance(cfg, DeviceConfig):
+        raise ConfigError(f"config must be a DeviceConfig, got {cfg!r}")
+    t = cfg.timings
+    predictions: Dict[str, float] = {}
+    for name in MODELED_STRATEGIES:
+        if get_strategy(name).max_blocks(cfg) < num_blocks:
+            continue
+        if name in _HOST_MODELS:
+            predictions[name] = _HOST_MODELS[name](rounds, compute_ns, t)
+        else:
+            barrier_ns = barrier_cost(name, num_blocks, cfg)
+            predictions[name] = gpu_sync_time(rounds, compute_ns, barrier_ns, t)
+    return predictions
 
 
 @dataclass
@@ -203,9 +206,9 @@ class TuneReport:
 
 
 def _measure(
-    rounds: int, num_blocks: int, preset: str, executor=None
+    rounds: int, num_blocks: int, preset: str, strategies, executor=None
 ) -> Dict[str, int]:
-    """Measured totals: ``null`` baseline plus every modeled strategy.
+    """Measured totals: ``null`` baseline plus every strategy named.
 
     Mirrors the Fig. 11 sweep's payload shape so results share the
     executor's content-addressed cache with the benchmarks.
@@ -220,7 +223,7 @@ def _measure(
         "num_blocks_hint": num_blocks,
         "threads_per_block": 64,
     }
-    names = ["null", *MODELED_STRATEGIES]
+    names = ["null", *strategies]
     payloads = [
         {
             "algorithm": spec,
@@ -250,19 +253,32 @@ def tune_workload(
     """Tune one workload: predictions, recommendation, SC100 advisory.
 
     ``configured`` is the strategy the workload runs today; it must be
-    one of :data:`MODELED_STRATEGIES`.  ``measure=True`` additionally
-    runs the workload's microbenchmark under every modeled strategy
-    (``measure_rounds`` caps the simulated rounds; default
+    one of :data:`MODELED_STRATEGIES`.  Only strategies that can run the
+    grid on ``preset`` are ranked (:func:`predict_all`).  ``measure=True``
+    additionally runs the workload's microbenchmark under every ranked
+    strategy (``measure_rounds`` caps the simulated rounds; default
     ``min(rounds, 50)``) through ``executor`` — or a throwaway inline
     executor — and reports measured sync overheads next to the
     predictions.
+
+    Before anything runs, raises the strategy's
+    :class:`~repro.errors.OccupancyError` when the configured strategy
+    cannot run the grid, or when ``measure=True`` asks for a grid the
+    compute-only ``null`` baseline cannot run.
     """
+    from repro.sync import get_strategy  # repro.sync imports repro.model
+
     if configured not in MODELED_STRATEGIES:
         raise ConfigError(
             f"cannot tune unmodeled strategy {configured!r}; "
             f"modeled: {', '.join(MODELED_STRATEGIES)}"
         )
-    predictions = predict_all(rounds, compute_ns, num_blocks, get_preset(preset))
+    cfg = get_preset(preset)
+    predictions = predict_all(rounds, compute_ns, num_blocks, cfg)
+    if configured not in predictions:
+        get_strategy(configured).validate_grid(cfg, num_blocks)
+    if measure:
+        get_strategy("null").validate_grid(cfg, num_blocks)
     recommended = min(predictions, key=lambda s: predictions[s])
     advisory: Optional[StaticFinding] = None
     if configured != recommended:
@@ -291,7 +307,7 @@ def tune_workload(
     )
     if measure:
         capped = measure_rounds or min(rounds, 50)
-        totals = _measure(capped, num_blocks, preset, executor)
+        totals = _measure(capped, num_blocks, preset, predictions, executor)
         null = totals.pop("null")
         report.measured_null_ns = null
         report.measured_sync_ns = {

@@ -22,19 +22,19 @@ blocks because they never require a waiting block to yield:
   implementations (and the cooperative-groups literature) converged on
   for large block counts.
 
-Analytic costs (same style as Eqs. 6–9) live in
-:func:`sense_reversal_cost` and :func:`dissemination_cost`;
+Their analytic costs (same style as Eqs. 6–9) live with the paper's in
+:mod:`repro.model.barrier_costs` (``sense_reversal_cost``,
+``dissemination_cost``);
 ``benchmarks/bench_extensions.py`` compares all five device barriers.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Generator, Optional, TYPE_CHECKING
+from typing import Any, Generator, TYPE_CHECKING
 
 import numpy as np
 
-from repro.model.calibration import CalibratedTimings, default_timings
 from repro.sync.base import SyncStrategy, register_strategy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,46 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.device import Device
     from repro.gpu.memory import GlobalArray
 
-__all__ = [
-    "GpuDisseminationSync",
-    "GpuSenseReversalSync",
-    "dissemination_cost",
-    "sense_reversal_cost",
-]
-
-def sense_reversal_cost(
-    num_blocks: int, timings: Optional[CalibratedTimings] = None
-) -> int:
-    """Analytic cost of the centralized sense-reversing barrier.
-
-    ``N·t_a`` serialized arrivals, then the last arriver's two stores
-    (counter reset, then the sense flip — ordered, so both are exposed),
-    then one observation and the closing ``__syncthreads()`` — i.e. the
-    paper's Eq. 6 plus two global writes, which is exactly what the
-    §5.1 goal-accumulation optimization saves.
-    """
-    t = timings or default_timings()
-    return (
-        num_blocks * t.atomic_ns
-        + 2 * t.global_write_ns
-        + t.spin_read_ns
-        + t.syncthreads_ns
-    )
-
-
-def dissemination_cost(
-    num_blocks: int, timings: Optional[CalibratedTimings] = None
-) -> int:
-    """Analytic cost of the dissemination barrier.
-
-    ``ceil(log2 N)`` rounds, each a remote store plus one observation of
-    the incoming flag; all blocks proceed in lock-step so the critical
-    path is the per-round cost times the round count, plus the closing
-    ``__syncthreads()``.
-    """
-    t = timings or default_timings()
-    rounds = max(1, math.ceil(math.log2(num_blocks))) if num_blocks > 1 else 0
-    return rounds * (t.global_write_ns + t.spin_read_ns) + t.syncthreads_ns
+__all__ = ["GpuDisseminationSync", "GpuSenseReversalSync"]
 
 
 class GpuSenseReversalSync(SyncStrategy):

@@ -6,12 +6,18 @@ import json
 import pytest
 
 from repro.algorithms import MeanMicrobench, Reduction
-from repro.errors import ConfigError
+from repro.errors import ConfigError, OccupancyError
 from repro.gpu.presets import get_preset, preset_names
 from repro.gpu.topology import Topology
 from repro.harness import run
-from repro.model.barrier_costs import lockfree_cost, simple_cost, tree_cost
+from repro.model.barrier_costs import (
+    barrier_cost,
+    lockfree_cost,
+    simple_cost,
+    tree_cost,
+)
 from repro.model.tune import MODELED_STRATEGIES, predict_all, tune_workload
+from repro.sync import get_strategy
 
 # ---------------------------------------------------------------------------
 # Topology surcharges on the barrier cost models
@@ -284,3 +290,83 @@ def test_tune_measured_sweep_validates_the_model():
     assert measured["gpu-lockfree"] < measured["gpu-simple"]
     assert report.measured_best == "gpu-lockfree"
     assert "measured sync overhead" in report.render()
+
+
+# ---------------------------------------------------------------------------
+# Typed errors at the model boundary
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: predict_all(10, 100, "3"),
+        lambda: predict_all(10, 100, 2.5),
+        lambda: predict_all(10, 100, True),
+        lambda: predict_all(10, 100, 0),
+        lambda: predict_all(2.5, 100, 4),
+        lambda: predict_all(10, 100, 4, config="gtx280"),
+        lambda: predict_all(10, float("nan"), 4),
+        lambda: predict_all(10, float("inf"), 4),
+        lambda: predict_all(10, -1, 4),
+        lambda: predict_all(2, [100, float("nan")], 4),
+        lambda: predict_all(10, "100", 4),
+        lambda: tree_cost(4, 2.0),
+        lambda: tree_cost(4, True),
+        lambda: simple_cost(4.0),
+        lambda: barrier_cost("gpu-sense-reversal", 4, get_preset("gtx280")),
+        lambda: barrier_cost("gpu-simple", 4, "gtx280"),
+        lambda: barrier_cost(["gpu-simple"], 4, get_preset("gtx280")),
+        lambda: tune_workload(100, float("nan"), 4, "gpu-simple"),
+    ],
+    ids=[
+        "blocks-str", "blocks-float", "blocks-bool", "blocks-zero",
+        "rounds-float", "config-str", "compute-nan", "compute-inf",
+        "compute-negative", "compute-seq-nan", "compute-str",
+        "tree-levels-float", "tree-levels-bool", "simple-blocks-float",
+        "barrier-unmodeled", "barrier-config-str", "barrier-strategy-list",
+        "tune-compute-nan",
+    ],
+)
+def test_model_boundary_raises_config_error(call):
+    with pytest.raises(ConfigError):
+        call()
+
+
+# ---------------------------------------------------------------------------
+# Co-residency: tune ranks only what run would accept
+# ---------------------------------------------------------------------------
+
+
+def test_predict_all_leaves_out_grids_beyond_co_residency():
+    preds = predict_all(100, 5_000, 200)  # gtx280: 30-block limit
+    assert set(preds) == {"cpu-explicit", "cpu-implicit"}
+    cfg = get_preset("fermi_class")
+    limit = cfg.topology.max_co_resident_blocks(cfg)
+    assert set(predict_all(100, 5_000, limit, cfg)) == set(MODELED_STRATEGIES)
+    assert set(predict_all(100, 5_000, limit + 1, cfg)) == {
+        "cpu-explicit", "cpu-implicit"
+    }
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_tune_never_recommends_a_grid_run_rejects(preset):
+    cfg = get_preset(preset)
+    limit = cfg.topology.max_co_resident_blocks(cfg)
+    report = tune_workload(100, 5_000, limit + 1, "cpu-implicit", preset)
+    for strategy in report.predictions:
+        get_strategy(strategy).validate_grid(cfg, limit + 1)
+    assert report.recommended == "cpu-implicit"
+
+
+def test_tune_raises_occupancy_error_for_an_infeasible_configured_strategy():
+    with pytest.raises(OccupancyError, match="gpu-lockfree: 200 blocks exceed"):
+        tune_workload(100, 5_000, 200, "gpu-lockfree")
+
+
+def test_tune_measure_beyond_the_limit_raises_before_running(monkeypatch):
+    import repro.model.tune as tune
+
+    monkeypatch.setattr(tune, "_measure", pytest.fail)
+    with pytest.raises(OccupancyError, match="null: 31 blocks exceed"):
+        tune_workload(100, 5_000, 31, "cpu-implicit", measure=True)

@@ -3,9 +3,13 @@
 import pytest
 
 from repro.errors import SyncProtocolError
-from repro.model.barrier_costs import lockfree_cost, simple_cost
+from repro.model.barrier_costs import (
+    dissemination_cost,
+    lockfree_cost,
+    sense_reversal_cost,
+    simple_cost,
+)
 from repro.sync import GpuDisseminationSync, GpuSenseReversalSync, get_strategy
-from repro.sync.extensions import dissemination_cost, sense_reversal_cost
 
 from tests.sync.conftest import assert_barrier_invariant, run_barrier_kernel
 
