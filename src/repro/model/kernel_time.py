@@ -27,16 +27,6 @@ __all__ = [
 Number = Union[int, float]
 
 
-def _compute_time(value: object) -> bool:
-    """True for a finite, non-negative number of nanoseconds."""
-    return (
-        isinstance(value, Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-        and value >= 0
-    )
-
-
 def _per_round(compute_ns: Union[Number, Sequence[Number]], rounds: int) -> list:
     """Normalize a scalar or per-round sequence of compute times.
 
@@ -58,7 +48,12 @@ def _per_round(compute_ns: Union[Number, Sequence[Number]], rounds: int) -> list
             f"got {len(seq)} per-round compute times for {rounds} rounds"
         )
     for value in seq:
-        if not _compute_time(value):
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, Real)
+            or not math.isfinite(value)
+            or value < 0
+        ):
             raise ConfigError(f"compute_ns must be finite and >= 0, got {value!r}")
     return seq
 
