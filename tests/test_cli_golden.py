@@ -12,7 +12,17 @@ The invocations cover the cost-model verbs on every preset:
 * ``tune --preset P --blocks N --rounds 100 --strategy gpu-simple`` for
   N in {4, 30}, clamped to the preset's co-residency limit;
 * ``tune --blocks 200`` with a host and a device strategy, a grid beyond
-  the paper card's 30-block limit.
+  the paper card's 30-block limit;
+
+and the campaign, lint and paper verbs on the default preset:
+
+* CI's sanitizer and chaos smoke passes (``--strategy all``), and
+  ``chaos --plans 25`` on every other registered strategy except the
+  ``broken-*`` mutants and ``null``;
+* ``sanitize --schedules 3`` on each ``broken-*`` mutant (exit 1);
+* ``lint src/repro examples --strict`` and ``lint --fix --check``;
+* ``fig11 --rounds 20`` and ``table1``;
+* two bad inputs that exit 1 with a typed error.
 
 The file changes only through ``pytest tests/test_cli_golden.py
 --update-golden``; a change that moves an entry must say why.
@@ -30,7 +40,8 @@ from typing import Any, Dict, List
 import pytest
 
 from repro.gpu.presets import get_preset, preset_names
-from repro.harness.cli import main
+from repro.harness.cli import CHAOS_ALL, main
+from repro.sync.base import strategy_names
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 
@@ -45,6 +56,21 @@ def _invocations() -> List[List[str]]:
                           "--rounds", "100", "--strategy", "gpu-simple"])
     for strategy in ("cpu-implicit", "gpu-lockfree"):
         argvs.append(["tune", "--blocks", "200", "--strategy", strategy])
+    argvs.append(["sanitize", "--strategy", "all", "--blocks", "8",
+                  "--schedules", "25"])
+    argvs.append(["chaos", "--strategy", "all", "--plans", "25"])
+    mutants = [s for s in strategy_names() if s.startswith("broken-")]
+    for strategy in strategy_names():
+        if strategy not in mutants and strategy not in CHAOS_ALL + ("null",):
+            argvs.append(["chaos", "--strategy", strategy, "--plans", "25"])
+    for mutant in mutants:
+        argvs.append(["sanitize", "--strategy", mutant, "--schedules", "3"])
+    argvs.append(["lint", "src/repro", "examples", "--strict"])
+    argvs.append(["lint", "--fix", "--check"])
+    argvs.append(["fig11", "--rounds", "20"])
+    argvs.append(["table1"])
+    argvs.append(["fig11", "--rounds", "0"])
+    argvs.append(["crashtest", "--crash-points", "nope"])
     return argvs
 
 
@@ -77,7 +103,8 @@ def golden(request):
 
 
 @pytest.mark.parametrize("invocation", sorted(INVOCATIONS))
-def test_cli_golden(invocation, golden, request):
+def test_cli_golden(invocation, golden, request, monkeypatch):
+    monkeypatch.chdir(GOLDEN.parents[2])  # lint's default paths are relative
     record = _record(INVOCATIONS[invocation])
     if request.config.getoption("--update-golden"):
         golden[invocation] = record
