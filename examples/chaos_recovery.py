@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Surviving a hung block: watchdog → retry → graceful degradation.
+"""Surviving a hung block: stall detection → retry → graceful degradation.
 
 A CUDA block that dies before reaching a device-side spin barrier hangs
 the whole grid forever (paper §5: blocks are non-preemptive and the
@@ -8,10 +8,11 @@ walks the resilient runtime's full escalation ladder:
 
 1. a seeded :class:`repro.faults.FaultPlan` hangs one block before the
    barrier of round 1 — *persistently*, so relaunching cannot help;
-2. a single guarded run fails fast and *typed*: the barrier watchdog
-   notices that no process can ever make progress again, kills the
-   kernel, and raises ``BarrierTimeoutError`` naming the injected hang
-   (instead of the terminal ``DeadlockError`` an unguarded run dies of);
+2. a single armed run fails fast and *typed*: the engine's event queue
+   drains with blocks still parked, so no process can ever make progress
+   again, and the runner raises ``BarrierTimeoutError`` at the time of
+   the stall, naming the injected hang (instead of the terminal
+   ``DeadlockError`` a run without a fault plan dies of);
 3. ``repro.run(..., retry=..., degrade=...)`` — the same entry point
    with a recovery policy — retries with virtual-time backoff; the hang
    re-fires every attempt, so it then *degrades*: it swaps the device
@@ -38,15 +39,15 @@ def main() -> None:
     plan = FaultPlan([FaultSpec("hang", block=3, round=1)])
     print(f"[1] fault plan: {', '.join(plan.descriptions)}\n")
 
-    # --- 2. one guarded attempt: typed, recoverable failure ---------------
+    # --- 2. one armed attempt: typed, recoverable failure -----------------
     try:
         run(micro(), "gpu-lockfree", num_blocks=8, faults=plan)
     except BarrierTimeoutError as exc:
         stuck = [name for name, _ in exc.stuck if "/b" in name]
         hung = [r for _, r in exc.stuck if "injected hang" in r]
         print(
-            f"[2] watchdog killed the stalled kernel at t={exc.fired_at_ns} "
-            f"ns:\n    {len(stuck)} blocks parked; root cause reported as\n"
+            f"[2] the kernel stalled at t={exc.fired_at_ns} ns:\n"
+            f"    {len(stuck)} blocks parked; root cause reported as\n"
             f"    {hung[0]!r}\n"
         )
 

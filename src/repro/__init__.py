@@ -48,7 +48,6 @@ from repro.errors import (
     SyncProtocolError,
 )
 from repro.faults import (
-    BarrierWatchdog,
     ChaosReport,
     FaultPlan,
     FaultSpec,
@@ -101,7 +100,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BarrierTimeoutError",
-    "BarrierWatchdog",
     "BitonicSort",
     "ChaosReport",
     "ConfigError",

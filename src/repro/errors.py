@@ -87,13 +87,13 @@ class KernelTimeoutError(SimulationError):
 
 
 class BarrierTimeoutError(SimulationError):
-    """The barrier watchdog detected a stalled barrier round and killed it.
+    """A run armed with a fault plan stalled: no process can ever move again.
 
-    Unlike :class:`DeadlockError` (raised only once the event heap has
-    drained, i.e. after the fact), this is raised by the *resilient*
-    runtime path: a :class:`repro.faults.BarrierWatchdog` armed on the
-    run noticed that no process could ever make progress again, killed
-    the kernel, and surfaced a typed, recoverable error.  The
+    The engine's drain check found processes still parked when the event
+    queue emptied (the condition behind :class:`DeadlockError`), and no
+    kernel had been killed to explain it.  The runner raises this typed,
+    recoverable error instead, so the resilient runtime can retry or
+    degrade.  ``fired_at_ns`` is the virtual time of the stall; the
     ``stuck`` list names each parked process and what it was waiting on
     — for injected faults, the reason string names the fault.
     """
@@ -101,13 +101,11 @@ class BarrierTimeoutError(SimulationError):
     def __init__(
         self,
         strategy: str,
-        deadline_ns: int,
         fired_at_ns: int,
         stuck: list[tuple[str, str]],
         faults: list[str] | None = None,
     ):
         self.strategy = strategy
-        self.deadline_ns = deadline_ns
         self.fired_at_ns = fired_at_ns
         self.stuck = list(stuck)
         self.faults = list(faults or [])
@@ -116,9 +114,8 @@ class BarrierTimeoutError(SimulationError):
             f" (injected: {', '.join(self.faults)})" if self.faults else ""
         )
         super().__init__(
-            f"barrier watchdog: {strategy} round stalled past the "
-            f"{deadline_ns} ns deadline at t={fired_at_ns} ns with "
-            f"{len(self.stuck)} process(es) parked [{detail}]{fault_note}"
+            f"barrier stall: {strategy} round stalled at t={fired_at_ns} ns "
+            f"with {len(self.stuck)} process(es) parked [{detail}]{fault_note}"
         )
 
 

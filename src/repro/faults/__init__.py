@@ -8,9 +8,6 @@ atomics, corrupted stores.
 
 * :mod:`repro.faults.plan` — :class:`FaultPlan`: seeded, replayable
   fault sets with transient-vs-persistent consumption semantics.
-* :mod:`repro.faults.watchdog` — :class:`BarrierWatchdog`: exact stall
-  detection that turns would-be ``DeadlockError`` runs into typed,
-  recoverable :class:`~repro.errors.BarrierTimeoutError` failures.
 * :mod:`repro.faults.chaos` — :func:`chaos_campaign`: N seeded plans
   against the full retry/degrade runtime, cross-checked against the
   sanitizer's detectors; any unexplained outcome fails the campaign.
@@ -46,10 +43,8 @@ from repro.faults.plan import (
     FiredFault,
     fault_plans,
 )
-from repro.faults.watchdog import DEFAULT_BARRIER_DEADLINE_NS, BarrierWatchdog
 
 __all__ = [
-    "BarrierWatchdog",
     "CRASH_ACTIONS",
     "CRASHPOINTS",
     "ChaosReport",
@@ -57,7 +52,6 @@ __all__ = [
     "CrashPlan",
     "Crashpoint",
     "CrashSpec",
-    "DEFAULT_BARRIER_DEADLINE_NS",
     "FAULT_KINDS",
     "FaultPlan",
     "FaultSpec",

@@ -14,9 +14,9 @@ one of four *explained* outcomes:
 * ``failed`` — a *typed* error naming the injected fault.
 
 Anything else is **unexplained** and fails the campaign: a
-:class:`~repro.errors.DeadlockError` escaping the watchdog-guarded
-path, an untyped exception, a result that came back unverified, or a
-cross-check mismatch.
+:class:`~repro.errors.DeadlockError` escaping the armed runner, an
+untyped exception, a result that came back unverified, or a cross-check
+mismatch.
 
 The cross-check closes the loop with :mod:`repro.sanitize`: each plan
 whose first attempt fired a liveness fault (``hang`` or
@@ -43,7 +43,6 @@ from repro.errors import (
     RetryExhaustedError,
 )
 from repro.faults.plan import FaultPlan
-from repro.faults.watchdog import DEFAULT_BARRIER_DEADLINE_NS
 from repro.serialization import (
     device_config_from_dict,
     device_config_to_dict,
@@ -190,15 +189,16 @@ def _cross_check(
     rounds: int,
     algorithm_factory: Callable[[int, int], RoundAlgorithm],
     config,
-    deadline_ns: int,
 ) -> bool:
     """Replay attempt 1 under the sanitizer probe; True = consistent.
 
     A fresh plan from the same seed fires the same attempt-1 faults.
     If a liveness fault (hang / driver-kill) fires, the replay must be
-    *detected* — a typed error from the guarded runner, or a barrier
+    *detected* — a typed error from the armed runner, or a barrier
     finding from the probe.  A DeadlockError here is an automatic
-    inconsistency: it means the watchdog-guarded path leaked.
+    inconsistency: an armed run must turn every stall into
+    :class:`~repro.errors.BarrierTimeoutError` or
+    :class:`~repro.errors.FaultError`.
     """
     from repro.harness.runner import run
     from repro.sanitize.analysis import barrier_findings
@@ -216,12 +216,11 @@ def _cross_check(
             verify=False,
             probe=probe,
             faults=plan,
-            barrier_deadline_ns=deadline_ns,
         )
     except (BarrierTimeoutError, KernelTimeoutError, FaultError):
         detected = True
     except DeadlockError:
-        return False  # the watchdog-guarded path must never leak this
+        return False  # an armed run must never leak this
     findings = barrier_findings(
         probe, num_blocks, seed=plan_seed, deadlocked=detected
     )
@@ -239,7 +238,6 @@ def _plan_record(
     retry,
     degrade,
     config,
-    barrier_deadline_ns: int,
     cross_check: bool,
     algorithm_factory: Optional[Callable[[int, int], RoundAlgorithm]],
 ) -> ChaosRunRecord:
@@ -264,7 +262,6 @@ def _plan_record(
             num_blocks,
             config=config,
             faults=plan,
-            barrier_deadline_ns=barrier_deadline_ns,
             retry=retry or RetryPolicy(),
             degrade=degrade or DegradePolicy(),
         )
@@ -285,8 +282,8 @@ def _plan_record(
         error = f"{type(exc).__name__}: {exc}"
     except ReproError as exc:
         # Typed, but not a failure the resilient path is allowed to
-        # surface — in particular a DeadlockError escaping the
-        # watchdog.
+        # surface — in particular a DeadlockError escaping the armed
+        # runner.
         explained = False
         error = f"{type(exc).__name__}: {exc}"
     except Exception as exc:  # noqa: BLE001 - untyped = campaign bug
@@ -306,7 +303,6 @@ def _plan_record(
             rounds,
             factory,
             config,
-            barrier_deadline_ns,
         )
         if not checked:
             explained = False
@@ -353,7 +349,6 @@ def plan_record_from_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
         retry=retry,
         degrade=degrade,
         config=config,
-        barrier_deadline_ns=payload["barrier_deadline_ns"],
         cross_check=payload["cross_check"],
         algorithm_factory=None,
     )
@@ -370,7 +365,6 @@ def chaos_campaign(
     config=None,
     retry=None,
     degrade=None,
-    barrier_deadline_ns: int = DEFAULT_BARRIER_DEADLINE_NS,
     cross_check: bool = True,
     max_faults: int = 3,
     executor=None,
@@ -417,7 +411,6 @@ def chaos_campaign(
             "device": (
                 device_config_to_dict(config) if config is not None else None
             ),
-            "barrier_deadline_ns": barrier_deadline_ns,
             "cross_check": cross_check,
         }
         from repro.parallel import Quarantined
@@ -459,7 +452,6 @@ def chaos_campaign(
                 retry,
                 degrade,
                 config,
-                barrier_deadline_ns,
                 cross_check,
                 algorithm_factory,
             )

@@ -12,8 +12,13 @@ from typing import Callable, Generator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.algorithms.base import RoundAlgorithm, require_int
-from repro.errors import BarrierTimeoutError, ConfigError, FaultError, OccupancyError
-from repro.faults.watchdog import DEFAULT_BARRIER_DEADLINE_NS, BarrierWatchdog
+from repro.errors import (
+    BarrierTimeoutError,
+    ConfigError,
+    DeadlockError,
+    FaultError,
+    OccupancyError,
+)
 from repro.gpu.config import DeviceConfig
 from repro.gpu.presets import get_preset
 from repro.gpu.context import BlockCtx
@@ -60,7 +65,7 @@ class RaceMonitor:
 class RecoveryEvent:
     """One resilience action taken during a run.
 
-    ``kind`` is ``"retry"``, ``"degrade"`` or ``"watchdog-kill"``;
+    ``kind`` is ``"retry"`` or ``"degrade"``;
     ``detail`` is the human-readable cause (the caught error's message
     or the fallback strategy's name).
     """
@@ -141,7 +146,6 @@ def run(
     fuzzer=None,
     probe=None,
     faults=None,
-    barrier_deadline_ns: Optional[int] = None,
     retry=None,
     degrade=None,
 ) -> RunResult:
@@ -171,15 +175,13 @@ def run(
     global-memory traffic.  Both default to off and cost nothing then.
 
     ``faults`` (a :class:`repro.faults.FaultPlan`) arms deterministic
-    fault injection on the device; armed runs (or any run passing
-    ``barrier_deadline_ns``) also get a
-    :class:`repro.faults.BarrierWatchdog`, so a stalled barrier raises
-    a recoverable :class:`~repro.errors.BarrierTimeoutError` naming the
-    stuck processes instead of a terminal
-    :class:`~repro.errors.DeadlockError`, and a kernel killed mid-run
-    (the ``driver-kill`` fault) raises
-    :class:`~repro.errors.FaultError`.  Both default to off and cost
-    nothing then.
+    fault injection on the device.  In an armed run a kernel killed
+    mid-run (the ``driver-kill`` fault) raises
+    :class:`~repro.errors.FaultError`, and a stall the engine finds when
+    its queue drains raises a recoverable
+    :class:`~repro.errors.BarrierTimeoutError` naming the stuck
+    processes instead of a terminal :class:`~repro.errors.DeadlockError`.
+    It defaults to off and costs nothing then.
 
     ``retry`` (a :class:`~repro.harness.resilient.RetryPolicy`) and
     ``degrade`` (a :class:`~repro.harness.resilient.DegradePolicy`) turn
@@ -195,17 +197,16 @@ def run(
     prefix, checks that it is periodic and splices in the remaining
     rounds, with a result identical to the full simulation
     (:mod:`repro.harness.fastforward`; a DEBUG record on this module's
-    logger says whether a run was spliced).  Jitter, a fuzzer, a probe,
-    faults or a barrier deadline keep every round simulated.
+    logger says whether a run was spliced).  Jitter, a fuzzer, a probe
+    or faults keep every round simulated.
 
     Malformed inputs raise :class:`~repro.errors.ConfigError` before
     anything is simulated: a ``strategy`` that is neither a registered
     name nor a :class:`~repro.sync.base.SyncStrategy`, a ``config`` that
     is not a :class:`~repro.gpu.config.DeviceConfig`, a ``num_blocks``,
-    ``threads_per_block``, ``jitter_seed`` or ``barrier_deadline_ns``
-    that is not an ``int`` (``bool`` included), ``threads_per_block`` or
-    ``barrier_deadline_ns`` below 1, and a ``jitter_pct`` that is not a
-    finite, non-negative number.
+    ``threads_per_block`` or ``jitter_seed`` that is not an ``int``
+    (``bool`` included), ``threads_per_block`` below 1, and a
+    ``jitter_pct`` that is not a finite, non-negative number.
     """
     if not isinstance(strategy, SyncStrategy):
         strategy = get_strategy(strategy)
@@ -232,8 +233,6 @@ def run(
             f"jitter_pct must be a finite, non-negative number, got {jitter_pct!r}"
         )
     require_int("jitter_seed", jitter_seed)
-    if barrier_deadline_ns is not None:
-        require_int("barrier_deadline_ns", barrier_deadline_ns, minimum=1)
 
     def steady_blocker() -> Optional[str]:
         """Why this run may not be fast-forwarded (None: it may)."""
@@ -243,7 +242,6 @@ def run(
             ("fuzzer on", fuzzer is not None),
             ("probe on", probe is not None),
             ("faults on", faults is not None),
-            ("barrier deadline set", barrier_deadline_ns is not None),
             ("device watchdog set", cfg.watchdog_ns is not None),
             (f"{rounds} rounds <= window {WINDOW}", rounds <= WINDOW),
         ):
@@ -299,17 +297,6 @@ def run(
         if steady:
             relabel = _kernel_relabel(algorithm.name) if host_mode else None
             watch = PeriodWatch(device, host_mode, relabel)
-
-        # Resilient path: any armed run gets the barrier watchdog, so a
-        # stall surfaces as a typed, recoverable error instead of a
-        # heap-drain DeadlockError.
-        watchdog: Optional[BarrierWatchdog] = None
-        if faults is not None or barrier_deadline_ns is not None:
-            watchdog = BarrierWatchdog(
-                device,
-                barrier_deadline_ns or DEFAULT_BARRIER_DEADLINE_NS,
-                strategy_name=strategy.name,
-            )
 
         jitter: Optional[Callable[[float], float]] = None
         if jitter_pct > 0:
@@ -375,12 +362,8 @@ def run(
                     )
 
             def host_program() -> Generator:
-                handle = yield from host.launch(spec)
-                if watchdog is not None:
-                    watchdog.watch(handle)
+                yield from host.launch(spec)
                 yield from host.synchronize()
-                if watchdog is not None:
-                    watchdog.disarm()
 
         else:
 
@@ -411,33 +394,25 @@ def run(
                         block_threads=threads,
                         params={"round_idx": r},
                     )
-                    handle = yield from host.launch(spec)
-                    if watchdog is not None:
-                        watchdog.watch(handle)
+                    yield from host.launch(spec)
                     if strategy.explicit:
                         yield from host.synchronize()
                 if watch is not None:
                     watch.launch = -1
                 yield from host.synchronize()
-                if watchdog is not None:
-                    watchdog.disarm()
 
-        if watchdog is not None:
-            watchdog.arm()
         root = host_program()
         if watch is not None and host_mode:
             root = watch.counted(root)
         device.engine.spawn(root, "host")
-        total_ns = device.run()
+        stall: Optional[DeadlockError] = None
+        try:
+            total_ns = device.run()
+        except DeadlockError as exc:
+            if faults is None:
+                raise
+            stall = exc
 
-        if watchdog is not None and watchdog.fired:
-            raise BarrierTimeoutError(
-                strategy.name,
-                watchdog.deadline_ns,
-                watchdog.fired_at or total_ns,
-                watchdog.stuck,
-                faults=[f.description for f in faults.fired] if faults else None,
-            )
         if faults is not None:
             # Check the handles, not just the host's sticky error: in host
             # mode the final synchronize joins only the *last* kernel, so a
@@ -447,7 +422,16 @@ def run(
                 detail = host.get_last_error() or (
                     f"kernel {killed[0].spec.name!r} was killed"
                 )
-                raise FaultError(f"kernel killed mid-run: {detail}")
+                raise FaultError(f"kernel killed mid-run: {detail}") from stall
+            if stall is not None:
+                # The engine's drain check is the stall detector: the
+                # queue is empty, so nothing parked can ever wake.
+                raise BarrierTimeoutError(
+                    strategy.name,
+                    device.engine.now,
+                    stall.blocked,
+                    faults=[f.description for f in faults.fired],
+                ) from stall
 
         launches = len(host.launches)
         if watch is not None:

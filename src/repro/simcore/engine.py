@@ -310,7 +310,7 @@ class Engine:
         available *while* the simulation is paused — use it after
         ``run(until=...)`` returns at the horizon to distinguish "paused
         with work pending" from "deadlocked at the horizon", or from a
-        monitoring process (see :class:`repro.faults.BarrierWatchdog`).
+        monitoring process.
         """
         return [
             (p.name, p.waiting_on or "unknown")
@@ -324,9 +324,10 @@ class Engine:
         A positive count means some process will run again without
         outside help; zero with :attr:`blocked_processes` non-empty is a
         certain deadlock (nothing left to fire the signals they wait
-        on).  ``ignore`` lets a watchdog discount its own timer when it
-        asks "can anyone *else* still make progress?".  Counting scans
-        the queue, so the event loop keeps no live-entry counter.
+        on).  ``ignore`` discounts the caller's own processes, e.g. a
+        monitoring process's timer, to ask "can anyone *else* still make
+        progress?".  Counting scans the queue, so the event loop keeps no
+        live-entry counter.
         """
         return sum(
             1 for entry in self._heap

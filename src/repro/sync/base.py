@@ -23,7 +23,7 @@ def _hang_forever(ctx: "BlockCtx", strategy_name: str, round_idx: int) -> Genera
 
     The block waits on a signal nothing ever fires — the simulated
     analogue of a block that died or spun off into the weeds before
-    reaching the barrier.  Only a watchdog kill (or the engine's
+    reaching the barrier.  Only a kernel kill (or the engine's
     deadlock detection) ends the wait; the reason string names the
     fault so :class:`repro.errors.BarrierTimeoutError` reports it.
     """

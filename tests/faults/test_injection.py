@@ -58,7 +58,7 @@ def test_hang_never_escapes_as_deadlock():
         except BarrierTimeoutError:
             pass
         except DeadlockError as exc:  # pragma: no cover - the regression
-            pytest.fail(f"DeadlockError escaped the watchdog: {exc}")
+            pytest.fail(f"DeadlockError escaped an armed run: {exc}")
 
 
 def test_driver_kill_raises_typed_fault_error():
@@ -77,7 +77,7 @@ def test_driver_kill_after_kernel_end_dissipates():
 
 def test_atomic_drop_counts_faulted_op():
     # gpu-simple's barrier is built on atomicAdd, so a dropped store
-    # starves the mutex count and the watchdog must catch the stall.
+    # starves the mutex count and the drain check must catch the stall.
     plan = FaultPlan([FaultSpec("atomic-drop", block=0)])
     with pytest.raises(BarrierTimeoutError):
         run(micro(), "gpu-simple", 8, faults=plan)

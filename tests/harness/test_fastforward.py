@@ -153,9 +153,8 @@ def test_record_is_guarded_by_the_log_level(caplog):
         ({"fuzzer": ScheduleFuzzer(7)}, "fuzzer on"),
         ({"probe": SanitizerProbe(), "verify": False}, "probe on"),
         ({"faults": FaultPlan([])}, "faults on"),
-        ({"barrier_deadline_ns": 10**9}, "barrier deadline set"),
     ],
-    ids=["jitter", "fuzzer", "probe", "faults", "deadline"],
+    ids=["jitter", "fuzzer", "probe", "faults"],
 )
 def test_never_engages_with_perturbing_or_armed_inputs(kwargs, reason, caplog):
     caplog.set_level(logging.DEBUG, logger=LOGGER)

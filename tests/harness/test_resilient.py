@@ -93,7 +93,7 @@ def test_degradation_disabled_raises_exhausted_with_history():
     assert err.strategy == "gpu-lockfree"
     assert err.attempts == 2
     assert len(err.history) == 2
-    assert all("watchdog" in h for h in err.history)
+    assert all("stalled at t=" in h for h in err.history)
 
 
 def test_occupancy_error_degrades_immediately():
@@ -162,8 +162,8 @@ def test_one_run_entry():
 
 
 def test_hang_without_policy_is_a_barrier_timeout():
-    """No retry=/degrade=: one attempt, so the stall surfaces as the
-    watchdog's own typed error, not as an exhausted retry budget."""
+    """No retry=/degrade=: one attempt, so the stall surfaces as its
+    own typed error, not as an exhausted retry budget."""
     plan = FaultPlan([FaultSpec("hang", block=2, round=1)])
     with pytest.raises(BarrierTimeoutError):
         repro.run(micro(), "gpu-lockfree", 8, faults=plan)

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.algorithms import FFT, MeanMicrobench
-from repro.errors import ConfigError, OccupancyError
+from repro.errors import BarrierTimeoutError, ConfigError, OccupancyError
+from repro.faults import FaultPlan, FaultSpec
 from repro.harness import RaceMonitor, run
+from repro.sanitize.sanitizer import SkewedMicrobench
 from repro.sync import GpuLockFreeSync
 
 
@@ -86,7 +88,7 @@ class TestRun:
         [
             (8, {"threads_per_block": 0}, "threads_per_block"),
             (8, {"threads_per_block": -32}, "threads_per_block"),
-            (8, {"barrier_deadline_ns": 0}, "barrier_deadline_ns"),
+            (8, {"jitter_pct": -1.0}, "jitter_pct"),
             (8, {"jitter_pct": float("nan")}, "jitter_pct"),
             (8, {"jitter_pct": float("inf")}, "jitter_pct"),
             (2.5, {}, "num_blocks"),
@@ -94,8 +96,8 @@ class TestRun:
             (8, {"threads_per_block": 2.5}, "threads_per_block"),
             (8, {"threads_per_block": True}, "threads_per_block"),
             (8, {"threads_per_block": "8"}, "threads_per_block"),
-            (8, {"barrier_deadline_ns": 2.5}, "barrier_deadline_ns"),
-            (8, {"barrier_deadline_ns": "x"}, "barrier_deadline_ns"),
+            (8, {"jitter_seed": 2.5}, "jitter_seed"),
+            (8, {"jitter_seed": True}, "jitter_seed"),
             (8, {"jitter_pct": "1"}, "jitter_pct"),
             (8, {"jitter_seed": "a"}, "jitter_seed"),
             (8, {"strategy": []}, "strategy"),
@@ -113,6 +115,50 @@ class TestRun:
         args = {"strategy": "gpu-lockfree", **kwargs}
         with pytest.raises(ConfigError, match=match):
             run(micro, num_blocks=num_blocks, **args)
+
+
+class TestStallDetection:
+    """A run armed with a fault plan turns the engine's drain check into
+    a typed, recoverable :class:`BarrierTimeoutError`."""
+
+    @staticmethod
+    def skewed():
+        return SkewedMicrobench(rounds=4, num_blocks_hint=8)
+
+    def test_clean_armed_run_raises_nothing_and_costs_no_time(self):
+        base = run(self.skewed(), "gpu-lockfree", 8)
+        armed = run(self.skewed(), "gpu-lockfree", 8, faults=FaultPlan([]))
+        assert armed.verified is True
+        assert armed.total_ns == base.total_ns
+
+    def test_slow_but_live_straggler_is_not_a_stall(self):
+        """Pending events are progress: a block computing 50x slower
+        keeps every other block parked at the barrier, yet finishes."""
+        base = run(self.skewed(), "gpu-lockfree", 8)
+        plan = FaultPlan([FaultSpec("straggler", block=2, factor=50.0)])
+        slow = run(self.skewed(), "gpu-lockfree", 8, faults=plan)
+        assert slow.verified is True
+        assert slow.total_ns > 10 * base.total_ns
+        assert plan.fired_kinds == ["straggler"]
+
+    def test_stuck_list_names_the_injected_hang(self):
+        plan = FaultPlan([FaultSpec("hang", block=1, round=0)])
+        with pytest.raises(BarrierTimeoutError) as info:
+            run(self.skewed(), "gpu-lockfree", 8, faults=plan)
+        (reason,) = [r for name, r in info.value.stuck if name.endswith("/b1")]
+        assert reason.startswith("injected hang: block 1")
+
+    def test_hang_with_parked_warps_is_a_barrier_timeout(self):
+        """gpu-lockfree-detailed parks its checker block's warps too; the
+        drain sees them, so the hang is typed, at the time it stalled."""
+        clean = run(self.skewed(), "gpu-lockfree-detailed", 8)
+        plan = FaultPlan([FaultSpec("hang", block=5, round=0)])
+        with pytest.raises(BarrierTimeoutError) as info:
+            run(self.skewed(), "gpu-lockfree-detailed", 8, faults=plan)
+        err = info.value
+        assert any(name.endswith("/b1/w0") for name, _ in err.stuck)
+        assert 0 < err.fired_at_ns < clean.total_ns
+        assert err.faults == ["hang(block 5, round 0)"]
 
 
 class TestRaceMonitor:
