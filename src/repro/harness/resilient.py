@@ -6,7 +6,7 @@ lost.  Passing ``retry=`` or ``degrade=`` wraps the attempt in the
 recovery policy a production driver stack would apply:
 
 1. **Retry with backoff** (:class:`RetryPolicy`).  A failed attempt's
-   device is dropped, stalled or killed, and every attempt calls
+   device is discarded, stalled or killed, and every attempt calls
    :meth:`~repro.algorithms.base.RoundAlgorithm.reset` through ``run`` —
    the checkpoint/restore step — so a relaunch starts from pristine
    state on a fresh device.  Transient faults (driver-kill,
