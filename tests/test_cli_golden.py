@@ -22,7 +22,10 @@ and the campaign, lint and paper verbs on the default preset:
 * ``sanitize --schedules 3`` on each ``broken-*`` mutant (exit 1);
 * ``lint src/repro examples --strict`` and ``lint --fix --check``;
 * ``fig11 --rounds 20`` and ``table1``;
-* two bad inputs that exit 1 with a typed error.
+* the bad inputs the CLI refuses: six that exit 1 with a typed error,
+  and thirteen usage errors (an unknown verb, a missing or foreign
+  flag, a bad flag combination or value) for which ``main`` raises
+  ``SystemExit(2)``; the recorder records that code.
 
 The file changes only through ``pytest tests/test_cli_golden.py
 --update-golden``; a change that moves an entry must say why.
@@ -71,6 +74,27 @@ def _invocations() -> List[List[str]]:
     argvs.append(["table1"])
     argvs.append(["fig11", "--rounds", "0"])
     argvs.append(["crashtest", "--crash-points", "nope"])
+    argvs += [
+        ["trace", "--blocks", "0"],
+        ["extensions", "--rounds", "0"],
+        ["diff", "--baseline", "/missing.json", "--current", "/missing.json"],
+        ["fig13", "--step", "0", "--algorithms", "fft"],
+    ]
+    argvs += [
+        ["fig99"],
+        ["diff"],
+        ["table1", "src/repro"],
+        ["models", "--fix"],
+        ["lint", "--check"],
+        ["lint", "--fix", "--diff", "--check"],
+        ["fig11", "--plans", "3"],
+        ["models", "--cache"],
+        ["serve", "--preset", "gtx280"],
+        ["table1", "--strategy", "gpu-simple"],
+        ["diff", "--jobs", "2", "--baseline", "a", "--current", "b"],
+        ["fig11", "--rounds", "2", "--jobs", "0"],
+        ["fig11", "--rounds", "2", "--jobs", "-1"],
+    ]
     return argvs
 
 
@@ -80,7 +104,10 @@ INVOCATIONS = {" ".join(argv): argv for argv in _invocations()}
 def _record(argv: List[str]) -> Dict[str, Any]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
     return {
         "exit": code,
         "stdout_sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(),
