@@ -56,8 +56,10 @@ class KernelHandle:
         """Abort the kernel like the driver would; False if it already ended.
 
         Marks the handle killed, stamps ``end_ns`` and cancels the kernel
-        manager and every block (freeing their SM slots); host code
-        observes the failure via ``Host.get_last_error()``.
+        manager and every block (freeing their SM slots); a cancelled
+        block cancels the warp agents it spawned (:func:`repro.gpu.warps
+        .run_warps`).  Host code observes the failure via
+        ``Host.get_last_error()``.
         """
         if self.end_ns is not None or self.killed:
             return False

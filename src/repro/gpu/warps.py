@@ -126,7 +126,9 @@ def run_warps(
     ``warp_fn(warp_ctx)`` is spawned once per warp (``ceil(threads /
     warp_size)`` agents); this generator resumes when all warps finish.
     ``warp_ctx.syncthreads()`` inside the warp function is a *real*
-    barrier among exactly these agents.
+    barrier among exactly these agents.  A block cancelled while its
+    warps run (a killed kernel) cancels them too, so no warp is left
+    parked on a barrier its block abandoned.
     """
     if threads < 1:
         raise SyncProtocolError(f"run_warps needs >= 1 threads, got {threads}")
@@ -146,5 +148,13 @@ def run_warps(
             warp_fn(wctx), f"{block_ctx.owner}/w{w}"
         )
         agents.append(proc)
-    for proc in agents:
-        yield Join(proc, reason=f"join warps of {block_ctx.owner}")
+    try:
+        for proc in agents:
+            yield Join(proc, reason=f"join warps of {block_ctx.owner}")
+    except GeneratorExit:
+        # Engine.cancel closes the block's generator while it waits here.
+        for proc in agents:
+            block_ctx.device.engine.cancel(
+                proc, f"block {block_ctx.owner} was cancelled"
+            )
+        raise

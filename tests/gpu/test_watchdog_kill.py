@@ -7,12 +7,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.algorithms.base import VerificationError
 from repro.errors import ConfigError
 from repro.gpu.config import DeviceConfig
 from repro.gpu.presets import get_preset
 from repro.gpu.device import Device
 from repro.gpu.host import Host
 from repro.gpu.kernel import KernelSpec
+from repro.harness.runner import run
+from repro.sanitize import SkewedMicrobench
 
 
 def kill_config(watchdog_ns=1_000_000):
@@ -127,6 +130,21 @@ def test_fast_kernels_never_killed():
     device.run()
     assert device.kernels_completed == 3
     assert host.last_error is None
+
+
+def test_kill_cancels_warp_agents_too():
+    """The detailed lock-free barrier's checking block runs as warp
+    agents; a killed kernel must take them down with their block, so
+    both granularities end the same way (not in a DeadlockError naming
+    ``.../b1/w0``)."""
+    outcomes = []
+    for strategy in ("gpu-lockfree", "gpu-lockfree-detailed"):
+        algo = SkewedMicrobench(rounds=50, num_blocks_hint=8, threads_per_block=64)
+        with pytest.raises(VerificationError) as err:
+            run(algo, strategy, 8, config=kill_config(watchdog_ns=5_000))
+        outcomes.append(str(err.value))
+    assert outcomes[0] == outcomes[1]
+    assert "uneven round stamps" in outcomes[0]
 
 
 def test_watchdog_action_validation():
