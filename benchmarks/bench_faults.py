@@ -8,6 +8,11 @@ fault injection compiled in but *disarmed* (``faults=None``) must cost
 the same as the pre-subsystem plain run, within noise, and a run armed
 with an empty-effect plan must stay a small constant factor.  Writes
 ``benchmarks/out/faults_overhead.txt``.
+
+An armed run is never fast-forwarded (a fault plan can perturb any
+round), so both sides run a micro-benchmark that opts out of
+fast-forward: each simulates every round, and the ratio prices the
+hooks, not the rounds a plain run would skip.
 """
 
 from time import perf_counter
@@ -22,8 +27,14 @@ STRATEGY = "gpu-lockfree"
 REPS = 10
 
 
+class _EveryRound(SkewedMicrobench):
+    """The skewed micro-benchmark, never fast-forwarded."""
+
+    skip_rounds = None
+
+
 def _algo(blocks: int, rounds: int) -> SkewedMicrobench:
-    return SkewedMicrobench(
+    return _EveryRound(
         rounds=rounds, num_blocks_hint=blocks, threads_per_block=64
     )
 
