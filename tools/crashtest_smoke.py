@@ -8,12 +8,14 @@ workers on *different simulated hosts* race for one job, the host that
 wins the lease is SIGKILLed mid-sweep, and the surviving host must
 finish the work — byte-identically.
 
-1. submit one multi-second fig11 sweep to a fresh service directory;
+1. submit one multi-second algorithm sweep (bitonic sort over the
+   Fig. 13 block counts) to a fresh service directory;
 2. start two workers against it with distinct ``--host-label`` values
    (``hostA``/``hostB``) — their owner strings are
    ``worker-<pid>@<host>``, so the job row names the leaseholder;
-3. wait until the job is leased, parse the owner, **SIGKILL that
-   worker** (the pid is in the owner string by design);
+3. wait until the job is leased and its journal holds a completed
+   cell, parse the owner, **SIGKILL that worker** (the pid is in the
+   owner string by design);
 4. drive the reaper path (``requeue_expired``) until the lease expires
    and the job is requeued, then wait for the survivor to finish it;
 5. assert the completion is stamped by the *other* host, exactly once
@@ -41,9 +43,22 @@ sys.path.insert(0, str(SRC))
 from repro.service.jobs import JobTable, job_id_for  # noqa: E402
 from repro.service.runners import execute_spec, validate_spec  # noqa: E402
 
-SPEC = {"experiment": "fig11", "params": {"rounds": 20}}
+#: several seconds of work on 2 vCPUs, in about 60 ms cells, so the
+#: leaseholder is killed mid-sweep.  (A fig11 sweep is fast-forwarded
+#: past its steady state and finishes in under a second at any round
+#: count.)
+SPEC = {"experiment": "algorithm-sweep", "params": {"algorithm": "bitonic"}}
 LEASE_S = 2.0
 HOSTS = ("hostA", "hostB")
+
+
+def journaled_cells(service_dir: Path) -> int:
+    """Completed cells the workers' journals record (header excluded)."""
+    lines = 0
+    for path in (service_dir / "journal").glob("*/journal.jsonl"):
+        with open(path, "rb") as handle:
+            lines += max(handle.read().count(b"\n") - 1, 0)
+    return lines
 
 
 def start_worker(service_dir: Path, host: str) -> subprocess.Popen:
@@ -109,7 +124,11 @@ def main() -> int:
                     f"{victim_host}'s worker is {workers[victim_host].pid}"
                 )
             # Let the sweep journal real progress before the crash.
-            time.sleep(1.0)
+            deadline = time.monotonic() + 30.0
+            while journaled_cells(service_dir) < 1:
+                if time.monotonic() > deadline:
+                    fail("the leaseholder journaled no cell within 30 s")
+                time.sleep(0.02)
             print(f"killing leaseholder {owner!r} (SIGKILL) ...")
             os.kill(victim_pid, signal.SIGKILL)
             workers[victim_host].wait()
