@@ -73,6 +73,7 @@ def _run_job(service_dir: Path, *, crash_first_attempt: bool) -> dict:
         time.sleep(0.01)
     seconds = time.perf_counter() - started
     job = table.get(job_id)
+    table.close()
     assert job is not None
     job["seconds"] = seconds
     return job

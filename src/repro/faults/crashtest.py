@@ -597,6 +597,8 @@ def _run_scenario(
             )
     except (ReproError, OSError) as exc:
         problems.append(f"{type(exc).__name__}: {exc}")
+    finally:
+        table.close()
     seconds = time.monotonic() - started
     if problems:
         return CrashOutcome(

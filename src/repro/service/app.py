@@ -199,6 +199,7 @@ class ServiceApp:
         self.reaper.stop()
         self.server.shutdown()
         self.server.server_close()
+        self.table.close()
 
     # -- request handling (called from handler threads) ----------------------
 

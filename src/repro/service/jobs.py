@@ -40,6 +40,16 @@ Design rules (py_experimenter's DB-backed experiment rows, adapted):
   lock past the timeout).  Every transaction here runs under a capped
   exponential-backoff retry loop (``lock_retries``), so contention
   costs latency, never a worker crash.
+* **Connections outlive operations.**  Each table keeps a pool of idle
+  connections (WAL mode, busy timeout, PRAGMAs set once when opened).
+  An operation checks one out and puts it back when it ends cleanly;
+  any exception closes it instead, so error and retry paths start on a
+  fresh connection.  Read paths run their statements to completion, so
+  an idle connection never holds a read snapshot.  Connections cross
+  threads (``check_same_thread=False``: the HTTP server serves each
+  request on a new thread) but never a fork: a child process leaves the
+  connections it inherited untouched and opens its own.
+  :meth:`JobTable.close` closes the idle ones.
 
 Every timestamp comes from an injectable ``clock`` so the lease
 lifecycle edges (heartbeat exactly at expiry, a reaper racing a late
@@ -56,6 +66,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sqlite3
 import time
 from contextlib import contextmanager, suppress
@@ -172,11 +183,12 @@ class JobTable:
     """One service's durable job queue.
 
     Safe for concurrent use from many threads *and* many processes:
-    every operation opens its own connection (WAL mode, busy timeout)
-    and writes inside a single transaction — retried under capped
-    backoff when SQLite reports the database locked — so the HTTP app,
-    the reaper thread and N worker processes across several hosts can
-    hammer the same file.
+    every operation runs on a connection of its own, checked out of the
+    table's pool (WAL mode, busy timeout), and writes inside a single
+    transaction — retried under capped backoff when SQLite reports the
+    database locked — so the HTTP app, the reaper thread and N worker
+    processes across several hosts can hammer the same file.  Call
+    :meth:`close` when done with the table.
     """
 
     def __init__(
@@ -217,20 +229,82 @@ class JobTable:
         self.lock_retries = lock_retries
         self.lock_retry_base_s = lock_retry_base_s
         self.lock_retry_cap_s = lock_retry_cap_s
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        #: idle connections, owned by process ``_pool_pid``.
+        self._idle: List[sqlite3.Connection] = []
+        self._pool_pid = os.getpid()
+        #: connections a forked child inherited: kept referenced so they
+        #: are never used or closed from the child.
+        self._inherited: List[sqlite3.Connection] = []
         self._init_db()
 
     # -- connection plumbing -------------------------------------------------
 
-    @contextmanager
-    def _connect(self) -> Iterator[sqlite3.Connection]:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        conn = sqlite3.connect(self.path, timeout=30.0, isolation_level=None)
+    def _pool(self) -> List[sqlite3.Connection]:
+        """This process's idle connections.
+
+        A forked child (the worker's process pool) must neither use nor
+        close a connection its parent opened, so on the first operation
+        in a new pid the inherited ones are set aside and the pool
+        starts empty.
+        """
+        pid = os.getpid()
+        if pid != self._pool_pid:
+            self._inherited.extend(self._idle)
+            self._idle = []
+            self._pool_pid = pid
+        return self._idle
+
+    def _open(self) -> sqlite3.Connection:
+        conn = sqlite3.connect(
+            self.path, timeout=30.0, isolation_level=None,
+            check_same_thread=False,
+        )
         try:
             conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.execute("PRAGMA busy_timeout=30000")
+        except BaseException:
+            conn.close()
+            raise
+        return conn
+
+    @contextmanager
+    def _connect(self) -> Iterator[sqlite3.Connection]:
+        """Check a connection out of the pool for one operation.
+
+        It goes back to the pool when the block ends cleanly; any
+        exception closes it instead, so the next operation (a lock
+        retry included) starts on a fresh connection.
+        """
+        try:
+            conn = self._pool().pop()
+        except IndexError:
+            conn = self._open()
+        try:
             yield conn
-        finally:
+        except BaseException:
+            conn.close()
+            raise
+        self._pool().append(conn)
+
+    def _select(
+        self, sql: str, params: Tuple[Any, ...] = ()
+    ) -> List[Tuple[Any, ...]]:
+        """Every row of one read statement, stepped to completion so the
+        pooled connection keeps no read snapshot open afterwards."""
+        with self._connect() as conn:
+            return conn.execute(sql, params).fetchall()
+
+    def close(self) -> None:
+        """Close this process's idle connections.
+
+        The table stays usable: a later operation opens a new
+        connection.  Connections checked out by an operation still
+        running on another thread go back to the pool as usual.
+        """
+        idle, self._idle = self._pool(), []
+        for conn in idle:
             conn.close()
 
     @staticmethod
@@ -551,19 +625,16 @@ class JobTable:
 
     def get(self, job_id: str) -> Optional[Dict[str, Any]]:
         """Fetch one job row as a dict (spec decoded), or ``None``."""
-        with self._connect() as conn:
-            row = conn.execute(
-                f"SELECT {','.join(_COLUMNS)} FROM jobs WHERE id=?", (job_id,)
-            ).fetchone()
-        return _row_to_job(row) if row is not None else None
+        rows = self._select(
+            f"SELECT {','.join(_COLUMNS)} FROM jobs WHERE id=?", (job_id,)
+        )
+        return _row_to_job(rows[0]) if rows else None
 
     def list_jobs(self) -> List[Dict[str, Any]]:
         """Every job row, oldest submission first."""
-        with self._connect() as conn:
-            rows = conn.execute(
-                f"SELECT {','.join(_COLUMNS)} FROM jobs "
-                "ORDER BY submitted_at, id"
-            ).fetchall()
+        rows = self._select(
+            f"SELECT {','.join(_COLUMNS)} FROM jobs ORDER BY submitted_at, id"
+        )
         return [_row_to_job(row) for row in rows]
 
     def counts(self) -> Dict[str, int]:
@@ -571,11 +642,10 @@ class JobTable:
         from repro.serialization import JOB_STATES
 
         out = {state: 0 for state in JOB_STATES}
-        with self._connect() as conn:
-            for state, count in conn.execute(
-                "SELECT state, COUNT(*) FROM jobs GROUP BY state"
-            ):
-                out[state] = count
+        for state, count in self._select(
+            "SELECT state, COUNT(*) FROM jobs GROUP BY state"
+        ):
+            out[state] = count
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

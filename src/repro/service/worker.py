@@ -253,6 +253,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         clock=clock,
     )
 
+    try:
+        _serve(table, service_dir, args)
+    finally:
+        table.close()
+    return 0
+
+
+def _serve(table: JobTable, service_dir: Path, args: argparse.Namespace) -> None:
+    """Submit, reap or pull jobs as :func:`main`'s flags say."""
     if args.submit_spec is not None:
         table.submit(validate_spec(json.loads(args.submit_spec)))
 
@@ -260,7 +269,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.service.reaper import Reaper
 
         Reaper(table).sweep()
-        return 0
+        return
 
     worker = Worker(
         table,
@@ -287,7 +296,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             time.sleep(args.poll_s)
     else:
         worker.run_forever()
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - use worker_main instead

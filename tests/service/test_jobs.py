@@ -414,3 +414,156 @@ def test_non_locked_operational_error_is_not_retried(table, monkeypatch):
             table.complete(job["id"], "w1", "bytes")
     assert sleeps == []
     assert table.get(job["id"])["state"] == "leased"  # rolled back
+
+
+# -- connection reuse -------------------------------------------------------
+
+
+@pytest.fixture
+def connects(monkeypatch):
+    """Every connection ``sqlite3.connect`` opens, in order."""
+    import sqlite3
+
+    opened = []
+    real = sqlite3.connect
+
+    def counting(*args, **kwargs):
+        conn = real(*args, **kwargs)
+        opened.append(conn)
+        return conn
+
+    monkeypatch.setattr(sqlite3, "connect", counting)
+    return opened
+
+
+def _is_open(conn) -> bool:
+    import sqlite3
+
+    try:
+        conn.execute("SELECT 1")
+    except sqlite3.ProgrammingError:
+        return False
+    return True
+
+
+def test_one_thread_reuses_one_connection(tmp_path, clock, connects):
+    table = JobTable(tmp_path / "jobs.sqlite3", clock=clock)
+    job, _ = table.submit(SPEC)
+    table.submit(SPEC)
+    table.claim("w1")
+    assert table.heartbeat(job["id"], "w1")
+    assert table.complete(job["id"], "w1", "bytes")
+    table.get(job["id"])
+    table.list_jobs()
+    table.counts()
+    table.requeue_expired()
+    assert len(connects) == 1
+
+
+def test_a_new_pid_opens_a_new_connection(tmp_path, clock, connects, monkeypatch):
+    """A forked child must not touch its parent's connections: it
+    neither uses nor closes them, and opens its own."""
+    import os
+
+    table = JobTable(tmp_path / "jobs.sqlite3", clock=clock)
+    table.submit(SPEC)
+    assert len(connects) == 1
+    parent = connects[0]
+    child_pid = os.getpid() + 1
+    monkeypatch.setattr("repro.service.jobs.os.getpid", lambda: child_pid)
+    assert table.get(job_id_for(SPEC))["state"] == "queued"
+    assert len(connects) == 2
+    table.close()
+    assert _is_open(parent)  # the parent's connection was left alone
+    assert not _is_open(connects[1])
+
+
+def test_close_leaves_no_connection_open(tmp_path, clock, connects):
+    table = JobTable(tmp_path / "jobs.sqlite3", clock=clock)
+    table.submit(SPEC)
+    table.close()
+    assert connects and not any(_is_open(conn) for conn in connects)
+    # Still usable: the next operation reconnects.
+    assert table.get(job_id_for(SPEC))["state"] == "queued"
+    table.close()
+    assert not any(_is_open(conn) for conn in connects)
+
+
+def test_a_failed_operation_leaves_the_table_usable(tmp_path, clock, connects):
+    """A non-lock error inside a transaction closes the connection it
+    ran on; the next operation starts on a fresh one."""
+    table = JobTable(tmp_path / "jobs.sqlite3", max_queued=1, clock=clock)
+    table.submit(SPEC)
+    with pytest.raises(ServiceError, match="queue is full"):
+        table.submit(OTHER)
+    assert len(connects) == 1 and not _is_open(connects[0])
+    job = table.claim("w1")
+    assert job["id"] == job_id_for(SPEC)
+    assert table.complete(job["id"], "w1", "bytes")
+    created = table.submit(OTHER)[1]
+    assert created and table.counts() == {
+        "queued": 1, "leased": 0, "done": 1, "failed": 0,
+    }
+    assert len(connects) == 2
+
+
+def test_writes_from_another_connection_are_seen(table, clock):
+    """A pooled connection holds no read snapshot between operations."""
+    import sqlite3
+
+    job, _ = table.submit(SPEC)
+    assert table.get(job["id"])["state"] == "queued"
+    assert table.counts()["queued"] == 1
+    other = sqlite3.connect(table.path)
+    other.execute("UPDATE jobs SET eligible_at=? WHERE id=?", (clock.now + 5, job["id"]))
+    other.commit()
+    assert table.get(job["id"])["eligible_at"] == clock.now + 5
+    assert table.claim("w1") is None  # not yet eligible, as the write says
+    other.execute("UPDATE jobs SET eligible_at=? WHERE id=?", (clock.now, job["id"]))
+    other.commit()
+    other.close()
+    assert table.claim("w1")["id"] == job["id"]
+
+
+def test_threads_share_the_pool_without_sharing_a_connection(tmp_path, connects):
+    """More threads than cores, switching often: every job is completed
+    exactly once, and no connection ever serves two operations at a
+    time (a shared one would fail its BEGIN)."""
+    import sys
+    import threading
+
+    table = JobTable(tmp_path / "jobs.sqlite3")
+    threads, per_thread = 8, 15
+    errors = []
+
+    def hammer(t):
+        try:
+            for i in range(per_thread):
+                spec = {"experiment": "fig11", "params": {"rounds": 100 * t + i + 1}}
+                table.submit(spec)
+                job = table.claim(f"w{t}")  # the oldest job, maybe not ours
+                if job is not None:
+                    assert table.complete(job["id"], f"w{t}", "bytes")
+                    table.get(job["id"])
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=hammer, args=(t,)) for t in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert errors == []
+    while (job := table.claim("drain")) is not None:
+        assert table.complete(job["id"], "drain", "bytes")
+    assert table.counts()["done"] == threads * per_thread
+    assert all(job["completions"] == 1 for job in table.list_jobs())
+    assert len(connects) <= threads
+    table.close()
+    assert not any(_is_open(conn) for conn in connects)

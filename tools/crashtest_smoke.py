@@ -150,6 +150,7 @@ def main() -> int:
                 if proc.poll() is None:
                     proc.kill()
                     proc.wait()
+            table.close()
 
         completed_by = str(job["completed_by"] or "")
         if not completed_by.endswith(f"@{survivor_host}"):
