@@ -12,7 +12,8 @@ rests on, one entry per configuration:
 * a kernel-data entry records the SHA-256 of a paper kernel's final
   working array (FFT ``buf``, Smith-Waterman ``H``, bitonic ``keys``),
   so a result that drifts by one ulp shows even where ``verify``'s
-  tolerance would pass it.
+  tolerance would pass it; the racy Smith-Waterman entries hash all
+  three of its matrices (``H``, ``E`` and ``F``).
 
 Allocation names carry per-instance uids (``g_mutex#3``) that depend on
 how many strategies were built before, so every string is normalized
@@ -79,6 +80,15 @@ KERNEL_DATA = {
 DATA_STRATEGIES = ("null", "cpu-implicit", "gpu-lockfree", "gpu-simple")
 DATA_BLOCKS = (1, 7, 30)
 
+#: racy Smith-Waterman runs whose H, E and F are pinned: name ->
+#: (strategy, jitter_pct, fuzzer seed).  Blocks run rounds out of step
+#: here, so a wrong order of round work shows in the stale cells read.
+RACY_SWAT = {
+    "null-jitter30": ("null", 30.0, None),
+    "null-fuzz11": ("null", 0.0, 11),
+    "broken-simple-skipround": ("broken-simple-skipround", 0.0, None),
+}
+
 
 def _norm(obj: Any) -> Any:
     """JSON-ready copy of ``obj`` with instance uids normalized to ``#N``."""
@@ -144,6 +154,24 @@ def _data_record(kernel: str, strategy: str, blocks: int) -> Dict[str, Any]:
             "sha256": hashlib.sha256(array.tobytes()).hexdigest()}
 
 
+def _racy_swat_record(
+    strategy: str, blocks: int, jitter_pct: float, seed: Optional[int]
+) -> Dict[str, Any]:
+    """H, E and F of a non-square SW fill (and the error, if it raises)."""
+    algorithm = SmithWaterman(48, 20, seed=3)
+    fuzzer = ScheduleFuzzer(seed) if seed is not None else None
+    record: Dict[str, Any] = {}
+    try:
+        run(algorithm, strategy, num_blocks=blocks, fuzzer=fuzzer,
+            jitter_pct=jitter_pct, jitter_seed=3)
+    except Exception as exc:  # noqa: BLE001 - the failure is part of the answer
+        record["error"] = {"class": type(exc).__name__, "message": _norm(str(exc))}
+    for attr in ("H", "E", "F"):
+        array = np.ascontiguousarray(getattr(algorithm, attr))
+        record[attr] = hashlib.sha256(array.tobytes()).hexdigest()
+    return record
+
+
 def _sweep_record(sweep: Any) -> Dict[str, Any]:
     text = sweep.to_json()
     return {"sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
@@ -185,6 +213,12 @@ def _cases() -> Dict[str, Callable[[], Dict[str, Any]]]:
                 cases[f"kernel-data/{kernel}/{strategy}/{blocks}"] = (
                     lambda k=kernel, s=strategy, b=blocks: _data_record(k, s, b)
                 )
+    for name, (strategy, jitter_pct, seed) in RACY_SWAT.items():
+        for blocks in (7, 30):
+            cases[f"kernel-data/swat-48x20/{name}/{blocks}"] = (
+                lambda s=strategy, b=blocks, j=jitter_pct, sd=seed:
+                _racy_swat_record(s, b, j, sd)
+            )
     for case, seed in enumerate(derive_seeds(20250807, 50)):
         strategy = FUZZED[case % len(FUZZED)]
         cases[f"fuzz/{case:02d}/{strategy}"] = (
