@@ -26,18 +26,39 @@ computes its interior row range and the match/mismatch score of every
 cell on it, and keeps them; a block's work is its
 :func:`~repro.algorithms.costs.block_items` slice of the diagonal.  In
 the row-major ``(n+1)×(m+1)`` matrices, cell ``(i, d−i)`` sits at flat
-offset ``i·m + d``, so a block's cells and their three neighbours
+offset ``i·m + d``, so a run of cells and their three neighbours
 (``(i, j−1)``, ``(i−1, j)``, ``(i−1, j−1)`` at offsets ``−1``, ``−m−1``
 and ``−m−2``) are all stride-``m`` views of the flattened matrices: no
 index arrays at all.  Nothing is built in ``__init__``.  Unlike FFT's
 and bitonic sort's, these tables stay per instance, because the scores
 depend on the sequences and not only on the size.
+
+Batched round work: a block's work does not run numpy itself.  It
+records its ``(round, lo, hi)`` slice in a pending batch, and the batch
+applies as one strided H/E/F update per contiguous run of its slices
+(one update for the whole diagonal once every block has arrived).  The
+batch applies
+
+* as soon as every non-empty slice of its round has arrived, counted
+  per round (a round whose slices were split across batches by a racy
+  interleaving still completes);
+* before a slice of a *different* round is recorded;
+* before anything reads the matrices: the :attr:`H`, :attr:`E` and
+  :attr:`F` properties (and so :meth:`verify`, :attr:`best_score` and
+  :func:`~repro.algorithms.traceback.traceback`) apply it first.
+
+:meth:`reset` drops it.  This is exact, not an approximation: slices of
+one round write disjoint cells of diagonal ``d`` and read only ``d−1``
+and ``d−2``, so they commute, and a batch never spans two rounds.  The
+work of different rounds therefore applies in the order the simulation
+ran it, and a racy ``null`` or broken-barrier run reads exactly the
+stale cells it would read with every slice applied at once.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -138,14 +159,21 @@ class SmithWaterman(RoundAlgorithm):
         self.gap_open = gap_open
         self.gap_extend = gap_extend
         n, m = query_len, subject_len
-        self.H = np.zeros((n + 1, m + 1), dtype=np.int64)
-        self.E = np.zeros((n + 1, m + 1), dtype=np.int64)
-        self.F = np.zeros((n + 1, m + 1), dtype=np.int64)
+        self._H = np.zeros((n + 1, m + 1), dtype=np.int64)
+        self._E = np.zeros((n + 1, m + 1), dtype=np.int64)
+        self._F = np.zeros((n + 1, m + 1), dtype=np.int64)
         # Flat views of the three matrices (they are only ever updated
         # in place), for the stride-m diagonal slices.
-        self._flat = (self.H.reshape(-1), self.E.reshape(-1), self.F.reshape(-1))
+        self._flat = (self._H.reshape(-1), self._E.reshape(-1), self._F.reshape(-1))
         #: round -> (ilo, ihi, scores) of its anti-diagonal.
         self._tables: Dict[int, Tuple[int, int, np.ndarray]] = {}
+        #: The pending batch: the round of its slices and their
+        #: ``[lo, hi)`` item ranges on that round's diagonal.
+        self._pending_round = -1
+        self._pending: List[Tuple[int, int]] = []
+        #: round -> slices of it recorded so far, for rounds not yet
+        #: complete.
+        self._arrived: Dict[int, int] = {}
         self._neg = np.iinfo(np.int64).min // 4
         self.reset()
 
@@ -157,16 +185,36 @@ class SmithWaterman(RoundAlgorithm):
     def m(self) -> int:
         return len(self.subject)
 
+    @property
+    def H(self) -> np.ndarray:
+        """Best-score matrix, ``(n+1)×(m+1)``, with every recorded slice applied."""
+        self._apply_pending()
+        return self._H
+
+    @property
+    def E(self) -> np.ndarray:
+        """Gap-in-query matrix, with every recorded slice applied."""
+        self._apply_pending()
+        return self._E
+
+    @property
+    def F(self) -> np.ndarray:
+        """Gap-in-subject matrix, with every recorded slice applied."""
+        self._apply_pending()
+        return self._F
+
     def num_rounds(self) -> int:
         # Diagonals d = 2 .. n+m hold the interior cells.
         return self.n + self.m - 1
 
     def reset(self) -> None:
-        self.H[...] = 0
-        self.E[...] = 0
-        self.F[...] = 0
-        self.E[:, 0] = self._neg
-        self.F[0, :] = self._neg
+        self._pending.clear()
+        self._arrived.clear()
+        self._H[...] = 0
+        self._E[...] = 0
+        self._F[...] = 0
+        self._E[:, 0] = self._neg
+        self._F[0, :] = self._neg
 
     def _diag_rows(self, round_idx: int) -> Tuple[int, int]:
         """Interior row range [ilo, ihi) of anti-diagonal ``round_idx + 2``."""
@@ -199,32 +247,71 @@ class SmithWaterman(RoundAlgorithm):
     def round_work(
         self, round_idx: int, block_id: int, num_blocks: int
     ) -> Optional[Callable[[], None]]:
-        ilo, ihi, scores = self._diagonal(round_idx)
-        span = block_items(ihi - ilo, block_id, num_blocks)
+        ilo, ihi, _ = self._diagonal(round_idx)
+        cells = ihi - ilo
+        span = block_items(cells, block_id, num_blocks)
         if not span:
             return None
-        m = self.m
-        # Flat offsets of this block's first cell (i = ilo + span.start)
-        # and of its left, upper and diagonal neighbours; every later
-        # cell is m further on.
-        first = (ilo + span.start) * m + round_idx + 2
-        stop = first + len(span) * m
-        cells = slice(first, stop, m)
-        left = slice(first - 1, stop - 1, m)
-        up = slice(first - m - 1, stop - m - 1, m)
-        diag = slice(first - m - 2, stop - m - 2, m)
-        s = scores[span.start : span.stop]
+        # Blocks holding a non-empty slice of this diagonal.
+        per = -(-cells // num_blocks)
+        slices = -(-cells // per)
+        return functools.partial(
+            self._record, round_idx, span.start, span.stop, slices
+        )
 
-        def work() -> None:
-            H, E, F = self._flat
+    def _record(self, round_idx: int, lo: int, hi: int, slices: int) -> None:
+        """A block's work: add its slice ``[lo, hi)`` of the round's
+        diagonal to the pending batch.
+
+        The batch holds one round only, so a slice of another round
+        applies it first; the batch also applies once all ``slices``
+        non-empty slices of its round have arrived, counted per round
+        across batches.
+        """
+        if round_idx != self._pending_round:
+            self._apply_pending()
+            self._pending_round = round_idx
+        self._pending.append((lo, hi))
+        arrived = self._arrived.pop(round_idx, 0) + 1
+        if arrived == slices:
+            self._apply_pending()
+        else:
+            self._arrived[round_idx] = arrived
+
+    def _apply_pending(self) -> None:
+        """Apply the pending batch: one strided H/E/F update over each
+        contiguous run of its slices."""
+        pending = self._pending
+        if not pending:
+            return
+        pending.sort()
+        runs = [list(pending[0])]
+        for lo, hi in pending[1:]:
+            if lo == runs[-1][1]:
+                runs[-1][1] = hi
+            else:
+                runs.append([lo, hi])
+        pending.clear()
+        round_idx = self._pending_round
+        ilo, _, scores = self._tables[round_idx]
+        H, E, F = self._flat
+        m = self.m
+        for lo, hi in runs:
+            # Flat offsets of the run's first cell (i = ilo + lo) and of
+            # its left, upper and diagonal neighbours; every later cell
+            # is m further on.
+            first = (ilo + lo) * m + round_idx + 2
+            stop = first + (hi - lo) * m
+            cells = slice(first, stop, m)
+            left = slice(first - 1, stop - 1, m)
+            up = slice(first - m - 1, stop - m - 1, m)
+            diag = slice(first - m - 2, stop - m - 2, m)
             e = np.maximum(H[left] - self.gap_open, E[left] - self.gap_extend)
             f = np.maximum(H[up] - self.gap_open, F[up] - self.gap_extend)
-            h = np.maximum(H[diag] + s, 0)
+            h = np.maximum(H[diag] + scores[lo:hi], 0)
             E[cells] = e
             F[cells] = f
             H[cells] = np.maximum(h, np.maximum(e, f))
-
-        return work
 
     @property
     def best_score(self) -> int:
@@ -240,10 +327,11 @@ class SmithWaterman(RoundAlgorithm):
             self.gap_open,
             self.gap_extend,
         )
-        if not np.array_equal(self.H, expected_H):
-            bad = np.argwhere(self.H != expected_H)[0]
+        H = self.H
+        if not np.array_equal(H, expected_H):
+            bad = np.argwhere(H != expected_H)[0]
             raise VerificationError(
-                f"swat: H[{bad[0]},{bad[1]}] = {self.H[bad[0], bad[1]]}, "
+                f"swat: H[{bad[0]},{bad[1]}] = {H[bad[0], bad[1]]}, "
                 f"expected {expected_H[bad[0], bad[1]]} "
                 f"(best score {self.best_score} vs {expected_best})"
             )

@@ -86,9 +86,10 @@ def traceback(swat) -> Alignment:
     """Trace the optimal local alignment out of a filled SmithWaterman.
 
     ``swat`` is a :class:`repro.algorithms.swat.SmithWaterman` whose
-    rounds have all executed.  State preference on ties is diagonal >
-    E (gap in query) > F (gap in subject), a standard, score-preserving
-    convention.
+    rounds have all executed; reading its matrices applies any round
+    work still pending in its batch first.  State preference on ties is
+    diagonal > E (gap in query) > F (gap in subject), a standard,
+    score-preserving convention.
     """
     H, E, F = swat.H, swat.E, swat.F
     q = swat.query.tobytes().decode("ascii")

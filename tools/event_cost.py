@@ -15,7 +15,7 @@ time it does not move with host load, so it makes a stable gate for the
 per-event host cost::
 
     python tools/event_cost.py
-    python tools/event_cost.py --fail-above 240
+    python tools/event_cost.py --fail-above 230
 
 With ``--fail-above N`` the script exits 1 when either Smith-Waterman
 cell (the barrier-bound event streams, where the per-event cost is the
