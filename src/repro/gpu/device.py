@@ -170,6 +170,8 @@ class Device:
         drain = f"drain {spec.name}"
         for proc in blocks:
             yield Join(proc, drain)
+        # Drained: every block has ended, so a later kill has none to cancel.
+        handle.block_processes.clear()
 
         teardown_start = self.engine.now
         yield self.delays[timings.kernel_teardown_ns]

@@ -47,7 +47,8 @@ class KernelHandle:
     issued_ns: Optional[int] = None  #: when the host call started
     start_ns: Optional[int] = None  #: when the device began setup
     end_ns: Optional[int] = None  #: when teardown finished
-    #: block processes, populated at dispatch (watchdog-kill support).
+    #: block processes, populated at dispatch and cleared once the
+    #: kernel drains (watchdog-kill support).
     block_processes: list = field(default_factory=list)
     #: True when the watchdog aborted this kernel.
     killed: bool = False

@@ -96,7 +96,9 @@ class Engine:
         #: FIFO sequence numbers for the entries, in scheduling order.
         self._seq = count()
         self._pid = 0
-        self._processes: List[Process] = []
+        #: processes not yet finished, crashed or cancelled, by pid, in
+        #: spawn order; a process leaves when it ends.
+        self._live: Dict[int, Process] = {}
         self._max_events = max_events
         self._events_dispatched = 0
         self._running = False
@@ -119,7 +121,7 @@ class Engine:
             raise ConfigError(f"spawn delay must be an int >= 0, got {delay!r}")
         self._pid += 1
         process = Process(self._pid, name, generator)
-        self._processes.append(process)
+        self._live[self._pid] = process
         process.state = _RUNNING
         process.started_at = when = self.now + delay
         self._schedule(process, when, None)
@@ -233,9 +235,7 @@ class Engine:
         finally:
             self._running = False
 
-        blocked = [
-            (p.name, p.waiting_on or "unknown") for p in self._processes if p.alive
-        ]
+        blocked = [(p.name, p.waiting_on or "unknown") for p in self._live.values()]
         if blocked:
             raise DeadlockError(blocked)
         return self.now
@@ -274,6 +274,7 @@ class Engine:
             process.started_at = None
         process.state = ProcessState.CANCELLED
         process.alive = False
+        del self._live[process.pid]
         process.result = Cancelled(reason)
         process.finished_at = now
         process.waiting_on = None
@@ -300,7 +301,7 @@ class Engine:
     @property
     def live_processes(self) -> List[Process]:
         """Processes that have not yet finished."""
-        return [p for p in self._processes if p.alive]
+        return list(self._live.values())
 
     @property
     def blocked_processes(self) -> List[Tuple[str, str]]:
@@ -314,7 +315,7 @@ class Engine:
         """
         return [
             (p.name, p.waiting_on or "unknown")
-            for p in self._processes
+            for p in self._live.values()
             if p.state == ProcessState.BLOCKED
         ]
 
@@ -390,6 +391,7 @@ class Engine:
         """Record a process failure and re-raise it annotated."""
         process.state = ProcessState.FAILED
         process.alive = False
+        del self._live[process.pid]
         process.exception = exc
         process.finished_at = self.now
         from repro.errors import ReproError
@@ -405,6 +407,7 @@ class Engine:
     def _finish(self, process: Process, result: Any) -> None:
         process.state = ProcessState.DONE
         process.alive = False
+        del self._live[process.pid]
         process.result = result
         process.finished_at = self.now
         if process.joiners:

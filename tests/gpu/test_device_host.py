@@ -196,3 +196,13 @@ class TestDeadlock:
         )
         launch_and_run(device, host, [spec])
         assert arrivals.data[0] == n
+
+
+class TestHandleHoldsOnlyWhatItNeeds:
+    def test_block_processes_cleared_once_the_kernel_drains(self):
+        device = Device()
+        host = Host(device)
+        launch_and_run(device, host, [make_spec(name=f"k{i}") for i in range(3)])
+        assert [h.done for h in host.launches] == [True] * 3
+        assert all(h.block_processes == [] for h in host.launches)
+        assert device.engine.live_processes == []

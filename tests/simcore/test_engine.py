@@ -647,3 +647,47 @@ def test_alive_clears_on_done_failed_and_cancelled():
     assert c.alive
     eng.cancel(c)
     assert (c.state, c.alive) == (ProcessState.CANCELLED, False)
+
+
+def test_live_processes_drop_done_failed_and_cancelled():
+    eng = Engine()
+
+    def done():
+        yield Delay(1)
+
+    def failed():
+        yield Delay(2)
+        raise ValueError("boom")
+
+    def parked():
+        yield WaitUntil(Signal("never"), lambda: False, "forever")
+
+    d, f, c = eng.spawn(done()), eng.spawn(failed()), eng.spawn(parked())
+    assert eng.live_processes == [d, f, c]
+    with pytest.raises(ProcessError):
+        eng.run()
+    assert eng.live_processes == [c]
+    assert [name for name, _reason in eng.blocked_processes] == [c.name]
+    eng.cancel(c)
+    assert eng.live_processes == [] and eng.blocked_processes == []
+
+
+def test_drain_check_keeps_spawn_order_after_pruning():
+    eng = Engine()
+    sig = Signal("never")
+
+    def stuck(i):
+        yield WaitUntil(sig, lambda: False, f"stuck-{i}")
+
+    def brief():
+        yield Delay(1)
+
+    names = []
+    for i in range(4):
+        eng.spawn(brief(), name=f"brief{i}")
+        eng.spawn(stuck(i), name=f"p{i}")
+        names.append(f"p{i}")
+    with pytest.raises(DeadlockError) as exc:
+        eng.run()
+    assert [name for name, _reason in exc.value.blocked] == names
+    assert [p.name for p in eng.live_processes] == names
