@@ -323,7 +323,17 @@ def _make_handler(app: ServiceApp) -> type:
                     ServiceError(f"no route {path!r}", kind="not-found")
                 ))
                 return
-            length = int(self.headers.get("Content-Length", "0") or "0")
+            raw = (self.headers.get("Content-Length", "0") or "0").strip()
+            if not (raw.isascii() and raw.isdigit()):
+                # The body's extent is unknown, so it cannot be skipped:
+                # answer, then close the connection.
+                self.close_connection = True
+                self._send(400, {}, _error_body(ServiceError(
+                    "Content-Length must be a non-negative integer, "
+                    f"got {raw!r}", kind="spec"
+                )))
+                return
+            length = int(raw)
             body = self.rfile.read(length) if length else b""
             self._send(*app.handle_submit(body))
 

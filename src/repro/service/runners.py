@@ -82,7 +82,8 @@ def validate_spec(spec: Any) -> Dict[str, Any]:
             kind="spec",
         )
     experiment = spec.get("experiment")
-    if experiment not in RUNNERS:
+    # A list or object is unhashable: test the type before the lookup.
+    if not isinstance(experiment, str) or experiment not in RUNNERS:
         raise ServiceError(
             f"unknown experiment {experiment!r}; known: "
             f"{', '.join(sorted(RUNNERS))}",

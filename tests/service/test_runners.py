@@ -28,6 +28,9 @@ def test_valid_specs_normalize():
         ({"experiment": "fig11", "params": {"rounds": "3"}}, "must be int"),
         ({"experiment": "fig11", "params": {"rounds": True}}, "must be int"),
         ({"experiment": "chaos", "params": {"strategy": 7}}, "must be str"),
+        ({"experiment": []}, "unknown experiment"),
+        ({"experiment": {}}, "unknown experiment"),
+        ({"experiment": ["fig11"]}, "unknown experiment"),
     ],
 )
 def test_bad_specs_are_typed_refusals(bad, match):

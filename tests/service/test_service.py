@@ -7,6 +7,7 @@ rather than by actually killing processes; the CI service-smoke job
 covers the real-SIGKILL variant.
 """
 
+import http.client
 import json
 
 import pytest
@@ -160,6 +161,32 @@ def test_submit_garbage_body_is_400(client):
     status, body = client._request("POST", "/jobs", b"{not json")
     assert status == 400
     assert parse_result(body, kind="service-error")["error"]["kind"] == "spec"
+
+
+@pytest.mark.parametrize("experiment", [[], {}])
+def test_submit_unhashable_experiment_is_400(client, experiment):
+    body = json.dumps({"experiment": experiment}).encode()
+    status, text = client._request("POST", "/jobs", body)
+    assert status == 400
+    error = parse_result(text, kind="service-error")["error"]
+    assert error["kind"] == "spec" and "unknown experiment" in error["message"]
+
+
+@pytest.mark.parametrize("length", ["abc", "-5", "1.5", "+3", "1_0", "0x10"])
+def test_bad_content_length_is_typed_400(app, length):
+    host, port = app.address
+    conn = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        conn.putrequest("POST", "/jobs")
+        conn.putheader("Content-Length", length)
+        conn.endheaders()
+        response = conn.getresponse()
+        status, text = response.status, response.read().decode("utf-8")
+    finally:
+        conn.close()
+    assert status == 400
+    error = parse_result(text, kind="service-error")["error"]
+    assert error["kind"] == "spec" and "Content-Length" in error["message"]
 
 
 # -- recovery through the full stack ----------------------------------------
