@@ -44,29 +44,29 @@ def test_disarmed_injection_adds_no_measurable_overhead(
 ):
     blocks, rounds = sanitize_bench_shape
 
-    def measure():
-        # Interleave the two configurations so cache/JIT warmup noise
-        # lands on both sides equally.
-        plain_s = armed_s = 0.0
-        for _ in range(REPS):
-            t0 = perf_counter()
-            result = run(_algo(blocks, rounds), STRATEGY, blocks)
-            plain_s += perf_counter() - t0
-            assert result.verified is True
+    def plain() -> None:
+        result = run(_algo(blocks, rounds), STRATEGY, blocks)
+        assert result.verified is True
 
-            # Armed with a plan that targets a block outside the grid:
-            # every hook runs its guard, no fault ever fires.
-            plan = FaultPlan(
-                [FaultSpec("spurious-wakeup", block=blocks + 7, count=1)]
-            )
-            t0 = perf_counter()
-            result = run(
-                _algo(blocks, rounds), STRATEGY, blocks, faults=plan
-            )
-            armed_s += perf_counter() - t0
-            assert result.verified is True
-            assert plan.fired == []
-        return plain_s, armed_s
+    def armed() -> None:
+        # Armed with a plan that targets a block outside the grid:
+        # every hook runs its guard, no fault ever fires.
+        plan = FaultPlan([FaultSpec("spurious-wakeup", block=blocks + 7, count=1)])
+        result = run(_algo(blocks, rounds), STRATEGY, blocks, faults=plan)
+        assert result.verified is True
+        assert plan.fired == []
+
+    def measure():
+        # Interleave the two configurations, and alternate which runs
+        # first in each rep, so warmup and cache noise land on both
+        # sides equally.
+        spent = {plain: 0.0, armed: 0.0}
+        for rep in range(REPS):
+            for side in (plain, armed) if rep % 2 == 0 else (armed, plain):
+                t0 = perf_counter()
+                side()
+                spent[side] += perf_counter() - t0
+        return spent[plain], spent[armed]
 
     plain_s, armed_s = benchmark.pedantic(measure, rounds=1, iterations=1)
     ratio = armed_s / plain_s
