@@ -87,6 +87,9 @@ RACY_SWAT = {
     "null-jitter30": ("null", 30.0, None),
     "null-fuzz11": ("null", 0.0, 11),
     "broken-simple-skipround": ("broken-simple-skipround", 0.0, None),
+    "null-jitter30-fuzz11": ("null", 30.0, 11),
+    "broken-simple-undercount-jitter30-fuzz11": (
+        "broken-simple-undercount", 30.0, 11),
 }
 
 
