@@ -13,10 +13,10 @@ This demo shows all four outcomes on the simulator:
    (``OccupancyError``);
 2. bypassing the guard produces a *detected* deadlock
    (``DeadlockError``), naming exactly who is stuck on what;
-3. on a *display-attached* device (watchdog enabled, ``kill`` mode) the
-   same mistake looks like it did to 2009 developers: the driver kills
-   the launch, ``cudaGetLastError``-style state reports it, and the
-   device keeps working;
+3. the driver kills the same launch mid-run (an injected ``driver-kill``
+   fault, as a display watchdog or a driver reset would): the kill
+   looks like it did to 2009 developers — ``cudaGetLastError``-style
+   state reports it, and the device keeps working;
 4. the same kernel at the SM count runs fine.
 
 Usage::
@@ -24,14 +24,38 @@ Usage::
     python examples/deadlock_demo.py
 """
 
-import dataclasses
-
 import numpy as np
 
-from repro import DeadlockError, MeanMicrobench, OccupancyError, get_preset, run
+from repro import (
+    DeadlockError,
+    FaultPlan,
+    FaultSpec,
+    MeanMicrobench,
+    OccupancyError,
+    run,
+)
 from repro.gpu.device import Device
 from repro.gpu.host import Host
 from repro.gpu.kernel import KernelSpec
+
+
+def unsafe_kernel(device: Device, n: int) -> KernelSpec:
+    """``n`` blocks, one per SM, meeting at a naive atomic grid barrier."""
+    arrivals = device.memory.alloc("arrivals", 1, dtype=np.int64)
+
+    def naive_barrier(ctx):
+        yield from ctx.atomic_add(arrivals, 0, 1)
+        yield from ctx.spin_until(
+            arrivals, lambda: arrivals.data[0] >= n, "naive grid barrier"
+        )
+
+    return KernelSpec(
+        name="unsafe",
+        program=naive_barrier,
+        grid_blocks=n,
+        block_threads=64,
+        shared_mem_per_block=device.config.shared_mem_per_sm,
+    )
 
 
 def main() -> None:
@@ -47,22 +71,8 @@ def main() -> None:
     # --- 2. bypassing the guard: a real deadlock --------------------------
     device = Device()
     host = Host(device)
-    arrivals = device.memory.alloc("arrivals", 1, dtype=np.int64)
     n = device.config.num_sms + 1  # 31 blocks, 30 SMs
-
-    def naive_barrier(ctx):
-        yield from ctx.atomic_add(arrivals, 0, 1)
-        yield from ctx.spin_until(
-            arrivals, lambda: arrivals.data[0] >= n, "naive grid barrier"
-        )
-
-    spec = KernelSpec(
-        name="unsafe",
-        program=naive_barrier,
-        grid_blocks=n,
-        block_threads=64,
-        shared_mem_per_block=device.config.shared_mem_per_sm,
-    )
+    spec = unsafe_kernel(device, n)
 
     def host_program():
         yield from host.launch(spec)
@@ -80,38 +90,37 @@ def main() -> None:
             f"(plus the host and kernel bookkeeping processes).\n"
         )
 
-    # --- 3. display-attached device: the watchdog kills the launch --------
-    cfg = dataclasses.replace(
-        get_preset("gtx280"), watchdog_ns=2_000_000, watchdog_action="kill"
+    # --- 3. the driver kills the launch; the device survives -------------
+    kill_at_ns = 2_000_000
+    device3 = Device(
+        faults=FaultPlan([FaultSpec("driver-kill", at_ns=kill_at_ns)])
     )
-    device3 = Device(cfg)
     host3 = Host(device3)
-    arrivals3 = device3.memory.alloc("arrivals", 1, dtype=np.int64)
+    spec3 = unsafe_kernel(device3, n)
 
-    def naive_barrier3(ctx):
-        yield from ctx.atomic_add(arrivals3, 0, 1)
-        yield from ctx.spin_until(
-            arrivals3, lambda: arrivals3.data[0] >= n, "naive grid barrier"
-        )
+    def follow_up_program(ctx):
+        yield from ctx.compute(500)
 
-    spec3 = KernelSpec(
-        name="unsafe",
-        program=naive_barrier3,
-        grid_blocks=n,
-        block_threads=64,
-        shared_mem_per_block=cfg.shared_mem_per_sm,
+    follow_up = KernelSpec(
+        "follow-up", follow_up_program, grid_blocks=4, block_threads=64
     )
+    errors = []
 
     def host_program3():
         yield from host3.launch(spec3)
+        yield from host3.synchronize()
+        errors.append(host3.get_last_error())
+        yield from host3.launch(follow_up)
         yield from host3.synchronize()
 
     device3.engine.spawn(host_program3(), "host")
     device3.run()
     print(
-        f"[3] display-attached device: driver killed the launch after "
-        f"{cfg.watchdog_ns / 1e6:.0f} ms; cudaGetLastError-style state says:"
-        f"\n    {host3.get_last_error()!r}\n"
+        f"[3] the driver killed the launch after {kill_at_ns / 1e6:.0f} ms; "
+        f"cudaGetLastError-style state says:\n    {errors[0]!r}\n"
+        f"    a later 4-block kernel then ran: "
+        f"{device3.kernels_completed} kernel(s) completed, "
+        f"{len(device3.engine.live_processes)} process(es) left.\n"
     )
 
     # --- 4. the safe configuration ----------------------------------------

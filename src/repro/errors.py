@@ -12,7 +12,6 @@ __all__ = [
     "SimulationError",
     "DeadlockError",
     "ProcessError",
-    "KernelTimeoutError",
     "BarrierTimeoutError",
     "FaultError",
     "RetryExhaustedError",
@@ -63,27 +62,6 @@ class DeadlockError(SimulationError):
 
 class ProcessError(SimulationError):
     """A simulated process raised or misused the effect protocol."""
-
-
-class KernelTimeoutError(SimulationError):
-    """The device watchdog killed a kernel (CUDA: "the launch timed out").
-
-    Display-attached GPUs abort kernels that run longer than the
-    watchdog interval (~a few seconds).  This is how a deadlocked
-    device-side barrier actually *manifests* on such a card — a launch
-    failure after the timeout, not an eternal hang.  Enable via
-    ``DeviceConfig(watchdog_ns=...)``.
-    """
-
-    def __init__(self, kernel_name: str, watchdog_ns: int, started_ns: int):
-        self.kernel_name = kernel_name
-        self.watchdog_ns = watchdog_ns
-        self.started_ns = started_ns
-        super().__init__(
-            f"kernel {kernel_name!r} exceeded the {watchdog_ns} ns watchdog "
-            f"(started at {started_ns} ns); on a display-attached GPU the "
-            "driver kills such launches"
-        )
 
 
 class BarrierTimeoutError(SimulationError):

@@ -38,7 +38,6 @@ from repro.errors import (
     BarrierTimeoutError,
     DeadlockError,
     FaultError,
-    KernelTimeoutError,
     ReproError,
     RetryExhaustedError,
 )
@@ -57,7 +56,6 @@ __all__ = ["ChaosReport", "ChaosRunRecord", "chaos_campaign"]
 _TYPED = (
     RetryExhaustedError,
     BarrierTimeoutError,
-    KernelTimeoutError,
     FaultError,
     VerificationError,
 )
@@ -217,7 +215,7 @@ def _cross_check(
             probe=probe,
             faults=plan,
         )
-    except (BarrierTimeoutError, KernelTimeoutError, FaultError):
+    except (BarrierTimeoutError, FaultError):
         detected = True
     except DeadlockError:
         return False  # an armed run must never leak this

@@ -300,8 +300,8 @@ _DYNAMIC = (
         severity="error",
         paper_ref="§5",
         summary=(
-            "the run aborted inside the simulator (watchdog kill, "
-            "protocol assertion, …) before the sanitizer could finish "
+            "the run aborted inside the simulator (protocol assertion, "
+            "bad memory access, …) before the sanitizer could finish "
             "observing it"
         ),
         remedy="replay the printed seed and fix the aborting protocol",

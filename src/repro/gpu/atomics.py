@@ -45,8 +45,3 @@ class AtomicRegistry:
             unit = Resource(f"atomic:{array_name}[{index}]", capacity=1)
             self._cells[key] = unit
         return unit
-
-    @property
-    def distinct_cells(self) -> int:
-        """Number of cells that have seen at least one atomic."""
-        return len(self._cells)

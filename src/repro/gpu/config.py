@@ -8,8 +8,9 @@ Preset construction lives in :mod:`repro.gpu.presets` behind the
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from numbers import Real
 
+from repro.algorithms.base import require_int
 from repro.errors import ConfigError
 from repro.gpu.topology import Topology
 from repro.model.calibration import CalibratedTimings, default_timings
@@ -40,13 +41,6 @@ class DeviceConfig:
     max_threads_per_block: int = 512
     max_threads_per_sm: int = 1024
     max_blocks_per_sm: int = 8
-    #: display-attached watchdog: kernels running longer than this are
-    #: aborted (None = headless, no watchdog).
-    watchdog_ns: Optional[int] = None
-    #: what the watchdog does: "raise" stops the simulation with
-    #: KernelTimeoutError; "kill" cancels the kernel like the real driver
-    #: and lets the host observe the failure via Host.get_last_error().
-    watchdog_action: str = "raise"
     timings: CalibratedTimings = field(default_factory=default_timings)
     #: where this device's threads live — sync domains, co-residency
     #: policy, interconnect crossing cost (:mod:`repro.gpu.topology`).
@@ -66,19 +60,11 @@ class DeviceConfig:
             "max_threads_per_sm",
             "max_blocks_per_sm",
         ):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.global_bandwidth_gbps <= 0:
-            raise ConfigError("global_bandwidth_gbps must be positive")
-        if self.pcie_gbps <= 0:
-            raise ConfigError("pcie_gbps must be positive")
-        if self.watchdog_ns is not None and self.watchdog_ns < 1:
-            raise ConfigError("watchdog_ns must be >= 1 (or None)")
-        if self.watchdog_action not in ("raise", "kill"):
-            raise ConfigError(
-                f"watchdog_action must be 'raise' or 'kill', "
-                f"got {self.watchdog_action!r}"
-            )
+            require_int(name, getattr(self, name), minimum=1)
+        for name in ("global_bandwidth_gbps", "pcie_gbps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or value <= 0:
+                raise ConfigError(f"{name} must be a positive number, got {value!r}")
         if self.num_sms % self.topology.num_domains != 0:
             raise ConfigError(
                 f"num_sms ({self.num_sms}) must divide evenly into the "

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, NamedTuple, Optional, Tuple
 
-from repro.errors import KernelTimeoutError
 from repro.gpu.atomics import AtomicRegistry
 from repro.gpu.config import DeviceConfig
 from repro.gpu.context import BlockCtx
@@ -88,8 +87,6 @@ class Device:
             faults.bind_clock(lambda: self.engine.now)
         #: kernels completed on this device (diagnostics).
         self.kernels_completed = 0
-        #: kernel name → SmPlacement of its most recent execution.
-        self.placements: dict = {}
 
     def notify_access(self, ctx, array, index, kind: str) -> None:
         """Forward one global-memory access to every registered probe.
@@ -136,12 +133,6 @@ class Device:
             )
         handle.start_ns = self.engine.now
 
-        if self.config.watchdog_ns is not None:
-            yield Spawn(
-                self._watchdog(handle, self.config.watchdog_ns),
-                f"watchdog:{spec.name}",
-            )
-
         if self.faults is not None:
             kill_at = self.faults.take_driver_kill()
             if kill_at is not None:
@@ -156,7 +147,6 @@ class Device:
 
         slots = self.scheduler.slots_for(spec)
         placement = self.scheduler.placement_for(spec)
-        self.placements[spec.name] = placement
         # What every block of this launch shares is built once here.
         launch = _Launch(
             spec, slots, placement, spec.effective_grid_dim, spec.effective_block_dim
@@ -180,33 +170,14 @@ class Device:
         handle.end_ns = self.engine.now
         self.kernels_completed += 1
 
-    def _watchdog(self, handle: "KernelHandle", watchdog_ns: int) -> Generator:
-        """Kill overlong kernels like a display-attached driver would.
-
-        Sleeps for the watchdog interval; if the kernel is still running
-        (the common cause here: a deadlocked device barrier), it raises
-        :class:`~repro.errors.KernelTimeoutError`, which surfaces from
-        ``Device.run`` exactly where a real ``cudaThreadSynchronize``
-        would report "the launch timed out".
-        """
-        yield Delay(watchdog_ns)
-        if handle.end_ns is not None or handle.killed:
-            return
-        if self.config.watchdog_action == "kill":
-            handle.kill(self.engine, f"watchdog killed {handle.spec.name}")
-        else:
-            raise KernelTimeoutError(
-                handle.spec.name, watchdog_ns, handle.start_ns or 0
-            )
-
     def _fault_killer(self, handle: "KernelHandle", kill_at_ns: int) -> Generator:
         """Injected driver-style kernel kill (``driver-kill`` fault).
 
         Sleeps ``kill_at_ns`` past kernel start, then — if the kernel is
-        still running — aborts it exactly like the display watchdog's
-        "kill" action: the handle is marked killed, the kernel manager
-        and every block are cancelled (freeing SM slots), and the host
-        observes the failure via ``Host.get_last_error()``.
+        still running — aborts it through :meth:`KernelHandle.kill`: the
+        handle is marked killed, the kernel manager and every block are
+        cancelled (freeing SM slots), and the host observes the failure
+        via ``Host.get_last_error()``.
         """
         yield Delay(kill_at_ns)
         reason = f"injected driver-kill of {handle.spec.name} (fault plan)"

@@ -48,18 +48,20 @@ class KernelHandle:
     start_ns: Optional[int] = None  #: when the device began setup
     end_ns: Optional[int] = None  #: when teardown finished
     #: block processes, populated at dispatch and cleared once the
-    #: kernel drains (watchdog-kill support).
+    #: kernel drains (what :meth:`kill` cancels).
     block_processes: list = field(default_factory=list)
-    #: True when the watchdog aborted this kernel.
+    #: True when an injected ``driver-kill`` fault aborted this kernel.
     killed: bool = False
 
     def kill(self, engine: "Engine", reason: str) -> bool:
         """Abort the kernel like the driver would; False if it already ended.
 
-        Marks the handle killed, stamps ``end_ns`` and cancels the kernel
-        manager and every block (freeing their SM slots); a cancelled
-        block cancels the warp agents it spawned (:func:`repro.gpu.warps
-        .run_warps`).  Host code observes the failure via
+        The one way a kernel dies early: an injected ``driver-kill``
+        fault (:mod:`repro.faults`) calls this.  Marks the handle
+        killed, stamps ``end_ns`` and cancels the kernel manager and
+        every block (freeing their SM slots); a cancelled block cancels
+        the warp agents it spawned (:func:`repro.gpu.warps.run_warps`).
+        Host code observes the failure via
         ``Host.get_last_error()``.
         """
         if self.end_ns is not None or self.killed:
@@ -101,7 +103,7 @@ class Host:
         self._engine_tail: Optional[Process] = None
         #: all launches in issue order (diagnostics).
         self.launches: List[KernelHandle] = []
-        #: sticky error from a watchdog-killed kernel (cudaGetLastError).
+        #: sticky error from a killed kernel (cudaGetLastError).
         self.last_error: Optional[str] = None
 
     # -- host program helpers (use with ``yield from``) ----------------------
@@ -146,7 +148,7 @@ class Host:
     def synchronize(self) -> Generator:
         """``cudaThreadSynchronize()``: block until the device drains.
 
-        If a watchdog killed a kernel since the last check, the failure
+        If a kernel was killed since the last check, the failure
         is latched into :attr:`last_error` (read it with
         :meth:`get_last_error`), like the real API's sticky error state.
         """
@@ -228,13 +230,6 @@ class Host:
             + array.nbytes / self.device.config.pcie_gbps
         )
         return array.data.copy()
-
-    def wait_for(self, handle: KernelHandle) -> Generator:
-        """Block until one specific kernel finishes."""
-        if handle.process is None:
-            raise LaunchError("kernel handle was never launched")
-        yield Join(handle.process, reason=f"wait {handle.spec.name}")
-        return None
 
     # -- internals -------------------------------------------------------------
 

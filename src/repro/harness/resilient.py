@@ -47,7 +47,6 @@ from repro.errors import (
     BarrierTimeoutError,
     ConfigError,
     FaultError,
-    KernelTimeoutError,
     OccupancyError,
     RetryExhaustedError,
 )
@@ -57,7 +56,7 @@ from repro.sync.base import SyncStrategy
 __all__ = ["DegradePolicy", "RetryPolicy"]
 
 #: failures one relaunch can plausibly outrun.
-_RETRYABLE = (BarrierTimeoutError, KernelTimeoutError, FaultError, VerificationError)
+_RETRYABLE = (BarrierTimeoutError, FaultError, VerificationError)
 
 
 @dataclass(frozen=True)

@@ -242,7 +242,6 @@ def run(
             ("fuzzer on", fuzzer is not None),
             ("probe on", probe is not None),
             ("faults on", faults is not None),
-            ("device watchdog set", cfg.watchdog_ns is not None),
             (f"{rounds} rounds <= window {WINDOW}", rounds <= WINDOW),
         ):
             if present:

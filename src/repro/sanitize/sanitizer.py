@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.algorithms.base import RoundAlgorithm, VerificationError
 from repro.algorithms.microbench import MeanMicrobench
-from repro.errors import DeadlockError, KernelTimeoutError, ReproError
+from repro.errors import DeadlockError, ReproError
 from repro.gpu.config import DeviceConfig
 from repro.gpu.presets import get_preset
 from repro.sanitize.analysis import (
@@ -97,16 +97,8 @@ def _run_one_schedule(
             fuzzer=fuzzer,
             probe=probe,
         )
-    except (DeadlockError, KernelTimeoutError) as exc:
+    except DeadlockError:
         deadlocked = True
-        if isinstance(exc, KernelTimeoutError):
-            findings.append(
-                Finding(
-                    kind="simulation-error",
-                    message=f"watchdog fired: {exc}",
-                    seed=schedule_seed,
-                )
-            )
     except ReproError as exc:
         findings.append(
             Finding(

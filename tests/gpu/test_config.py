@@ -67,6 +67,25 @@ def test_config_validation():
         DeviceConfig(global_bandwidth_gbps=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("num_sms", "30"),
+    ("num_sms", 30.0),
+    ("num_sms", True),
+    ("warp_size", None),
+    ("max_blocks_per_sm", [8]),
+    ("pcie_gbps", "8"),
+    ("global_bandwidth_gbps", False),
+])
+def test_non_numeric_field_is_a_config_error(field, value):
+    with pytest.raises(ConfigError, match=field):
+        DeviceConfig(**{field: value})
+
+
+def test_numpy_int_fields_accepted():
+    np = pytest.importorskip("numpy")
+    assert DeviceConfig(num_sms=np.int64(30)).num_sms == 30
+
+
 def test_with_timings_swaps_only_timings():
     custom = CalibratedTimings(atomic_ns=999)
     cfg = get_preset("gtx280").with_timings(custom)

@@ -46,13 +46,6 @@ class TestPlacementThroughKernels:
         counts = Counter(sms.values())
         assert all(counts[sm] == 3 for sm in range(30))
 
-    def test_placement_recorded_on_device(self):
-        device, _sms = run_kernel(8)
-        placement = device.placements["k"]
-        assert len(placement.placements) == 8
-        # All blocks released: no SM still loaded.
-        assert all(c == 0 for c in placement.resident_counts)
-
     def test_blocks_spread_before_stacking(self):
         """With occupancy > 1, the first wave still spreads across SMs."""
         device, sms = run_kernel(30)  # no shared memory: high occupancy

@@ -1,27 +1,24 @@
-"""Tests for the watchdog 'kill' mode: the device survives, the host
-observes the error — exactly the developer experience on a real
-display-attached GPU."""
-
-import dataclasses
+"""Tests for a driver kill mid-launch (the ``driver-kill`` fault): the
+device survives, the host observes the error — the developer experience
+of a display watchdog firing on a real GPU."""
 
 import numpy as np
 import pytest
 
-from repro.algorithms.base import VerificationError
-from repro.errors import ConfigError
-from repro.gpu.config import DeviceConfig
-from repro.gpu.presets import get_preset
+from repro.errors import FaultError
+from repro.faults import FaultPlan, FaultSpec
 from repro.gpu.device import Device
 from repro.gpu.host import Host
 from repro.gpu.kernel import KernelSpec
+from repro.gpu.presets import get_preset
 from repro.harness.runner import run
 from repro.sanitize import SkewedMicrobench
 
 
-def kill_config(watchdog_ns=1_000_000):
-    return dataclasses.replace(
-        get_preset("gtx280"), watchdog_ns=watchdog_ns, watchdog_action="kill"
-    )
+def killing_device(at_ns=1_000_000):
+    """A device whose first launch the driver kills ``at_ns`` after start."""
+    plan = FaultPlan([FaultSpec("driver-kill", at_ns=at_ns)])
+    return Device(get_preset("gtx280"), faults=plan)
 
 
 def naive_oversubscribed_spec(device, n):
@@ -40,7 +37,7 @@ def naive_oversubscribed_spec(device, n):
 
 
 def test_killed_kernel_surfaces_as_host_error_not_exception():
-    device = Device(kill_config())
+    device = killing_device()
     host = Host(device)
     n = device.config.num_sms + 1
     spec = naive_oversubscribed_spec(device, n)
@@ -51,17 +48,17 @@ def test_killed_kernel_surfaces_as_host_error_not_exception():
 
     device.engine.spawn(host_program(), "host")
     device.run()  # completes: the device recovered
-    error = host.get_last_error()
-    assert error is not None and "watchdog" in error
+    assert host.get_last_error() == "injected driver-kill of unsafe (fault plan)"
     assert host.get_last_error() is None  # sticky error cleared
     (h,) = host.launches
     assert h.killed
     assert not h.done
+    assert device.engine.live_processes == []
 
 
 def test_device_usable_after_kill():
     """After the driver kills a launch, later launches run normally."""
-    device = Device(kill_config())
+    device = killing_device()
     host = Host(device)
     n = device.config.num_sms + 1
     bad = naive_oversubscribed_spec(device, n)
@@ -88,7 +85,7 @@ def test_device_usable_after_kill():
 def test_kill_frees_sm_slots():
     """The killed kernel's blocks held every SM; the next kernel must
     get them all back."""
-    device = Device(kill_config(watchdog_ns=100_000))
+    device = killing_device(at_ns=100_000)
     host = Host(device)
     n = device.config.num_sms + 1
     bad = naive_oversubscribed_spec(device, n)
@@ -112,41 +109,17 @@ def test_kill_frees_sm_slots():
     assert int(hits.data.sum()) == 30
 
 
-def test_fast_kernels_never_killed():
-    device = Device(kill_config(watchdog_ns=50_000))
-    host = Host(device)
-
-    def program(ctx):
-        yield from ctx.compute(500)
-
-    def host_program():
-        for i in range(3):
-            yield from host.launch(
-                KernelSpec(f"k{i}", program, grid_blocks=2, block_threads=32)
-            )
-        yield from host.synchronize()
-
-    device.engine.spawn(host_program(), "host")
-    device.run()
-    assert device.kernels_completed == 3
-    assert host.last_error is None
-
-
 def test_kill_cancels_warp_agents_too():
     """The detailed lock-free barrier's checking block runs as warp
     agents; a killed kernel must take them down with their block, so
-    both granularities end the same way (not in a DeadlockError naming
-    ``.../b1/w0``)."""
-    outcomes = []
+    both granularities end the same typed way (not in a DeadlockError
+    naming ``.../b1/w0``)."""
     for strategy in ("gpu-lockfree", "gpu-lockfree-detailed"):
         algo = SkewedMicrobench(rounds=50, num_blocks_hint=8, threads_per_block=64)
-        with pytest.raises(VerificationError) as err:
-            run(algo, strategy, 8, config=kill_config(watchdog_ns=5_000))
-        outcomes.append(str(err.value))
-    assert outcomes[0] == outcomes[1]
-    assert "uneven round stamps" in outcomes[0]
-
-
-def test_watchdog_action_validation():
-    with pytest.raises(ConfigError):
-        DeviceConfig(watchdog_action="explode")
+        plan = FaultPlan([FaultSpec("driver-kill", at_ns=5_000)])
+        with pytest.raises(FaultError) as err:
+            run(algo, strategy, 8, faults=plan)
+        assert str(err.value) == (
+            "kernel killed mid-run: injected driver-kill of "
+            f"micro-skewed:{strategy} (fault plan)"
+        )

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.errors import ExperimentError
+from repro.errors import ConfigError, ExperimentError
 from repro.gpu.presets import get_preset
 from repro.harness import experiments
 from repro.harness.store import load_result, load_sweep, save_sweep
@@ -76,6 +76,28 @@ def test_device_config_roundtrip():
     cfg = get_preset("gtx280")
     again = device_config_from_dict(device_config_to_dict(cfg))
     assert again == cfg
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"timeout_ns": 1_000_000}, "unknown device config field"),
+    ({"num_sms": "30"}, "num_sms must be an int"),
+    ({"timings": 5}, "timings must be an object"),
+    ({"timings": {"bogus_ns": 1}}, "unknown timings field"),
+    ({"timings": {"atomic_ns": "x"}}, "bad timings"),
+    ({"timings": {"atomic_ns": -1}}, "bad timings"),
+    ({"topology": [1]}, "topology must be an object"),
+    ({"topology": {"domains": 2}}, "unknown topology field"),
+    ({"topology": {"num_domains": "2"}}, "bad topology"),
+])
+def test_bad_device_config_dict_is_a_config_error(change, match):
+    payload = {**device_config_to_dict(get_preset("gtx280")), **change}
+    with pytest.raises(ConfigError, match=match):
+        device_config_from_dict(payload)
+
+
+def test_device_config_dict_must_be_an_object():
+    with pytest.raises(ConfigError, match="device config must be an object"):
+        device_config_from_dict([1, 2])
 
 
 @pytest.fixture
