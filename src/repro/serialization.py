@@ -21,7 +21,7 @@ so semantically equal payloads hash equal) and the
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from typing import Any, Dict, Iterable, Union
 
 from repro.errors import ConfigError, ExperimentError
@@ -271,30 +271,12 @@ def device_config_from_dict(payload: Dict[str, Any]) -> DeviceConfig:
     not an object, names an unknown field (such as one a later version
     removed) or holds a bad value raises :class:`~repro.errors.ConfigError`.
     """
-    body = _known_fields(DeviceConfig, "device config", payload)
-    for name, cls in (("timings", CalibratedTimings), ("topology", Topology)):
-        nested = body.pop(name, None)
-        if nested is not None:
-            body[name] = _build(cls, name, _known_fields(cls, name, nested))
-    return _build(DeviceConfig, "device config", body)
-
-
-def _known_fields(cls: type, label: str, payload: Any) -> Dict[str, Any]:
-    """A copy of ``payload``, which must be a dict of ``cls``'s fields."""
-    if not isinstance(payload, dict):
-        raise ConfigError(
-            f"{label} must be an object, got {type(payload).__name__}"
-        )
-    unknown = set(payload) - {f.name for f in fields(cls)}
-    if unknown:
-        names = ", ".join(sorted(map(str, unknown)))
-        raise ConfigError(f"unknown {label} field(s): {names}")
-    return dict(payload)
-
-
-def _build(cls: type, label: str, body: Dict[str, Any]) -> Any:
-    """``cls(**body)``, with a bad field value raised as ConfigError."""
     try:
-        return cls(**body)
+        body = dict(payload)
+        for name, cls in (("timings", CalibratedTimings), ("topology", Topology)):
+            nested = body.pop(name, None)
+            if nested is not None:
+                body[name] = cls(**nested)
+        return DeviceConfig(**body)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {label}: {exc}") from exc
+        raise ConfigError(f"bad device config: {exc}") from exc

@@ -123,3 +123,6 @@ def test_kill_cancels_warp_agents_too():
             "kernel killed mid-run: injected driver-kill of "
             f"micro-skewed:{strategy} (fault plan)"
         )
+        # A warp agent left parked would show up as a drain-check stall
+        # chained under the kill.
+        assert err.value.__cause__ is None
