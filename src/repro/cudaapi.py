@@ -142,10 +142,6 @@ class CudaSession:
         """Current virtual time."""
         return self.device.engine.now
 
-    def elapsed_ms(self) -> float:
-        """Virtual milliseconds since session start."""
-        return self.device.engine.now / 1e6
-
     # -- internals -------------------------------------------------------------
 
     def _drive(self, host_step) -> Any:

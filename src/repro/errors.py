@@ -149,23 +149,20 @@ class ExperimentError(ReproError):
 
 
 class ExecutorError(ReproError):
-    """A parallel-executor task failed, timed out, or could not dispatch.
+    """A parallel-executor task failed or could not dispatch.
 
     Raised by :class:`repro.parallel.Executor` — never from inside a
     worker process.  ``kind`` classifies the failure:
 
-    * ``"timeout"`` — the task exceeded the executor's per-task deadline
-      on every allowed attempt.  The error surfaces only after sibling
-      in-flight tasks were drained (and journaled, when the batch is
-      journaled), so a timeout loses one cell, not the batch;
     * ``"worker"`` — the worker function raised (the original error's
       type and message are embedded in this message and chained as
       ``__cause__`` when available);
     * ``"pool"`` — the process pool itself broke (a worker died) and
       could not be rebuilt;
     * ``"poison"`` — one or more payloads killed their worker process
-      repeatedly and were quarantined; every other task completed (and
-      was journaled) before this surfaced;
+      twice while alone in flight; every other task completed (and was
+      journaled) before this surfaced, and resuming the batch replays
+      the journaled poison and raises again;
     * ``"resume"`` — a requested ``resume=`` run-id does not match this
       batch (the configuration changed) or has no journal on disk;
     * ``"unknown-worker"`` — the requested worker name is not registered.

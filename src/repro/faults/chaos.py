@@ -91,9 +91,9 @@ class ChaosReport:
     # -- partial-failure provenance (supervised executor campaigns) --
     #: process-level re-executions the parallel supervisor forced.
     retries: int = 0
-    #: plan indices whose payload was quarantined as poison
-    #: (``on_poison="mark"`` executors; their records carry outcome
-    #: ``"poison"`` and are never explained).
+    #: plan indices quarantined as poison.  Always empty on a finished
+    #: campaign (a poison payload makes the executor raise); kept so
+    #: the report envelope's keys stay unchanged.
     quarantined: List[int] = field(default_factory=list)
     #: run-id this campaign was resumed from, if any.  In-memory only:
     #: excluded from serialization and equality so a resumed campaign
@@ -381,11 +381,8 @@ def chaos_campaign(
     the campaign serial.
 
     ``resume`` replays a journaled earlier invocation of the same
-    campaign (docs/resilience.md).  Under an ``on_poison="mark"``
-    executor, a plan whose payload repeatedly killed its worker comes
-    back as an unexplained ``"poison"`` record instead of aborting the
-    campaign; the report's ``retries``/``quarantined``/``resumed_from``
-    fields carry the batch's partial-failure provenance.
+    campaign (docs/resilience.md); the report's ``retries`` and
+    ``resumed_from`` fields carry the batch's provenance.
     """
     from repro.sanitize.fuzzer import derive_seeds, seed_payloads
 
@@ -411,31 +408,13 @@ def chaos_campaign(
             ),
             "cross_check": cross_check,
         }
-        from repro.parallel import Quarantined
-
-        plan_seeds = list(derive_seeds(seed, plans))
         records = executor.map(
             "chaos-plan", seed_payloads(seed, plans, base), resume=resume
         )
-        for i, raw in enumerate(records):
-            if isinstance(raw, Quarantined):
-                report.records.append(
-                    ChaosRunRecord(
-                        seed=plan_seeds[i],
-                        planned=[],
-                        outcome="poison",
-                        attempts=0,
-                        fired=[],
-                        error=raw.error,
-                        explained=False,
-                    )
-                )
-            else:
-                report.records.append(ChaosRunRecord(**raw))
+        report.records.extend(ChaosRunRecord(**raw) for raw in records)
         stats = executor.last_batch
         if stats is not None:
             report.retries = stats.retries
-            report.quarantined = list(stats.quarantined)
             report.resumed_from = stats.resumed_from
         return report
 

@@ -7,6 +7,7 @@ Preset construction lives in :mod:`repro.gpu.presets` behind the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from numbers import Real
 
@@ -48,6 +49,8 @@ class DeviceConfig:
     topology: Topology = field(default_factory=Topology)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ConfigError(f"name must be a str, got {self.name!r}")
         for name in (
             "num_sms",
             "sps_per_sm",
@@ -63,8 +66,20 @@ class DeviceConfig:
             require_int(name, getattr(self, name), minimum=1)
         for name in ("global_bandwidth_gbps", "pcie_gbps"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real) or value <= 0:
-                raise ConfigError(f"{name} must be a positive number, got {value!r}")
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, Real)
+                or not 0 < value < math.inf
+            ):
+                raise ConfigError(
+                    f"{name} must be a positive finite number, got {value!r}"
+                )
+        for name, kind in (("timings", CalibratedTimings), ("topology", Topology)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(
+                    f"{name} must be a {kind.__name__}, "
+                    f"got {getattr(self, name)!r}"
+                )
         if self.num_sms % self.topology.num_domains != 0:
             raise ConfigError(
                 f"num_sms ({self.num_sms}) must divide evenly into the "

@@ -96,8 +96,3 @@ class KernelSpec:
     def effective_block_dim(self) -> "tuple[int, int]":
         """The 2-D block shape ((T, 1) for 1-D launches)."""
         return self.block_dim or (self.block_threads, 1)
-
-    @property
-    def total_threads(self) -> int:
-        """Threads across the whole grid."""
-        return self.grid_blocks * self.block_threads

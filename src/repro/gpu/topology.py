@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List
 
+from repro.algorithms.base import require_int
 from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -84,10 +85,8 @@ class Topology:
                 f"unknown co-residency policy {self.co_residency!r}; "
                 f"expected one of {CO_RESIDENCY_POLICIES}"
             )
-        if self.num_domains < 1:
-            raise ConfigError(
-                f"num_domains must be >= 1, got {self.num_domains}"
-            )
+        require_int("num_domains", self.num_domains, minimum=1)
+        require_int("crossing_ns", self.crossing_ns)
         if self.kind == "single-device":
             if self.num_domains != 1:
                 raise ConfigError(

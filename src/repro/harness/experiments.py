@@ -22,7 +22,7 @@ remainder — the resumed result is bit-identical to an uninterrupted run
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.algorithms import (
     BitonicSort,
@@ -35,7 +35,7 @@ from repro.gpu.config import DeviceConfig
 from repro.gpu.presets import get_preset
 from repro.harness.phases import Breakdown, probe_barrier_cost
 from repro.model.barrier_costs import MODELED_BARRIERS, barrier_cost
-from repro.parallel import Executor
+from repro.parallel import BatchStats, Executor
 from repro.serialization import (
     device_config_to_dict,
     dump_result,
@@ -122,33 +122,25 @@ def _totals(
     executor: Optional[Executor],
     payloads: List[Dict[str, Any]],
     resume: Optional[str] = None,
-) -> List[int]:
+) -> Tuple[List[int], Optional[BatchStats]]:
     """Run every cell through the (possibly parallel, cached) executor.
 
     With ``executor=None`` a throwaway inline executor runs the same
     worker functions serially in-process — the reference path parallel
     runs must reproduce bit-for-bit.  ``resume`` replays a journaled
     earlier invocation of the same batch (see
-    :meth:`repro.parallel.Executor.map`); the batch's provenance stays
-    readable on the executor's ``last_batch`` until the next call.
+    :meth:`repro.parallel.Executor.map`).  Returns the totals and the
+    batch's provenance.
     """
     ex = executor if executor is not None else Executor(jobs=1)
     totals = ex.map("run-total", payloads, resume=resume)
-    _totals_last_batch[0] = ex.last_batch
-    return totals
+    return totals, ex.last_batch
 
 
-#: provenance of the most recent :func:`_totals` batch; drivers stamp it
-#: onto their sweep right after the map call returns.
-_totals_last_batch: List[Any] = [None]
-
-
-def _stamp(sweep: "SweepResult") -> "SweepResult":
-    """Copy the last batch's partial-failure provenance onto a sweep."""
-    stats = _totals_last_batch[0]
+def _stamp(sweep: "SweepResult", stats: Optional[BatchStats]) -> "SweepResult":
+    """Copy a batch's provenance onto the sweep it produced."""
     if stats is not None:
         sweep.retries = stats.retries
-        sweep.quarantined = list(stats.quarantined)
         sweep.resumed_from = stats.resumed_from
     return sweep
 
@@ -164,11 +156,12 @@ class SweepResult:
     #: compute-only (null strategy) totals per block count.
     nulls: List[int] = field(default_factory=list)
     # -- partial-failure provenance (supervised executor batches) --
-    #: process-level re-executions the supervisor forced (timeouts,
-    #: worker deaths) while producing these totals.
+    #: process-level re-executions the supervisor forced (worker
+    #: deaths) while producing these totals.
     retries: int = 0
-    #: payload indices quarantined as poison (empty on a clean sweep;
-    #: only possible under ``on_poison="mark"`` executors).
+    #: payload indices quarantined as poison.  Always empty on a
+    #: finished sweep (a poison payload makes the executor raise);
+    #: kept so the sweep envelope's keys stay unchanged.
     quarantined: List[int] = field(default_factory=list)
     #: run-id this sweep was resumed from, if any.  In-memory only:
     #: excluded from serialization and equality so a resumed sweep stays
@@ -274,7 +267,7 @@ def table1(
         spec = _algorithm_spec(name)
         payloads.append(_cell(spec, "null", num_blocks, device))
         payloads.append(_cell(spec, "cpu-implicit", num_blocks, device))
-    totals = _totals(executor, payloads, resume)
+    totals, _ = _totals(executor, payloads, resume)
     out: Dict[str, Breakdown] = {}
     for i, name in enumerate(algorithms):
         null, total = totals[2 * i], totals[2 * i + 1]
@@ -314,13 +307,13 @@ def fig11(
     payloads = [_cell(spec, "null", n, device) for n in xs]
     for strat in strategies:
         payloads.extend(_cell(spec, strat, n, device) for n in xs)
-    totals = _totals(executor, payloads, resume)
+    totals, stats = _totals(executor, payloads, resume)
     sweep = SweepResult(algorithm="micro", blocks=xs)
     sweep.nulls = totals[: len(xs)]
     for j, strat in enumerate(strategies):
         start = len(xs) * (j + 1)
         sweep.totals[strat] = totals[start : start + len(xs)]
-    return _stamp(sweep)
+    return _stamp(sweep, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +343,13 @@ def algorithm_sweep(
     payloads = [_cell(spec, "null", n, device) for n in xs]
     for strat in strategies:
         payloads.extend(_cell(spec, strat, n, device) for n in xs)
-    totals = _totals(executor, payloads, resume)
+    totals, stats = _totals(executor, payloads, resume)
     sweep = SweepResult(algorithm=algorithm_name, blocks=xs)
     sweep.nulls = totals[: len(xs)]
     for j, strat in enumerate(strategies):
         start = len(xs) * (j + 1)
         sweep.totals[strat] = totals[start : start + len(xs)]
-    return _stamp(sweep)
+    return _stamp(sweep, stats)
 
 
 def fig13(
@@ -414,7 +407,7 @@ def fig15(
         payloads.extend(
             _cell(spec, strat, num_blocks, device) for strat in strategies
         )
-    totals = _totals(executor, payloads, resume)
+    totals, _ = _totals(executor, payloads, resume)
     stride = 1 + len(strategies)
     out: Dict[str, Dict[str, Breakdown]] = {}
     for i, name in enumerate(algorithms):
@@ -467,7 +460,7 @@ def headline(
         spec = _algorithm_spec(name)
         payloads.append(_cell(spec, "cpu-implicit", num_blocks, device))
         payloads.append(_cell(spec, "gpu-lockfree", num_blocks, device))
-    totals = _totals(executor, payloads, resume)
+    totals, _ = _totals(executor, payloads, resume)
     null = totals[0]
     sync = {
         strat: totals[1 + i] - null for i, strat in enumerate(micro_strats)

@@ -32,8 +32,8 @@ in a :class:`~repro.errors.RetryExhaustedError`.
 
 This module recovers *simulated* failures — faults injected into the
 virtual device.  Its process-level sibling is the supervised executor
-(:mod:`repro.parallel.executor`): real worker-process deaths, hung
-tasks and Ctrl-C are retried, quarantined or journaled for resume
+(:mod:`repro.parallel.executor`): real worker-process deaths and
+Ctrl-C are retried, journaled as poison or journaled for resume
 there, with the same retry-then-contain philosophy
 (docs/resilience.md).
 """

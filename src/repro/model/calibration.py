@@ -55,6 +55,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.algorithms.base import require_int
+from repro.errors import ConfigError
+
 __all__ = [
     "CalibratedTimings",
     "default_timings",
@@ -134,8 +137,11 @@ class CalibratedTimings:
 
     def __post_init__(self) -> None:
         for name, value in self.__dict__.items():
+            require_int(f"timing {name}", value)
             if value < 0:
-                raise ValueError(f"timing {name} must be non-negative, got {value}")
+                raise ConfigError(
+                    f"timing {name} must be non-negative, got {value}"
+                )
 
     @property
     def cpu_implicit_barrier_ns(self) -> int:

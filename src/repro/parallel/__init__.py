@@ -5,15 +5,14 @@ three kernels × four barriers × block counts — and each cell is an
 *independent, seeded* simulation.  This package exploits that:
 
 * :class:`Executor` shards independent runs across
-  ``ProcessPoolExecutor`` workers with bounded in-flight work, a
-  per-task timeout *and retry budget*, and a progress callback.
-  Results come back in submission order, so a parallel sweep is
-  **bit-identical** to the serial one.
-* A **supervisor** keeps one bad task from costing the batch: timed-out
-  and crashed tasks are retried, a broken pool is rebuilt, and a
-  payload that repeatedly kills its worker is quarantined as a typed
-  ``poison`` :class:`~repro.errors.ExecutorError` while every sibling
-  completes.
+  ``ProcessPoolExecutor`` workers with bounded in-flight work and a
+  progress callback.  Results come back in submission order, so a
+  parallel sweep is **bit-identical** to the serial one.
+* A **supervisor** keeps one bad task from costing the batch: a worker
+  death rebuilds the pool and re-runs the in-flight tasks one at a
+  time, and a payload that kills its worker twice alone is journaled as
+  poison and raised as a typed ``poison``
+  :class:`~repro.errors.ExecutorError` once every sibling completes.
 * :class:`RunJournal` write-ahead-journals every completion under a
   deterministic run-id (:func:`run_id_for`); SIGINT/SIGTERM drain
   in-flight tasks, flush the journal and raise
@@ -34,7 +33,7 @@ CLI exposes the same via ``--jobs N``, ``--cache``, ``--journal`` and
 ``--resume``.
 
 See docs/parallel.md for determinism guarantees and docs/resilience.md
-for the journal/resume/quarantine semantics.
+for the journal/resume/poison semantics.
 """
 
 from repro.errors import ExecutorError, InterruptedSweepError, JournalError
@@ -45,7 +44,7 @@ from repro.parallel.cache import (
     ResultCache,
     cache_key,
 )
-from repro.parallel.executor import BatchStats, Executor, Quarantined
+from repro.parallel.executor import BatchStats, Executor
 from repro.parallel.journal import (
     DEFAULT_JOURNAL_DIR,
     JOURNAL_SCHEMA_VERSION,
@@ -66,7 +65,6 @@ __all__ = [
     "JOURNAL_SCHEMA_VERSION",
     "JournalEntry",
     "JournalError",
-    "Quarantined",
     "ResultCache",
     "RunJournal",
     "cache_key",

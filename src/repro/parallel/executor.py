@@ -9,46 +9,42 @@ loops:
   are returned in submission order, so the output is bit-identical to a
   serial run regardless of worker count, completion order, retries, or
   how many times the batch was interrupted and resumed.
-* **Bounded in-flight work** — at most ``max_inflight`` tasks are
-  submitted at once (default ``4 × jobs``), so a million-cell sweep
-  never materializes a million pickled futures.
-* **Typed failure** — worker errors, exhausted per-task timeouts,
-  quarantined poison payloads, and signal interruptions surface as
-  :class:`~repro.errors.ExecutorError` /
+* **Bounded in-flight work** — at most ``4 × jobs`` tasks are submitted
+  at once, so a million-cell sweep never materializes a million pickled
+  futures.
+* **Typed failure** — worker errors, poison payloads, and signal
+  interruptions surface as :class:`~repro.errors.ExecutorError` /
   :class:`~repro.errors.InterruptedSweepError`, never a bare pool
   traceback.
 
-On top of the PR-3 fan-out sits a **supervisor** (this module) and a
-**write-ahead journal** (:mod:`repro.parallel.journal`):
+A simulated stall never hangs a worker: it ends in the engine's drain
+check (:class:`~repro.errors.DeadlockError`) or its ``max_events``
+limit, and the worker reports it as a typed ``kind="worker"`` failure.
+What remains is a worker *process* dying, and one policy handles it:
 
-* a task that exceeds ``timeout_s`` is retried under a per-task budget
-  (``retries``); only when the budget is spent does the batch fail —
-  and even then sibling in-flight tasks are drained and journaled
-  first, so one hung cell costs one cell, not the sweep;
-* a worker-process death (``BrokenProcessPool``) rebuilds the pool and
-  re-runs the in-flight suspects one at a time; a payload that kills
-  its worker ``poison_kills`` times (attributed kills, i.e. it was the
-  only task in flight) is quarantined as a typed ``poison`` failure
-  while every other task completes;
+* a ``BrokenProcessPool`` rebuilds the pool and re-runs the in-flight
+  suspects one at a time;
+* a payload that kills its worker twice while alone in flight is
+  journaled as ``poison``; every other task still completes, and only
+  then does the batch raise ``ExecutorError(kind="poison")``;
 * with a journal armed, SIGINT/SIGTERM drain in-flight tasks, flush
   the journal, and raise :class:`~repro.errors.InterruptedSweepError`
   carrying the run-id; ``map(..., resume=run_id)`` replays the journal
+  (a journaled poison included, which raises again rather than re-run)
   and executes only the remainder.
 
 ``jobs=1`` executes inline in-process (no pool, no pickling) through the
 exact same worker functions — the serial reference path every driver
-uses by default.  Inline runs support journaling and interruption but
-not per-task timeouts or poison quarantine (there is no worker process
-to outlive or kill).  The optional
-:class:`~repro.parallel.cache.ResultCache` short-circuits tasks whose
-content-addressed key is already stored.
+uses by default.  Inline runs support journaling and interruption; a
+worker that kills its process inline takes the caller with it.  The
+optional :class:`~repro.parallel.cache.ResultCache` short-circuits
+tasks whose content-addressed key is already stored.
 """
 
 from __future__ import annotations
 
 import signal as _signal
 import threading
-import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -76,29 +72,21 @@ from repro.parallel.journal import (
     run_id_for,
 )
 
-__all__ = ["BatchStats", "Executor", "Quarantined"]
+__all__ = ["BatchStats", "Executor"]
 
 #: a progress callback: ``progress(done, total, cached)`` after every
 #: task that completes (``cached=True`` when served from the cache or
 #: replayed from a journal).
 ProgressFn = Callable[[int, int, bool], None]
 
-#: how often (s) the supervisor wakes to notice signals and deadlines.
+#: how often (s) the supervisor wakes to notice signals.
 _SUPERVISE_TICK_S = 0.25
 
+#: submission window: tasks in flight at once, per worker process.
+_INFLIGHT_PER_JOB = 4
 
-@dataclass(frozen=True)
-class Quarantined:
-    """Placeholder for a poison payload's missing result.
-
-    Appears in :meth:`Executor.map` results only under
-    ``on_poison="mark"``; the default ``"raise"`` policy surfaces a
-    typed :class:`~repro.errors.ExecutorError` (``kind="poison"``)
-    after the rest of the batch has completed.
-    """
-
-    index: int
-    error: str
+#: attributed worker-process kills before a payload is poison.
+_POISON_KILLS = 2
 
 
 @dataclass
@@ -108,8 +96,8 @@ class BatchStats:
     Exposed as :attr:`Executor.last_batch` so drivers can stamp sweep
     and campaign reports with partial-failure provenance: how many
     re-executions the supervisor forced (``retries``), which payload
-    indices were quarantined as poison (``quarantined``), and the
-    run-id the batch was resumed from, if any (``resumed_from``).
+    indices were journaled as poison (``quarantined``), and the run-id
+    the batch was resumed from, if any (``resumed_from``).
     """
 
     run_id: str
@@ -117,10 +105,10 @@ class BatchStats:
     total: int
     #: results replayed from the journal instead of executed.
     replayed: int = 0
-    #: task re-executions forced by timeouts or worker deaths (the
-    #: culpable task and any collateral in-flight siblings).
+    #: task re-executions forced by worker deaths (the culpable task
+    #: and any collateral in-flight siblings).
     retries: int = 0
-    #: payload indices quarantined as poison.
+    #: payload indices journaled as poison.
     quarantined: List[int] = field(default_factory=list)
     #: run-id the batch resumed from (always equals ``run_id``).
     resumed_from: Optional[str] = None
@@ -128,11 +116,11 @@ class BatchStats:
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down without joining possibly-hung workers.
+    """Tear a pool down without joining its workers.
 
     ``cancel_futures`` drops queued tasks; live worker processes are
-    then terminated so a hung task cannot outlive the batch as an
-    orphan (the stdlib offers no public kill-one-task API).
+    then terminated so no task outlives the batch as an orphan (the
+    stdlib offers no public kill-one-task API).
     """
     pool.shutdown(wait=False, cancel_futures=True)
     processes = getattr(pool, "_processes", None) or {}
@@ -153,19 +141,6 @@ class Executor:
     cache:
         Optional :class:`~repro.parallel.ResultCache`; tasks whose key
         is stored are served without running, fresh results are stored.
-    timeout_s:
-        Per-task wall-clock deadline.  An expired task is re-run under
-        the per-task ``retries`` budget; once the budget is spent the
-        batch drains its in-flight siblings (journaling them) and
-        raises :class:`~repro.errors.ExecutorError`
-        (``kind="timeout"``) naming the payload index.  ``None``
-        (default) waits forever.
-    retries:
-        Per-task re-execution budget for timed-out or crashed tasks
-        (default 1: each task may be re-run once before its failure
-        becomes fatal / quarantining).
-    max_inflight:
-        Cap on concurrently submitted tasks (default ``4 × jobs``).
     progress:
         ``progress(done, total, cached)`` callback, invoked in the
         calling process after every completed task.
@@ -177,15 +152,6 @@ class Executor:
         ``journal_dir/<run-id>/journal.jsonl`` and SIGINT/SIGTERM
         raise a resumable
         :class:`~repro.errors.InterruptedSweepError`.
-    poison_kills:
-        Attributed worker-process kills before a payload is
-        quarantined as poison (default 2).
-    on_poison:
-        ``"raise"`` (default): after every other task completes, raise
-        a typed :class:`~repro.errors.ExecutorError`
-        (``kind="poison"``).  ``"mark"``: return a
-        :class:`Quarantined` placeholder at the poisoned index so
-        campaign drivers can report partial failure.
     """
 
     def __init__(
@@ -193,39 +159,15 @@ class Executor:
         jobs: int = 1,
         *,
         cache: Optional[ResultCache] = None,
-        timeout_s: Optional[float] = None,
-        retries: int = 1,
-        max_inflight: Optional[int] = None,
         progress: Optional[ProgressFn] = None,
         journal_dir: Optional[Union[str, Path]] = None,
-        poison_kills: int = 2,
-        on_poison: str = "raise",
     ):
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
-        if timeout_s is not None and timeout_s <= 0:
-            raise ConfigError(f"timeout_s must be positive, got {timeout_s}")
-        if retries < 0:
-            raise ConfigError(f"retries must be >= 0, got {retries}")
-        if max_inflight is not None and max_inflight < 1:
-            raise ConfigError(
-                f"max_inflight must be >= 1, got {max_inflight}"
-            )
-        if poison_kills < 1:
-            raise ConfigError(f"poison_kills must be >= 1, got {poison_kills}")
-        if on_poison not in ("raise", "mark"):
-            raise ConfigError(
-                f"on_poison must be 'raise' or 'mark', got {on_poison!r}"
-            )
         self.jobs = jobs
         self.cache = cache
-        self.timeout_s = timeout_s
-        self.retries = retries
-        self.max_inflight = max_inflight or 4 * jobs
         self.progress = progress
         self.journal_dir = Path(journal_dir) if journal_dir is not None else None
-        self.poison_kills = poison_kills
-        self.on_poison = on_poison
         #: tasks actually executed (cache misses) across this instance.
         self.tasks_run = 0
         #: tasks served from the cache across this instance.
@@ -331,7 +273,7 @@ class Executor:
             if journal is not None:
                 journal.close()
 
-        if stats.quarantined and self.on_poison == "raise":
+        if stats.quarantined:
             hint = (
                 f"; journal: {stats.journal_path}" if journal is not None else ""
             )
@@ -377,15 +319,10 @@ class _Supervisor:
         self.interrupt: Optional[str] = None
         self.interrupt_again = False
         self.signals_armed = False
-        self.timeout_retries: Dict[int, int] = {}
+        #: index -> attributed worker-process kills.
         self.kills: Dict[int, int] = {}
-        #: index -> (cache key, payload), filled by run_pool.
-        self._tasks: Dict[int, Tuple[Optional[str], Dict[str, Any]]] = {}
 
     # -- bookkeeping --------------------------------------------------------
-
-    def _attempts_of(self, index: int) -> int:
-        return self.timeout_retries.get(index, 0) + self.kills.get(index, 0)
 
     def complete(
         self, index: int, key: Optional[str], value: Any, *, cached: bool = False
@@ -400,23 +337,21 @@ class _Supervisor:
                 self.ex.cache.put(key, value)
         if self.journal is not None:
             self.journal.record(
-                JournalEntry(
-                    index, "ok", value, retries=self._attempts_of(index)
-                )
+                JournalEntry(index, "ok", value, retries=self.kills.get(index, 0))
             )
         self.done += 1
         if self.ex.progress is not None:
             self.ex.progress(self.done, self.total, cached)
 
     def replay(self, entry: JournalEntry) -> None:
-        """Place one journaled completion without executing anything."""
+        """Place one journaled completion without executing anything.
+
+        A journaled poison is not re-run: it leaves its slot empty and
+        makes the batch raise again once every other task is placed.
+        """
         if entry.status == "ok":
             self.results[entry.index] = entry.value
         else:
-            error = entry.error or "quarantined as poison"
-            self.results[entry.index] = Quarantined(
-                index=entry.index, error=error
-            )
             self.stats.quarantined.append(entry.index)
         self.stats.retries += entry.retries
         self.stats.replayed += 1
@@ -424,9 +359,9 @@ class _Supervisor:
         if self.ex.progress is not None:
             self.ex.progress(self.done, self.total, True)
 
-    def quarantine(self, index: int, error: str) -> None:
-        """Mark a poison payload resolved-without-result and journal it."""
-        self.results[index] = Quarantined(index=index, error=error)
+    def quarantine(self, index: int) -> None:
+        """Resolve a poison payload without a result and journal it."""
+        kills = self.kills[index]
         self.stats.quarantined.append(index)
         if self.journal is not None:
             self.journal.record(
@@ -434,8 +369,11 @@ class _Supervisor:
                     index,
                     "poison",
                     None,
-                    error=error,
-                    retries=self._attempts_of(index),
+                    error=(
+                        f"payload {index} killed its worker process "
+                        f"{kills} time(s); quarantined as poison"
+                    ),
+                    retries=kills,
                 )
             )
         self.done += 1
@@ -455,6 +393,15 @@ class _Supervisor:
             total=self.total,
             signal_name=self.interrupt or "signal",
             journal_path=self.stats.journal_path,
+        )
+
+    def _worker_failed(self, index: int, exc: Exception) -> ExecutorError:
+        return ExecutorError(
+            f"worker {self.worker!r} task {index} failed: "
+            f"{type(exc).__name__}: {exc}",
+            worker=self.worker,
+            task_index=index,
+            kind="worker",
         )
 
     # -- signal supervision -------------------------------------------------
@@ -513,13 +460,7 @@ class _Supervisor:
                 raise
             except Exception as exc:
                 self._flush_journal()
-                raise ExecutorError(
-                    f"worker {self.worker!r} task {index} failed: "
-                    f"{type(exc).__name__}: {exc}",
-                    worker=self.worker,
-                    task_index=index,
-                    kind="worker",
-                ) from exc
+                raise self._worker_failed(index, exc) from exc
             self.complete(index, key, value)
         if self.interrupt is not None:
             # Signal during the last task's completion callback: the
@@ -537,11 +478,11 @@ class _Supervisor:
         tasks: Dict[int, Tuple[Optional[str], Dict[str, Any]]] = {
             index: (key, payload) for index, key, payload in pending
         }
-        self._tasks = tasks
         queue: deque = deque(index for index, _, _ in pending)
         isolation: deque = deque()
-        #: future -> (index, deadline)
-        inflight: Dict[Any, Tuple[int, Optional[float]]] = {}
+        #: future -> payload index
+        inflight: Dict[Any, int] = {}
+        window = _INFLIGHT_PER_JOB * self.ex.jobs
         pool = ProcessPoolExecutor(max_workers=self.ex.jobs)
 
         def rebuild() -> None:
@@ -558,17 +499,10 @@ class _Supervisor:
                 ) from exc
 
         def submit(index: int) -> None:
-            key, payload = tasks[index]
-            future = pool.submit(dispatch, self.worker, dict(payload))
-            deadline = (
-                time.monotonic() + self.ex.timeout_s
-                if self.ex.timeout_s is not None
-                else None
-            )
-            inflight[future] = (index, deadline)
+            _, payload = tasks[index]
+            inflight[pool.submit(dispatch, self.worker, dict(payload))] = index
 
         def harvest(future: Any, index: int) -> None:
-            key, _ = tasks[index]
             try:
                 value = future.result()
             except ExecutorError:
@@ -580,119 +514,60 @@ class _Supervisor:
             except Exception as exc:
                 self._flush_journal()
                 _terminate_pool(pool)
-                raise ExecutorError(
-                    f"worker {self.worker!r} task {index} failed: "
-                    f"{type(exc).__name__}: {exc}",
-                    worker=self.worker,
-                    task_index=index,
-                    kind="worker",
-                ) from exc
-            self.complete(index, key, value)
+                raise self._worker_failed(index, exc) from exc
+            self.complete(index, tasks[index][0], value)
+
+        def salvage(future: Any, index: int) -> bool:
+            """Complete a future that finished; False when it did not."""
+            if not future.done():
+                return False
+            try:
+                value = future.result()
+            except Exception:
+                return False
+            self.complete(index, tasks[index][0], value)
+            return True
 
         def pool_broke() -> None:
             """Salvage finished futures, suspect the rest, rebuild."""
-            suspects: List[int] = []
-            for future, (index, _) in list(inflight.items()):
-                salvaged = False
-                if future.done():
-                    try:
-                        value = future.result()
-                    except Exception:
-                        pass
-                    else:
-                        key, _payload = tasks[index]
-                        self.complete(index, key, value)
-                        salvaged = True
-                if not salvaged:
-                    suspects.append(index)
+            suspects = sorted(
+                index
+                for future, index in inflight.items()
+                if not salvage(future, index)
+            )
             inflight.clear()
             rebuild()
-            suspects.sort()
             if len(suspects) == 1:
                 # Alone in flight: the kill is attributed.
                 index = suspects[0]
                 self.kills[index] = self.kills.get(index, 0) + 1
-                if self.kills[index] >= self.ex.poison_kills:
-                    self.quarantine(
-                        index,
-                        f"payload {index} killed its worker process "
-                        f"{self.kills[index]} time(s); quarantined as "
-                        "poison",
-                    )
+                if self.kills[index] >= _POISON_KILLS:
+                    self.quarantine(index)
                     return
             for index in suspects:
                 self.stats.retries += 1
                 isolation.append(index)
 
-        def check_deadlines() -> None:
-            now = time.monotonic()
-            expired = [
-                (future, index)
-                for future, (index, deadline) in inflight.items()
-                if deadline is not None
-                and deadline <= now
-                and not future.done()
-            ]
-            if not expired:
-                return
-            over_budget = sorted(
-                index
-                for _, index in expired
-                if self.timeout_retries.get(index, 0) >= self.ex.retries
-            )
-            if over_budget:
-                index = over_budget[0]
-                attempts = self.timeout_retries.get(index, 0) + 1
-                for future, _ in expired:
-                    inflight.pop(future, None)
-                self.drain(inflight)
-                self._flush_journal()
-                _terminate_pool(pool)
-                hint = (
-                    f"; completed siblings were journaled to "
-                    f"{self.stats.journal_path} — resume with "
-                    f"run-id {self.stats.run_id}"
-                    if self.journal is not None
-                    else ""
-                )
-                raise ExecutorError(
-                    f"worker {self.worker!r} task {index} exceeded the "
-                    f"{self.ex.timeout_s} s per-task deadline on all "
-                    f"{attempts} attempt(s); sibling in-flight tasks "
-                    f"were drained first, so only this payload is lost"
-                    f"{hint}",
-                    worker=self.worker,
-                    task_index=index,
-                    kind="timeout",
-                )
-            # Within budget: the hung worker is killed with the pool;
-            # expired tasks are charged a retry, collateral in-flight
-            # siblings are requeued without charge against their own
-            # timeout budget (but counted in the batch's retry tally).
-            expired_indices = {index for _, index in expired}
-            for future, (index, _) in list(inflight.items()):
-                if future.done():
-                    try:
-                        value = future.result()
-                    except Exception:
-                        expired_indices.add(index)
-                    else:
-                        key, _payload = tasks[index]
-                        self.complete(index, key, value)
-                        continue
-                if index in expired_indices:
-                    self.timeout_retries[index] = (
-                        self.timeout_retries.get(index, 0) + 1
-                    )
-                self.stats.retries += 1
-                queue.appendleft(index)
-            inflight.clear()
-            rebuild()
+        def drain() -> None:
+            """Let in-flight siblings finish and journal their results.
+
+            Runs before an interrupt surfaces, so already-spent work
+            reaches the journal instead of evaporating.  A second
+            interrupt abandons everything still running.
+            """
+            while inflight and not self.interrupt_again:
+                for future, index in list(inflight.items()):
+                    if future.done():
+                        del inflight[future]
+                        salvage(future, index)  # a failure is lost here
+                if inflight:
+                    wait(set(inflight), timeout=_SUPERVISE_TICK_S,
+                         return_when=FIRST_COMPLETED)
 
         try:
             while queue or isolation or inflight:
                 if self.interrupt is not None:
-                    self.drain(inflight)
+                    drain()
                     _terminate_pool(pool)
                     self._raise_interrupted()
 
@@ -707,7 +582,7 @@ class _Supervisor:
                             continue
                 elif queue:
                     try:
-                        while queue and len(inflight) < self.ex.max_inflight:
+                        while queue and len(inflight) < window:
                             submit(queue.popleft())
                     except BrokenProcessPool:
                         pool_broke()
@@ -716,33 +591,19 @@ class _Supervisor:
                 if not inflight:
                     continue
 
-                wait_s: Optional[float] = (
-                    _SUPERVISE_TICK_S if self.signals_armed else None
-                )
-                if self.ex.timeout_s is not None:
-                    now = time.monotonic()
-                    nearest = min(
-                        deadline
-                        for _, deadline in inflight.values()
-                        if deadline is not None
-                    )
-                    until = max(0.0, nearest - now)
-                    wait_s = until if wait_s is None else min(wait_s, until)
                 completed, _ = wait(
-                    set(inflight), timeout=wait_s, return_when=FIRST_COMPLETED
+                    set(inflight),
+                    timeout=_SUPERVISE_TICK_S if self.signals_armed else None,
+                    return_when=FIRST_COMPLETED,
                 )
-
-                if not completed:
-                    check_deadlines()
-                    continue
 
                 broke = False
                 for future in completed:
-                    index, deadline = inflight.pop(future)
+                    index = inflight.pop(future)
                     try:
                         harvest(future, index)
                     except BrokenProcessPool:
-                        inflight[future] = (index, deadline)
+                        inflight[future] = index
                         broke = True
                 if broke:
                     pool_broke()
@@ -758,31 +619,3 @@ class _Supervisor:
                 # journaled; the interrupt must still surface, or a
                 # trapped SIGINT/SIGTERM would be silently swallowed.
                 self._raise_interrupted()
-
-    def drain(self, inflight: Dict[Any, Tuple[int, Optional[float]]]) -> None:
-        """Let in-flight siblings finish and journal their results.
-
-        Runs before a timeout failure or an interrupt surfaces, so
-        already-spent work reaches the journal instead of evaporating.
-        Tasks past their own deadline are abandoned; a second interrupt
-        abandons everything still running.
-        """
-        while inflight:
-            if self.interrupt_again:
-                break
-            now = time.monotonic()
-            for future, (index, deadline) in list(inflight.items()):
-                if future.done():
-                    del inflight[future]
-                    try:
-                        value = future.result()
-                    except Exception:
-                        continue  # lost to the failure being surfaced
-                    key = self._tasks.get(index, (None, None))[0]
-                    self.complete(index, key, value)
-                elif deadline is not None and deadline <= now:
-                    del inflight[future]  # hung past its own deadline
-            if not inflight:
-                break
-            wait(set(inflight), timeout=_SUPERVISE_TICK_S,
-                 return_when=FIRST_COMPLETED)

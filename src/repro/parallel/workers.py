@@ -18,10 +18,10 @@ Registry:
 * ``sanitize-schedule`` — one fuzzed sanitizer schedule; returns its
   findings and event counts as a dict.
 * ``sleep`` — diagnostic/self-test worker: sleeps then echoes a value
-  (used by the executor's own timeout and cache tests).
+  (used by the executor's own cache, ordering and interruption tests).
 * ``fragile`` — diagnostic worker that kills its own process on demand
-  (used by the supervisor's crash-recovery and poison-quarantine tests;
-  pool mode only — inline it would kill the calling process).
+  (used by the supervisor's crash-recovery and poison tests; pool mode
+  only — inline it would kill the calling process).
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ def _sanitize_schedule(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 @worker("sleep")
 def _sleep(payload: Dict[str, Any]) -> Any:
-    """Sleep ``seconds`` then echo ``value`` (timeout/cache self-tests)."""
+    """Sleep ``seconds`` then echo ``value`` (cache/order self-tests)."""
     time.sleep(payload.get("seconds", 0.0))
     return payload.get("value")
 

@@ -72,8 +72,9 @@ class SanitizeReport:
     # -- partial-failure provenance (supervised executor campaigns) --
     #: process-level re-executions the parallel supervisor forced.
     retries: int = 0
-    #: schedule indices whose payload was quarantined as poison
-    #: (surfaced as ``simulation-error`` findings).
+    #: schedule indices quarantined as poison.  Always empty on a
+    #: finished campaign (a poison payload makes the executor raise);
+    #: kept so the report envelope's keys stay unchanged.
     quarantined: List[int] = field(default_factory=list)
     #: run-id this campaign was resumed from, if any.  In-memory only:
     #: excluded from serialization and equality so a resumed campaign

@@ -216,12 +216,8 @@ def sanitize_run(
     custom algorithm instance or strategy instance keeps the run serial.
 
     ``resume`` replays a journaled earlier invocation of the same
-    parallel campaign (docs/resilience.md).  Under an
-    ``on_poison="mark"`` executor, a schedule whose payload repeatedly
-    killed its worker surfaces as a ``simulation-error`` finding (the
-    schedule was quarantined, not silently skipped); the report's
-    ``retries``/``quarantined``/``resumed_from`` fields carry the
-    batch's partial-failure provenance.
+    parallel campaign (docs/resilience.md); the report's ``retries``
+    and ``resumed_from`` fields carry the batch's provenance.
 
     Never raises for bugs it detects — deadlocks, divergence, races and
     verification failures all come back as findings in the report.
@@ -266,30 +262,13 @@ def sanitize_run(
             "jitter_pct": jitter_pct,
             "verify": verify,
         }
-        from repro.parallel import Quarantined
-
-        schedule_seeds = list(derive_seeds(seed, schedules))
         results = executor.map(
             "sanitize-schedule",
             seed_payloads(seed, schedules, base),
             resume=resume,
         )
-        for i, sched in enumerate(results):
+        for sched in results:
             before = sum(report.occurrences.values())
-            if isinstance(sched, Quarantined):
-                # The schedule's worker died repeatedly; report it as a
-                # finding rather than silently dropping the schedule.
-                report.add(
-                    Finding(
-                        kind="simulation-error",
-                        message=f"schedule quarantined: {sched.error}",
-                        seed=schedule_seeds[i],
-                    )
-                )
-                report.schedules_flagged += 1
-                if fail_fast:
-                    break
-                continue
             report.schedules_run += 1
             report.barrier_events += sched["barrier_events"]
             report.access_events += sched["access_events"]
@@ -309,7 +288,6 @@ def sanitize_run(
         stats = executor.last_batch
         if stats is not None:
             report.retries = stats.retries
-            report.quarantined = list(stats.quarantined)
             report.resumed_from = stats.resumed_from
         return report
 

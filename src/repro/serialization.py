@@ -278,5 +278,5 @@ def device_config_from_dict(payload: Dict[str, Any]) -> DeviceConfig:
             if nested is not None:
                 body[name] = cls(**nested)
         return DeviceConfig(**body)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(f"bad device config: {exc}") from exc

@@ -78,10 +78,6 @@ class StrategyClass:
     #: method name → function node (generator or not).
     methods: Dict[str, FunctionNode] = field(default_factory=dict)
 
-    @property
-    def line_span(self) -> Tuple[int, int]:
-        return (self.node.lineno, self.node.end_lineno or self.node.lineno)
-
 
 @dataclass
 class KernelUnit:

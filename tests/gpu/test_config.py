@@ -75,6 +75,11 @@ def test_config_validation():
     ("max_blocks_per_sm", [8]),
     ("pcie_gbps", "8"),
     ("global_bandwidth_gbps", False),
+    ("pcie_gbps", float("nan")),
+    ("global_bandwidth_gbps", float("inf")),
+    ("timings", 5),
+    ("topology", "cluster"),
+    ("name", None),
 ])
 def test_non_numeric_field_is_a_config_error(field, value):
     with pytest.raises(ConfigError, match=field):

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.model.calibration import (
     ATOMIC_NS,
     CalibratedTimings,
@@ -60,8 +61,14 @@ def test_timings_are_immutable():
 
 
 def test_negative_timing_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         CalibratedTimings(atomic_ns=-1)
+
+
+@pytest.mark.parametrize("value", ["x", 1.5, float("nan"), True, None])
+def test_non_int_timing_rejected(value):
+    with pytest.raises(ConfigError, match="timing atomic_ns"):
+        CalibratedTimings(atomic_ns=value)
 
 
 def test_replace_derives_variants():

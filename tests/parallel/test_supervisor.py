@@ -1,4 +1,4 @@
-"""Tests for the supervising executor: journal, resume, retry, quarantine.
+"""Tests for the supervising executor: journal, resume, retry, poison.
 
 The ``fragile`` and ``sleep`` diagnostic workers stand in for real
 simulations so every failure mode is deterministic and fast; the final
@@ -14,7 +14,7 @@ import pytest
 
 from repro.errors import ExecutorError, InterruptedSweepError
 from repro.harness.experiments import fig11
-from repro.parallel import Executor, Quarantined, ResultCache, run_id_for
+from repro.parallel import Executor, ResultCache, run_id_for
 
 SLEEPERS = [{"value": v, "seconds": 0.0} for v in range(6)]
 
@@ -147,7 +147,7 @@ def test_unjournaled_run_leaves_signals_alone(tmp_path):
         ex.map("sleep", SLEEPERS)
 
 
-# -- crash recovery and poison quarantine ------------------------------------
+# -- crash recovery and poison payloads --------------------------------------
 
 
 def test_transient_worker_death_is_retried(tmp_path):
@@ -172,63 +172,17 @@ def test_poison_payload_raises_after_siblings_complete(tmp_path):
     stats = ex.last_batch
     assert stats.quarantined == [1]
 
-    # Every sibling reached the journal before the poison surfaced.
-    resumed = Executor(jobs=2, journal_dir=tmp_path, on_poison="mark")
-    results = resumed.map("fragile", payloads, resume=stats.run_id)
-    assert results[0] == 0 and results[2] == 2 and results[3] == 3
-    assert isinstance(results[1], Quarantined)
-    assert resumed.last_batch.replayed == 4  # poison included: no re-dying
+    # Every sibling reached the journal before the poison surfaced; a
+    # resume replays all four entries, the poison included, and raises
+    # the same typed error without re-running (or re-dying on) anything.
+    resumed = Executor(jobs=2, journal_dir=tmp_path)
+    with pytest.raises(ExecutorError, match="quarantined as") as again:
+        resumed.map("fragile", payloads, resume=stats.run_id)
+    assert again.value.kind == "poison"
+    assert str(again.value) == str(exc)
+    assert resumed.last_batch.quarantined == [1]
+    assert resumed.last_batch.replayed == 4
     assert resumed.tasks_run == 0
-
-
-def test_poison_mark_returns_placeholder():
-    payloads = [{"value": 0}, {"die": True}, {"value": 2}]
-    ex = Executor(jobs=2, on_poison="mark")
-    results = ex.map("fragile", payloads)
-    assert results[0] == 0 and results[2] == 2
-    assert results[1] == Quarantined(index=1, error=results[1].error)
-    assert "poison" in results[1].error
-    assert ex.last_batch.quarantined == [1]
-
-
-def test_poison_threshold_respects_poison_kills():
-    # With poison_kills=1 a single attributed death quarantines.
-    ex = Executor(jobs=2, on_poison="mark", poison_kills=1)
-    results = ex.map("fragile", [{"die": True}, {"value": 1}])
-    assert isinstance(results[0], Quarantined)
-    assert results[1] == 1
-
-
-# -- timeouts ----------------------------------------------------------------
-
-
-def test_timeout_is_retried_then_typed(tmp_path):
-    payloads = [
-        {"value": 0, "seconds": 0.0},
-        {"value": 1, "seconds": 60.0},  # hangs far past the deadline
-        {"value": 2, "seconds": 0.0},
-    ]
-    ex = Executor(jobs=2, timeout_s=0.3, retries=1, journal_dir=tmp_path)
-    with pytest.raises(ExecutorError, match="exceeded") as info:
-        ex.map("sleep", payloads)
-    exc = info.value
-    assert exc.kind == "timeout"
-    assert exc.task_index == 1
-    assert "2 attempt(s)" in str(exc)
-    assert "journaled" in str(exc)
-
-    # The quick siblings were drained into the journal; resuming with a
-    # sane deadline replays them and re-runs only the hung cell.
-    fixed = [dict(p, seconds=0.0) for p in payloads]
-    assert Executor(jobs=2, journal_dir=tmp_path).map("sleep", fixed) == [0, 1, 2]
-
-
-def test_timeout_zero_retries_fails_on_first_expiry():
-    ex = Executor(jobs=2, timeout_s=0.2, retries=0)
-    with pytest.raises(ExecutorError) as info:
-        ex.map("sleep", [{"value": 0, "seconds": 60.0}])
-    assert info.value.kind == "timeout"
-    assert "1 attempt(s)" in str(info.value)
 
 
 # -- real-sweep equality contract --------------------------------------------
