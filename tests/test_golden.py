@@ -90,6 +90,8 @@ RACY_SWAT = {
     "null-jitter30-fuzz11": ("null", 30.0, 11),
     "broken-simple-undercount-jitter30-fuzz11": (
         "broken-simple-undercount", 30.0, 11),
+    "broken-simple-undercount-jitter60-fuzz11": (
+        "broken-simple-undercount", 60.0, 11),
 }
 
 
