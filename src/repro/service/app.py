@@ -211,7 +211,10 @@ class ServiceApp:
             )
         try:
             spec = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad UTF-8, bad JSON and an integer
+            # literal past Python's digit limit; RecursionError, nesting
+            # deeper than the decoder's stack.
             return 400, {}, _error_body(
                 ServiceError(f"request body is not valid JSON: {exc}",
                              kind="spec")
