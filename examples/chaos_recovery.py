@@ -13,8 +13,8 @@ walks the resilient runtime's full escalation ladder:
    again, and the runner raises ``BarrierTimeoutError`` at the time of
    the stall, naming the injected hang (instead of the terminal
    ``DeadlockError`` a run without a fault plan dies of);
-3. ``repro.run(..., retry=..., degrade=...)`` — the same entry point
-   with a recovery policy — retries with virtual-time backoff; the hang
+3. ``repro.run(..., recover=True)`` — the same entry point with the
+   recovery policy on — retries with virtual-time backoff; the hang
    re-fires every attempt, so it then *degrades*: it swaps the device
    barrier for the host-side ``cpu-implicit`` barrier, which a hung
    barrier round structurally cannot deadlock (the kernel boundary
@@ -25,7 +25,7 @@ Usage::
     python examples/chaos_recovery.py
 """
 
-from repro import DegradePolicy, RetryPolicy, run
+from repro import run
 from repro.errors import BarrierTimeoutError
 from repro.faults import FaultPlan, FaultSpec
 from repro.sanitize import SkewedMicrobench
@@ -58,8 +58,7 @@ def main() -> None:
         "gpu-lockfree",
         num_blocks=8,
         faults=plan,
-        retry=RetryPolicy(),
-        degrade=DegradePolicy(),
+        recover=True,
     )
     for event in result.recovery:
         print(f"[3] attempt {event.attempt}: {event.kind:8s} {event.detail[:68]}")

@@ -67,12 +67,7 @@ from repro.gpu import (
     preset_names,
 )
 from repro.errors import ExecutorError
-from repro.harness import (
-    DegradePolicy,
-    RetryPolicy,
-    RunResult,
-    run,
-)
+from repro.harness import RunResult, run
 from repro.parallel import Executor, ResultCache
 from repro.sanitize import (
     Finding,
@@ -106,7 +101,6 @@ __all__ = [
     "CpuExplicitSync",
     "CpuImplicitSync",
     "DeadlockError",
-    "DegradePolicy",
     "Device",
     "DeviceConfig",
     "Event",
@@ -135,7 +129,6 @@ __all__ = [
     "ReproError",
     "ResultCache",
     "RetryExhaustedError",
-    "RetryPolicy",
     "RoundAlgorithm",
     "RunResult",
     "SanitizeReport",

@@ -19,9 +19,10 @@ atomics, corrupted stores.
   invariants asserted (import it directly; it pulls in the service
   stack, so the package does not import it eagerly).
 
-The recovery policies themselves (retry with backoff, graceful
-degradation) live in :mod:`repro.harness.resilient`, next to the
-runner they wrap.
+The one recovery policy itself (retry with backoff, then graceful
+degradation to ``cpu-implicit``) lives in :mod:`repro.harness.resilient`,
+next to the runner it wraps; ``repro.run(..., recover=True)`` turns it
+on.
 """
 
 from repro.faults.chaos import ChaosReport, ChaosRunRecord, chaos_campaign

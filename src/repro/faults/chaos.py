@@ -3,14 +3,14 @@
 A campaign generates ``plans`` deterministic fault plans (seed-derived,
 like sanitizer schedules) and runs each against one barrier strategy
 under the full resilient runtime (:mod:`repro.harness.resilient`,
-reached through ``repro.run(..., retry=...)``).  Every run must end in
+reached through ``repro.run(..., recover=True)``).  Every run must end in
 one of four *explained* outcomes:
 
 * ``ok`` — finished verified on the first attempt (faults may have
   fired but were absorbed: a straggler only costs time);
 * ``recovered`` — a retry outran a transient fault; finished verified;
 * ``degraded`` — retries exhausted, the run finished verified on the
-  strategy's fallback barrier;
+  ``cpu-implicit`` fallback barrier;
 * ``failed`` — a *typed* error naming the injected fault.
 
 Anything else is **unexplained** and fails the campaign: a
@@ -31,9 +31,9 @@ exists to rule out.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.algorithms.base import RoundAlgorithm, VerificationError
+from repro.algorithms.base import RoundAlgorithm, VerificationError, require_int
 from repro.errors import (
     BarrierTimeoutError,
     DeadlockError,
@@ -51,6 +51,9 @@ from repro.serialization import (
 )
 
 __all__ = ["ChaosReport", "ChaosRunRecord", "chaos_campaign"]
+
+#: rounds of the campaign workload; each plan's faults are drawn over them.
+ROUNDS = 4
 
 #: typed failures a campaign accepts as explained.
 _TYPED = (
@@ -174,27 +177,22 @@ class ChaosReport:
         )
 
 
-def _default_algorithm(num_blocks: int, rounds: int) -> RoundAlgorithm:
+def _algorithm(num_blocks: int) -> RoundAlgorithm:
+    """The campaign's workload: a skewed micro-benchmark of :data:`ROUNDS`."""
     from repro.sanitize.sanitizer import SkewedMicrobench
 
-    return SkewedMicrobench(rounds=rounds, num_blocks_hint=num_blocks)
+    return SkewedMicrobench(rounds=ROUNDS, num_blocks_hint=num_blocks)
 
 
-def _cross_check(
-    plan_seed: int,
-    strategy: str,
-    num_blocks: int,
-    rounds: int,
-    algorithm_factory: Callable[[int, int], RoundAlgorithm],
-    config,
-) -> bool:
+def _cross_check(plan_seed: int, strategy: str, num_blocks: int, config) -> bool:
     """Replay attempt 1 under the sanitizer probe; True = consistent.
 
     A fresh plan from the same seed fires the same attempt-1 faults.
     If a liveness fault (hang / driver-kill) fires, the replay must be
     *detected* — a typed error from the armed runner, or a barrier
-    finding from the probe.  A DeadlockError here is an automatic
-    inconsistency: an armed run must turn every stall into
+    finding from the probe.  The replay runs without recovery, so its
+    first attempt's error is the one seen.  A DeadlockError here is an
+    automatic inconsistency: an armed run must turn every stall into
     :class:`~repro.errors.BarrierTimeoutError` or
     :class:`~repro.errors.FaultError`.
     """
@@ -202,12 +200,12 @@ def _cross_check(
     from repro.sanitize.analysis import barrier_findings
     from repro.sanitize.probe import SanitizerProbe
 
-    plan = FaultPlan.generate(plan_seed, num_blocks, rounds)
+    plan = FaultPlan.generate(plan_seed, num_blocks, ROUNDS)
     probe = SanitizerProbe()
     detected = False
     try:
         run(
-            algorithm_factory(num_blocks, rounds),
+            _algorithm(num_blocks),
             strategy,
             num_blocks,
             config=config,
@@ -228,40 +226,25 @@ def _cross_check(
 
 
 def _plan_record(
-    strategy: str,
-    plan_seed: int,
-    num_blocks: int,
-    rounds: int,
-    max_faults: int,
-    retry,
-    degrade,
-    config,
-    cross_check: bool,
-    algorithm_factory: Optional[Callable[[int, int], RoundAlgorithm]],
+    strategy: str, plan_seed: int, num_blocks: int, config
 ) -> ChaosRunRecord:
     """Run one seeded fault plan to its explained (or not) outcome."""
-    from repro.harness.resilient import DegradePolicy, RetryPolicy
     from repro.harness.runner import run
 
-    factory = algorithm_factory or _default_algorithm
-    plan = FaultPlan.generate(
-        plan_seed, num_blocks, rounds, max_faults=max_faults
-    )
+    plan = FaultPlan.generate(plan_seed, num_blocks, ROUNDS)
     planned = plan.descriptions
-    algorithm = factory(num_blocks, rounds)
     outcome = "failed"
     attempts = 0
     error: Optional[str] = None
     explained = True
     try:
         result = run(
-            algorithm,
+            _algorithm(num_blocks),
             strategy,
             num_blocks,
             config=config,
             faults=plan,
-            retry=retry or RetryPolicy(),
-            degrade=degrade or DegradePolicy(),
+            recover=True,
         )
         attempts = result.attempts
         if result.degraded:
@@ -289,19 +272,8 @@ def _plan_record(
         error = f"untyped {type(exc).__name__}: {exc}"
 
     checked: Optional[bool] = None
-    if (
-        cross_check
-        and explained
-        and {"hang", "driver-kill"} & set(plan.fired_kinds)
-    ):
-        checked = _cross_check(
-            plan_seed,
-            strategy,
-            num_blocks,
-            rounds,
-            factory,
-            config,
-        )
+    if explained and {"hang", "driver-kill"} & set(plan.fired_kinds):
+        checked = _cross_check(plan_seed, strategy, num_blocks, config)
         if not checked:
             explained = False
             error = (error or "") + " [cross-check: fault undetected]"
@@ -321,34 +293,15 @@ def _plan_record(
 def plan_record_from_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     """The ``chaos-plan`` worker body: payload dict → record dict.
 
-    Policies and device config arrive as plain dicts (pickle- and
-    cache-safe); only the default campaign algorithm is reachable here —
-    a custom ``algorithm_factory`` keeps the campaign serial.
+    The device config arrives as a plain dict (pickle- and cache-safe).
     """
-    from repro.harness.resilient import DegradePolicy, RetryPolicy
-
-    retry = (
-        RetryPolicy(**payload["retry"]) if payload.get("retry") else None
-    )
-    degrade = (
-        DegradePolicy(**payload["degrade"]) if payload.get("degrade") else None
-    )
     config = (
         device_config_from_dict(payload["device"])
         if payload.get("device")
         else None
     )
     record = _plan_record(
-        strategy=payload["strategy"],
-        plan_seed=payload["seed"],
-        num_blocks=payload["num_blocks"],
-        rounds=payload["rounds"],
-        max_faults=payload["max_faults"],
-        retry=retry,
-        degrade=degrade,
-        config=config,
-        cross_check=payload["cross_check"],
-        algorithm_factory=None,
+        payload["strategy"], payload["seed"], payload["num_blocks"], config
     )
     return asdict(record)
 
@@ -358,13 +311,7 @@ def chaos_campaign(
     plans: int = 50,
     seed: int = 2010,
     num_blocks: int = 8,
-    rounds: int = 4,
-    algorithm_factory: Optional[Callable[[int, int], RoundAlgorithm]] = None,
     config=None,
-    retry=None,
-    degrade=None,
-    cross_check: bool = True,
-    max_faults: int = 3,
     executor=None,
     resume: Optional[str] = None,
 ) -> ChaosReport:
@@ -372,65 +319,39 @@ def chaos_campaign(
 
     Plan ``i`` of a long campaign equals plan ``i`` of a short one
     (stable seed derivation), so a failing seed from CI replays locally
-    with ``FaultPlan.generate(that_seed, num_blocks, rounds)``.
+    with ``FaultPlan.generate(that_seed, num_blocks, ROUNDS)``.
 
-    ``executor`` (:class:`repro.parallel.Executor`) shards the campaign
-    per plan seed; records come back in seed order, so the report —
-    verdict included — is identical to the serial run's.  A custom
-    ``algorithm_factory`` is not portable to worker processes and keeps
-    the campaign serial.
+    Each plan is one ``chaos-plan`` task of ``executor``
+    (:class:`repro.parallel.Executor`; ``None`` runs them inline, one
+    after another).  Records come back in seed order, so the report —
+    verdict included — does not depend on the executor.  A negative
+    ``plans`` raises :class:`~repro.errors.ConfigError`.
 
     ``resume`` replays a journaled earlier invocation of the same
     campaign (docs/resilience.md); the report's ``retries`` and
     ``resumed_from`` fields carry the batch's provenance.
     """
-    from repro.sanitize.fuzzer import derive_seeds, seed_payloads
+    from repro.parallel import Executor
+    from repro.sanitize.fuzzer import seed_payloads
 
-    factory = algorithm_factory or _default_algorithm
+    require_int("plans", plans, minimum=0)
     report = ChaosReport(
         strategy=strategy,
-        algorithm=factory(num_blocks, rounds).name,
+        algorithm=_algorithm(num_blocks).name,
         num_blocks=num_blocks,
         seed=seed,
         plans=plans,
     )
-
-    if executor is not None and algorithm_factory is None:
-        base = {
-            "strategy": strategy,
-            "num_blocks": num_blocks,
-            "rounds": rounds,
-            "max_faults": max_faults,
-            "retry": asdict(retry) if retry is not None else None,
-            "degrade": asdict(degrade) if degrade is not None else None,
-            "device": (
-                device_config_to_dict(config) if config is not None else None
-            ),
-            "cross_check": cross_check,
-        }
-        records = executor.map(
-            "chaos-plan", seed_payloads(seed, plans, base), resume=resume
-        )
-        report.records.extend(ChaosRunRecord(**raw) for raw in records)
-        stats = executor.last_batch
-        if stats is not None:
-            report.retries = stats.retries
-            report.resumed_from = stats.resumed_from
-        return report
-
-    for plan_seed in derive_seeds(seed, plans):
-        report.records.append(
-            _plan_record(
-                strategy,
-                plan_seed,
-                num_blocks,
-                rounds,
-                max_faults,
-                retry,
-                degrade,
-                config,
-                cross_check,
-                algorithm_factory,
-            )
-        )
+    base = {
+        "strategy": strategy,
+        "num_blocks": num_blocks,
+        "device": device_config_to_dict(config) if config is not None else None,
+    }
+    ex = executor if executor is not None else Executor(jobs=1)
+    records = ex.map("chaos-plan", seed_payloads(seed, plans, base), resume=resume)
+    report.records.extend(ChaosRunRecord(**raw) for raw in records)
+    stats = ex.last_batch
+    if stats is not None:
+        report.retries = stats.retries
+        report.resumed_from = stats.resumed_from
     return report

@@ -23,16 +23,13 @@ from repro.harness.phases import (
     probe_barrier_cost,
     sync_time_ns,
 )
-from repro.harness.resilient import DegradePolicy, RetryPolicy
 from repro.harness.runner import RaceMonitor, RecoveryEvent, RunResult, run
 from repro.harness.stats import RunStatistics, repeat_run, summarize
 
 __all__ = [
     "Breakdown",
-    "DegradePolicy",
     "RaceMonitor",
     "RecoveryEvent",
-    "RetryPolicy",
     "RunResult",
     "RunStatistics",
     "breakdown",

@@ -146,8 +146,7 @@ def run(
     fuzzer=None,
     probe=None,
     faults=None,
-    retry=None,
-    degrade=None,
+    recover: bool = False,
 ) -> RunResult:
     """Execute ``algorithm`` under ``strategy`` on a fresh device.
 
@@ -183,13 +182,12 @@ def run(
     processes instead of a terminal :class:`~repro.errors.DeadlockError`.
     It defaults to off and costs nothing then.
 
-    ``retry`` (a :class:`~repro.harness.resilient.RetryPolicy`) and
-    ``degrade`` (a :class:`~repro.harness.resilient.DegradePolicy`) turn
-    on recovery: passing either one relaunches failed attempts, then
-    falls back to the strategy's declared fallback barrier, and a run
-    nothing rescues raises :class:`~repro.errors.RetryExhaustedError`
-    (:mod:`repro.harness.resilient`).  Without them a run is one
-    attempt.
+    ``recover=True`` turns on the one recovery policy
+    (:mod:`repro.harness.resilient`): failed attempts are relaunched
+    with a growing backoff, a device strategy then falls back to the
+    ``cpu-implicit`` barrier, and a run nothing rescues raises
+    :class:`~repro.errors.RetryExhaustedError`.  Without it a run is
+    one attempt.
 
     An algorithm that opts in through
     :attr:`~repro.algorithms.base.RoundAlgorithm.skip_rounds` (the
@@ -205,8 +203,9 @@ def run(
     name nor a :class:`~repro.sync.base.SyncStrategy`, a ``config`` that
     is not a :class:`~repro.gpu.config.DeviceConfig`, a ``num_blocks``,
     ``threads_per_block`` or ``jitter_seed`` that is not an ``int``
-    (``bool`` included), ``threads_per_block`` below 1, and a
-    ``jitter_pct`` that is not a finite, non-negative number.
+    (``bool`` included), ``threads_per_block`` below 1, a
+    ``jitter_pct`` that is not a finite, non-negative number, and a
+    ``recover`` that is not a ``bool``.
     """
     if not isinstance(strategy, SyncStrategy):
         strategy = get_strategy(strategy)
@@ -233,6 +232,8 @@ def run(
             f"jitter_pct must be a finite, non-negative number, got {jitter_pct!r}"
         )
     require_int("jitter_seed", jitter_seed)
+    if not isinstance(recover, bool):
+        raise ConfigError(f"recover must be a bool, got {recover!r}")
 
     def steady_blocker() -> Optional[str]:
         """Why this run may not be fast-forwarded (None: it may)."""
@@ -476,8 +477,8 @@ def run(
             faults_fired=len(faults.fired) if faults is not None else 0,
         )
 
-    if retry is None and degrade is None:
+    if not recover:
         return attempt(strategy)
     from repro.harness.resilient import _run_resilient
 
-    return _run_resilient(attempt, strategy, retry, degrade, faults)
+    return _run_resilient(attempt, strategy, faults)

@@ -139,19 +139,6 @@ class SyncStrategy(abc.ABC):
         """
         raise NotImplementedError(f"{self.name} has no device protocol")
 
-    def fallback_strategy(self) -> "str | None":
-        """Name of the barrier to degrade to, or ``None`` (no fallback).
-
-        Device-side barriers degrade to ``cpu-implicit``: relaunching
-        per round is slower but structurally immune to the spin-barrier
-        failure modes (paper §4.1 — the kernel boundary always
-        synchronizes, so a block that dies takes one kernel down, not
-        the grid's liveness).  Host barriers have nothing safer to fall
-        back to.  :class:`~repro.harness.resilient.DegradePolicy`
-        overrides the choice per run.
-        """
-        return "cpu-implicit" if self.mode == "device" else None
-
     def shared_mem_request(self, config: "DeviceConfig") -> int:
         """Shared memory per block to request at launch.
 

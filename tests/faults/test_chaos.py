@@ -1,7 +1,10 @@
 """Tests for the chaos campaign and its sanitizer cross-check."""
 
+import pytest
+
+from repro.errors import ConfigError
 from repro.faults import chaos_campaign
-from repro.faults.chaos import ChaosReport, ChaosRunRecord
+from repro.faults.chaos import ROUNDS, ChaosReport, ChaosRunRecord
 
 
 def test_small_campaign_is_clean_and_deterministic():
@@ -25,14 +28,12 @@ def test_campaign_outcomes_partition_the_runs():
 def test_hang_only_campaign_always_degrades_device_barrier():
     from repro.faults.plan import FaultPlan
 
-    rep = chaos_campaign(
-        "gpu-lockfree", plans=6, seed=11, max_faults=1
-    )
-    # Force it differently: build a campaign where we know the kinds.
-    hang_records = [r for r in rep.records if "hang" in " ".join(r.fired)]
+    rep = chaos_campaign("gpu-lockfree", plans=6, seed=11)
+    hang_records = [r for r in rep.records if "hang" in r.fired]
+    assert hang_records
     for rec in hang_records:
         assert rec.outcome == "degraded", rec
-        plan = FaultPlan.generate(rec.seed, 8, 4, max_faults=1)
+        plan = FaultPlan.generate(rec.seed, 8, ROUNDS)
         assert plan.descriptions == rec.planned  # seed replays the plan
 
 
@@ -43,9 +44,20 @@ def test_host_strategy_campaign_never_degrades():
 
 
 def test_unknown_strategy_is_unexplained_not_crash():
-    rep = chaos_campaign("no-such-barrier", plans=2, seed=1, cross_check=False)
+    rep = chaos_campaign("no-such-barrier", plans=2, seed=1)
     assert not rep.clean
     assert all(not r.explained for r in rep.records)
+
+
+@pytest.mark.parametrize("plans", [-3, 2.5, True, "4"])
+def test_bad_plan_count_is_a_config_error_naming_plans(plans):
+    with pytest.raises(ConfigError, match="^plans must be an int >= 0"):
+        chaos_campaign("gpu-lockfree", plans=plans)
+
+
+def test_zero_plans_is_an_empty_clean_campaign():
+    rep = chaos_campaign("gpu-lockfree", plans=0)
+    assert rep.records == [] and rep.clean
 
 
 def test_render_mentions_verdict_and_counts():

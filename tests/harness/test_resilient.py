@@ -1,11 +1,11 @@
-"""Tests for the retry/degrade resilient runtime."""
+"""Tests for the retry-then-degrade resilient runtime (``recover=True``)."""
 
 import pytest
 
 import repro
-from repro.errors import BarrierTimeoutError, ConfigError, RetryExhaustedError
+from repro.errors import BarrierTimeoutError, RetryExhaustedError
 from repro.faults import FaultPlan, FaultSpec
-from repro.harness.resilient import DegradePolicy, RetryPolicy
+from repro.harness.resilient import BACKOFF_NS, MAX_ATTEMPTS
 from repro.sanitize.sanitizer import SkewedMicrobench
 
 
@@ -13,20 +13,8 @@ def micro(rounds=4, blocks=8):
     return SkewedMicrobench(rounds=rounds, num_blocks_hint=blocks)
 
 
-def test_policy_validation():
-    with pytest.raises(ConfigError):
-        RetryPolicy(max_attempts=0)
-    with pytest.raises(ConfigError):
-        RetryPolicy(backoff_factor=0.5)
-
-
-def test_backoff_grows_exponentially():
-    policy = RetryPolicy(backoff_ns=100, backoff_factor=2.0)
-    assert [policy.backoff_for(a) for a in (1, 2, 3)] == [100, 200, 400]
-
-
 def test_clean_run_passes_through_untouched():
-    result = repro.run(micro(), "gpu-lockfree", 8, retry=RetryPolicy())
+    result = repro.run(micro(), "gpu-lockfree", 8, recover=True)
     assert result.verified is True
     assert result.attempts == 1
     assert result.degraded is False
@@ -38,12 +26,12 @@ def test_clean_run_passes_through_untouched():
 def test_transient_kill_recovered_by_retry():
     plan = FaultPlan([FaultSpec("driver-kill", at_ns=5_000)])
     result = repro.run(
-        micro(), "gpu-lockfree", 8, faults=plan, retry=RetryPolicy()
+        micro(), "gpu-lockfree", 8, faults=plan, recover=True
     )
     assert result.verified is True
     assert result.attempts == 2
     assert result.degraded is False
-    assert result.retry_overhead_ns == RetryPolicy().backoff_ns
+    assert result.retry_overhead_ns == BACKOFF_NS
     assert [e.kind for e in result.recovery] == ["retry"]
     assert result.recovered is True
 
@@ -55,8 +43,7 @@ def test_persistent_hang_degrades_to_host_barrier():
         "gpu-lockfree",
         8,
         faults=plan,
-        retry=RetryPolicy(),
-        degrade=DegradePolicy(),
+        recover=True,
     )
     assert result.verified is True
     assert result.degraded is True
@@ -71,36 +58,38 @@ def test_persistent_hang_degrades_to_host_barrier():
 
 def test_degrade_result_includes_retry_overhead_in_total():
     plan = FaultPlan([FaultSpec("hang", block=0, round=0)])
-    policy = RetryPolicy(max_attempts=2, backoff_ns=1_000)
-    result = repro.run(micro(), "gpu-simple", 8, retry=policy, faults=plan)
+    result = repro.run(micro(), "gpu-simple", 8, recover=True, faults=plan)
     assert result.degraded is True
-    assert result.retry_overhead_ns == 1_000
+    # two relaunches, the backoff doubling before the second
+    assert result.retry_overhead_ns == BACKOFF_NS + 2 * BACKOFF_NS
+    assert [e.at_ns for e in result.recovery] == [
+        BACKOFF_NS, 3 * BACKOFF_NS, 3 * BACKOFF_NS
+    ]
     assert result.total_ns > result.retry_overhead_ns
 
 
-def test_degradation_disabled_raises_exhausted_with_history():
-    plan = FaultPlan([FaultSpec("hang", block=1, round=0)])
+def test_exhausted_policy_raises_with_history():
+    """A hang forces the fallback; four driver-kills outlast every
+    attempt, the fallback's included."""
+    plan = FaultPlan(
+        [FaultSpec("hang", block=1, round=0)]
+        + [FaultSpec("driver-kill", at_ns=100)] * 4
+    )
     with pytest.raises(RetryExhaustedError) as info:
-        repro.run(
-            micro(),
-            "gpu-lockfree",
-            8,
-            retry=RetryPolicy(max_attempts=2),
-            degrade=DegradePolicy(enabled=False),
-            faults=plan,
-        )
+        repro.run(micro(), "gpu-lockfree", 8, recover=True, faults=plan)
     err = info.value
     assert err.strategy == "gpu-lockfree"
-    assert err.attempts == 2
-    assert len(err.history) == 2
-    assert all("stalled at t=" in h for h in err.history)
+    assert err.attempts == MAX_ATTEMPTS + 1
+    assert len(err.history) == MAX_ATTEMPTS + 1
+    assert all("kernel killed mid-run" in h for h in err.history)
+    assert err.history[-1].startswith("fallback cpu-implicit: ")
 
 
 def test_occupancy_error_degrades_immediately():
     """A grid that can never be co-resident skips the pointless retries
     and lands straight on the host barrier (which takes any size)."""
     result = repro.run(
-        micro(blocks=64), "gpu-lockfree", 64, degrade=DegradePolicy()
+        micro(blocks=64), "gpu-lockfree", 64, recover=True
     )
     assert result.verified is True
     assert result.degraded is True
@@ -110,40 +99,24 @@ def test_occupancy_error_degrades_immediately():
 
 
 def test_host_strategy_has_no_fallback():
-    plan = FaultPlan([FaultSpec("driver-kill", at_ns=100)])
-    with pytest.raises(RetryExhaustedError):
-        repro.run(
-            micro(),
-            "cpu-implicit",
-            8,
-            retry=RetryPolicy(max_attempts=1),
-            faults=plan,
-        )
-
-
-def test_explicit_fallback_override():
-    plan = FaultPlan([FaultSpec("hang", block=1, round=0)])
-    result = repro.run(
-        micro(),
-        "gpu-lockfree",
-        8,
-        retry=RetryPolicy(max_attempts=1),
-        degrade=DegradePolicy(fallback="cpu-explicit"),
-        faults=plan,
-    )
-    assert result.degraded is True
-    assert result.strategy == "cpu-explicit"
+    # Host mode launches one kernel per round: four kills per attempt
+    # outlast all three attempts, and nothing is left to degrade to.
+    plan = FaultPlan([FaultSpec("driver-kill", at_ns=100)] * 12)
+    with pytest.raises(RetryExhaustedError) as info:
+        repro.run(micro(), "cpu-implicit", 8, recover=True, faults=plan)
+    assert info.value.attempts == MAX_ATTEMPTS
+    assert not any(h.startswith("fallback") for h in info.value.history)
 
 
 def test_facade_routes_to_resilient_path():
-    """repro.run(..., retry=/degrade=) reaches the same runtime."""
+    """repro.run(..., recover=True) reaches the resilient runtime."""
     plan = FaultPlan([FaultSpec("hang", block=2, round=1)])
     result = repro.run(
         micro(),
         "gpu-lockfree",
         num_blocks=8,
         faults=plan,
-        degrade=DegradePolicy(),
+        recover=True,
     )
     assert result.verified is True
     assert result.degraded is True
@@ -162,7 +135,7 @@ def test_one_run_entry():
 
 
 def test_hang_without_policy_is_a_barrier_timeout():
-    """No retry=/degrade=: one attempt, so the stall surfaces as its
+    """No recover=True: one attempt, so the stall surfaces as its
     own typed error, not as an exhausted retry budget."""
     plan = FaultPlan([FaultSpec("hang", block=2, round=1)])
     with pytest.raises(BarrierTimeoutError):

@@ -103,6 +103,8 @@ class TestRun:
             (8, {"strategy": []}, "strategy"),
             (8, {"strategy": 3}, "strategy"),
             (8, {"config": "gtx280"}, "config"),
+            (8, {"recover": 1}, "recover"),
+            (8, {"recover": "yes"}, "recover"),
         ],
     )
     def test_bad_input_is_a_config_error_before_simulating(

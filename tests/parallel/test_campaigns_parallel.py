@@ -7,7 +7,7 @@ from repro.sanitize.sanitizer import sanitize_run
 
 
 def test_chaos_campaign_sharded_matches_serial():
-    kwargs = dict(plans=5, num_blocks=4, rounds=2, seed=123)
+    kwargs = dict(plans=5, num_blocks=4, seed=123)
     serial = chaos_campaign("gpu-lockfree", **kwargs)
     parallel = chaos_campaign(
         "gpu-lockfree", executor=Executor(jobs=2), **kwargs
@@ -20,7 +20,7 @@ def test_chaos_campaign_sharded_matches_serial():
 
 
 def test_chaos_report_roundtrip():
-    report = chaos_campaign("gpu-simple", plans=3, num_blocks=4, rounds=2)
+    report = chaos_campaign("gpu-simple", plans=3, num_blocks=4)
     again = ChaosReport.from_json(report.to_json())
     assert again.to_json() == report.to_json()
     assert again.render() == report.render()

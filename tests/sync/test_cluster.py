@@ -21,7 +21,6 @@ def test_registered_under_its_name():
     strategy = get_strategy("gpu-cluster-tree")
     assert isinstance(strategy, GpuClusterTreeSync)
     assert strategy.mode == "device"
-    assert strategy.fallback_strategy() == "cpu-implicit"
 
 
 def test_barrier_requires_prepare():

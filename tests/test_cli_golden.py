@@ -22,7 +22,7 @@ and the campaign, lint and paper verbs on the default preset:
 * ``sanitize --schedules 3`` on each ``broken-*`` mutant (exit 1);
 * ``lint src/repro examples --strict`` and ``lint --fix --check``;
 * ``fig11 --rounds 20`` and ``table1``;
-* the bad inputs the CLI refuses: six that exit 1 with a typed error,
+* the bad inputs the CLI refuses: seven that exit 1 with a typed error,
   and thirteen usage errors (an unknown verb, a missing or foreign
   flag, a bad flag combination or value) for which ``main`` raises
   ``SystemExit(2)``; the recorder records that code.
@@ -79,6 +79,7 @@ def _invocations() -> List[List[str]]:
         ["extensions", "--rounds", "0"],
         ["diff", "--baseline", "/missing.json", "--current", "/missing.json"],
         ["fig13", "--step", "0", "--algorithms", "fft"],
+        ["chaos", "--plans", "-3"],
     ]
     argvs += [
         ["fig99"],

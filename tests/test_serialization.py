@@ -131,7 +131,7 @@ def test_load_result_dispatches_on_kind(tmp_path, sweep):
 
     from repro.faults.chaos import ChaosReport, chaos_campaign
 
-    chaos = chaos_campaign("gpu-simple", plans=2, num_blocks=4, rounds=2)
+    chaos = chaos_campaign("gpu-simple", plans=2, num_blocks=4)
     cpath = tmp_path / "c.json"
     cpath.write_text(chaos.to_json())
     assert isinstance(load_result(cpath), ChaosReport)
