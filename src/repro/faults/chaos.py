@@ -38,6 +38,7 @@ from repro.errors import (
     BarrierTimeoutError,
     DeadlockError,
     FaultError,
+    OccupancyError,
     ReproError,
     RetryExhaustedError,
 )
@@ -191,7 +192,10 @@ def _cross_check(plan_seed: int, strategy: str, num_blocks: int, config) -> bool
     If a liveness fault (hang / driver-kill) fires, the replay must be
     *detected* — a typed error from the armed runner, or a barrier
     finding from the probe.  The replay runs without recovery, so its
-    first attempt's error is the one seen.  A DeadlockError here is an
+    first attempt's error is the one seen; on a grid past the strategy's
+    co-residency limit that is the launch's
+    :class:`~repro.errors.OccupancyError`, which fires nothing and so
+    counts as detected.  A DeadlockError here is an
     automatic inconsistency: an armed run must turn every stall into
     :class:`~repro.errors.BarrierTimeoutError` or
     :class:`~repro.errors.FaultError`.
@@ -213,7 +217,7 @@ def _cross_check(plan_seed: int, strategy: str, num_blocks: int, config) -> bool
             probe=probe,
             faults=plan,
         )
-    except (BarrierTimeoutError, FaultError):
+    except (BarrierTimeoutError, FaultError, OccupancyError):
         detected = True
     except DeadlockError:
         return False  # an armed run must never leak this

@@ -11,7 +11,7 @@ This module imports nothing heavy, so the service can read it cheaply.
 from __future__ import annotations
 
 import argparse
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.gpu.presets import preset_names
 from repro.parallel import DEFAULT_CACHE_DIR, DEFAULT_JOURNAL_DIR
@@ -30,13 +30,23 @@ class Param:
     ``type`` is both argparse's converter and the sweep service's spec
     type check; ``options`` go to ``add_argument`` as they are (a
     callable ``choices`` is called when the parser is built).
+    ``minimum`` is the smallest value the library accepts; the sweep
+    service refuses a spec below it, while the CLI leaves the refusal
+    to the library's typed error.
     """
 
     def __init__(
-        self, flag: str, default: Any, help: str, type: Any = None, **options: Any
+        self,
+        flag: str,
+        default: Any,
+        help: str,
+        type: Any = None,
+        *,
+        minimum: Optional[int] = None,
+        **options: Any,
     ):
         self.flag, self.default, self.help = flag, default, help
-        self.type, self.options = type, options
+        self.type, self.options, self.minimum = type, options, minimum
         #: the namespace attribute and the service parameter name.
         self.name = flag.lstrip("-").replace("-", "_")
 
@@ -95,10 +105,12 @@ RESUME = Param(
     nargs="?", const="auto", metavar="RUN_ID",
 )
 ROUNDS = Param(
-    "--rounds", 200, "micro-benchmark rounds (paper: 10000; default 200)", int
+    "--rounds", 200, "micro-benchmark rounds (paper: 10000; default 200)", int,
+    minimum=1,
 )
 STEP = Param(
-    "--step", 3, "block-count step for algorithm sweeps (paper: 1; default 3)", int
+    "--step", 3, "block-count step for algorithm sweeps (paper: 1; default 3)", int,
+    minimum=1,
 )
 _WORKLOADS = ("fft", "swat", "bitonic")
 ALGORITHMS = Param(
@@ -121,15 +133,19 @@ STRATEGY = Param(
     "--strategy", "gpu-lockfree",
     "barrier strategy (sanitize and chaos also accept 'all')", str,
 )
-BLOCKS = Param("--blocks", 8, "grid size (default 8)", int)
+BLOCKS = Param("--blocks", 8, "grid size (default 8)", int, minimum=1)
 SEED = Param(
     "--seed", DEFAULT_SEED,
     "base seed (default %(default)s); failure reports print the derived "
     "seed to replay",
     int,
 )
-SCHEDULES = Param("--schedules", 25, "fuzzed schedules per strategy (default 25)", int)
-PLANS = Param("--plans", 50, "seeded fault plans per strategy (default 50)", int)
+SCHEDULES = Param(
+    "--schedules", 25, "fuzzed schedules per strategy (default 25)", int, minimum=0
+)
+PLANS = Param(
+    "--plans", 50, "seeded fault plans per strategy (default 50)", int, minimum=0
+)
 FORMAT = Param(
     "--format", "text",
     "output format (json: the shared result envelope)",

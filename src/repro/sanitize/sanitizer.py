@@ -19,13 +19,15 @@ The top of the sanitizer stack.  One call:
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.algorithms.base import RoundAlgorithm, VerificationError
 from repro.algorithms.microbench import MeanMicrobench
 from repro.errors import DeadlockError, ReproError
 from repro.gpu.config import DeviceConfig
 from repro.gpu.presets import get_preset
+from repro.parallel import Executor
+from repro.parallel.workers import build_algorithm
 from repro.sanitize.analysis import (
     barrier_findings,
     check_occupancy,
@@ -38,10 +40,14 @@ from repro.sanitize.report import Finding, SanitizeReport
 from repro.serialization import device_config_from_dict, device_config_to_dict, plain
 from repro.sync.base import SyncStrategy, get_strategy
 
-__all__ = ["DEFAULT_SEED", "SkewedMicrobench", "sanitize_run"]
+__all__ = ["DEFAULT_SEED", "JITTER_PCT", "SkewedMicrobench", "sanitize_run"]
 
 #: default base seed (the paper's publication year, for memorability).
 DEFAULT_SEED = 2010
+
+#: compute-time skew (percent) of every fuzzed schedule; its jitter
+#: seed is the schedule seed, so a finding's seed replays both.
+JITTER_PCT = 25.0
 
 
 class SkewedMicrobench(MeanMicrobench):
@@ -65,18 +71,18 @@ class SkewedMicrobench(MeanMicrobench):
 def _run_one_schedule(
     algorithm: RoundAlgorithm,
     strategy: Union[str, SyncStrategy],
-    named: bool,
     num_blocks: int,
-    threads_per_block: Optional[int],
     cfg: DeviceConfig,
     schedule_seed: int,
-    jitter_pct: float,
-    verify: bool,
-) -> Tuple[List[Finding], int, int]:
-    """One fuzzed schedule → (findings in detection order, event counts)."""
+) -> Dict[str, Any]:
+    """One fuzzed schedule → its findings (detection order) and event counts.
+
+    The result is the plain dict a ``sanitize-schedule`` worker returns,
+    so :func:`sanitize_run` merges both sources the same way.
+    """
     from repro.harness.runner import run  # late: harness imports sanitize types
 
-    strat = get_strategy(strategy) if named else strategy
+    strat = get_strategy(strategy) if isinstance(strategy, str) else strategy
     fuzzer = ScheduleFuzzer(schedule_seed)
     probe = SanitizerProbe()
     findings: List[Finding] = []
@@ -87,12 +93,11 @@ def _run_one_schedule(
             algorithm,
             strat,
             num_blocks,
-            threads_per_block=threads_per_block,
             config=cfg,
             verify=False,
             monitor_races=True,
             keep_device=True,
-            jitter_pct=jitter_pct,
+            jitter_pct=JITTER_PCT,
             jitter_seed=schedule_seed,
             fuzzer=fuzzer,
             probe=probe,
@@ -133,7 +138,7 @@ def _run_one_schedule(
                     },
                 )
             )
-        if verify and strat.name != "null":
+        if strat.name != "null":
             try:
                 algorithm.verify()
             except VerificationError as exc:
@@ -145,41 +150,33 @@ def _run_one_schedule(
                     )
                 )
 
-    return findings, len(probe.barrier_events), len(probe.accesses)
+    return plain(
+        {
+            "findings": [asdict(f) for f in findings],
+            "barrier_events": len(probe.barrier_events),
+            "access_events": len(probe.accesses),
+        }
+    )
 
 
 def schedule_result_from_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     """The ``sanitize-schedule`` worker body: payload dict → result dict.
 
     The algorithm arrives as a spec (rebuilt seeded in the worker) and
-    the strategy as a registered name — the same restriction that gates
-    the parallel path in :func:`sanitize_run`.
+    the strategy as a registered name — the same restriction that picks
+    the executor source in :func:`sanitize_run`.
     """
-    from repro.parallel.workers import build_algorithm
-
-    algorithm = build_algorithm(payload["algorithm"])
     cfg = (
         device_config_from_dict(payload["device"])
         if payload.get("device")
         else get_preset("gtx280")
     )
-    findings, barrier_events, access_events = _run_one_schedule(
-        algorithm,
+    return _run_one_schedule(
+        build_algorithm(payload["algorithm"]),
         payload["strategy"],
-        True,
         payload["num_blocks"],
-        payload.get("threads_per_block"),
         cfg,
         payload["seed"],
-        payload["jitter_pct"],
-        payload["verify"],
-    )
-    return plain(
-        {
-            "findings": [asdict(f) for f in findings],
-            "barrier_events": barrier_events,
-            "access_events": access_events,
-        }
     )
 
 
@@ -191,51 +188,47 @@ def sanitize_run(
     config: Optional[DeviceConfig] = None,
     seed: int = DEFAULT_SEED,
     schedules: int = 25,
-    threads_per_block: Optional[int] = None,
-    jitter_pct: float = 25.0,
-    verify: bool = True,
-    fail_fast: bool = False,
     executor=None,
     resume: Optional[str] = None,
 ) -> SanitizeReport:
     """Sanitize one (algorithm × strategy × grid) configuration.
 
-    ``algorithm`` defaults to a :class:`SkewedMicrobench` sized to the
-    grid.  ``strategy`` may be a registered name (a fresh instance is
-    built per schedule) or an instance (re-``prepare``\\ d per schedule).
-    ``schedules`` fuzzed interleavings run, each with a seed derived
-    from ``seed`` and additional compute-time skew from the runner's
-    jitter model (``jitter_pct``, same derived seed).  ``fail_fast``
-    stops after the first flagged schedule.
+    ``algorithm`` defaults to a 4-round :class:`SkewedMicrobench` sized
+    to the grid at 64 threads per block.  ``strategy`` may be a
+    registered name (a fresh instance is built per schedule) or an
+    instance (re-``prepare``\\ d per schedule).  ``schedules`` fuzzed
+    interleavings run, each with a seed derived from ``seed`` and
+    :data:`JITTER_PCT` compute-time skew from the runner's jitter model
+    (same derived seed); every run of a non-``null`` strategy is then
+    verified against the algorithm's reference.
 
-    ``executor`` (:class:`repro.parallel.Executor`) shards the campaign
-    per schedule seed; schedule results merge back in seed order, so the
-    report — findings, occurrence counts, flagged tally — is identical
-    to the serial run's.  The parallel path needs a portable
-    configuration: the default algorithm and a strategy *name*.  A
-    custom algorithm instance or strategy instance keeps the run serial.
+    Per-schedule results come from one of two sources and merge in one
+    loop, in seed order.  The default algorithm with a strategy *name*
+    is portable: each schedule is a ``sanitize-schedule`` task of
+    ``executor`` (:class:`repro.parallel.Executor`; ``None`` runs them
+    inline, one after another), so the report — findings, occurrence
+    counts, flagged tally — does not depend on the executor.  A custom
+    algorithm instance or strategy instance runs its schedules in
+    process, and ``executor`` and ``resume`` go unused.
 
     ``resume`` replays a journaled earlier invocation of the same
-    parallel campaign (docs/resilience.md); the report's ``retries``
+    executor campaign (docs/resilience.md); the report's ``retries``
     and ``resumed_from`` fields carry the batch's provenance.
 
     Never raises for bugs it detects — deadlocks, divergence, races and
     verification failures all come back as findings in the report.
     """
     cfg = config or get_preset("gtx280")
-    named = isinstance(strategy, str)
-    resolved = get_strategy(strategy) if named else strategy
+    resolved = get_strategy(strategy) if isinstance(strategy, str) else strategy
     spec: Optional[Dict[str, Any]] = None
     if algorithm is None:
         spec = {
             "name": "micro-skewed",
             "rounds": 4,
             "num_blocks_hint": num_blocks,
-            "threads_per_block": threads_per_block or 64,
+            "threads_per_block": 64,
         }
-        algorithm = SkewedMicrobench(
-            **{k: v for k, v in spec.items() if k != "name"}
-        )
+        algorithm = build_algorithm(spec)
 
     report = SanitizeReport(
         algorithm=algorithm.name,
@@ -245,74 +238,44 @@ def sanitize_run(
         schedules_requested=schedules,
     )
 
-    threads = threads_per_block or algorithm.default_threads
-    for finding in check_occupancy(resolved, cfg, num_blocks, threads):
+    for finding in check_occupancy(
+        resolved, cfg, num_blocks, algorithm.default_threads
+    ):
         report.add(finding)
     if not report.clean:
         # Running would only starve the engine; the point is to say so first.
         return report
 
-    if executor is not None and spec is not None and named:
+    results: Iterable[Dict[str, Any]]
+    if spec is not None and isinstance(strategy, str):
+        ex = executor if executor is not None else Executor(jobs=1)
         base = {
             "algorithm": spec,
             "strategy": strategy,
             "num_blocks": num_blocks,
-            "threads_per_block": threads_per_block,
             "device": device_config_to_dict(cfg),
-            "jitter_pct": jitter_pct,
-            "verify": verify,
         }
-        results = executor.map(
-            "sanitize-schedule",
-            seed_payloads(seed, schedules, base),
-            resume=resume,
+        results = ex.map(
+            "sanitize-schedule", seed_payloads(seed, schedules, base), resume=resume
         )
-        for sched in results:
-            before = sum(report.occurrences.values())
-            report.schedules_run += 1
-            report.barrier_events += sched["barrier_events"]
-            report.access_events += sched["access_events"]
-            for f in sched["findings"]:
-                report.add(
-                    Finding(
-                        kind=f["kind"],
-                        message=f["message"],
-                        seed=f["seed"],
-                        details=f["details"],
-                    )
-                )
-            if sum(report.occurrences.values()) > before:
-                report.schedules_flagged += 1
-                if fail_fast:
-                    break
-        stats = executor.last_batch
+        stats = ex.last_batch
         if stats is not None:
             report.retries = stats.retries
             report.resumed_from = stats.resumed_from
-        return report
-
-    for schedule_seed in derive_seeds(seed, schedules):
-        before = sum(report.occurrences.values())
-        findings, barrier_events, access_events = _run_one_schedule(
-            algorithm,
-            strategy,
-            named,
-            num_blocks,
-            threads_per_block,
-            cfg,
-            schedule_seed,
-            jitter_pct,
-            verify,
+    else:
+        results = (
+            _run_one_schedule(algorithm, strategy, num_blocks, cfg, schedule_seed)
+            for schedule_seed in derive_seeds(seed, schedules)
         )
-        report.schedules_run += 1
-        report.barrier_events += barrier_events
-        report.access_events += access_events
-        for finding in findings:
-            report.add(finding)
 
+    for sched in results:
+        before = sum(report.occurrences.values())
+        report.schedules_run += 1
+        report.barrier_events += sched["barrier_events"]
+        report.access_events += sched["access_events"]
+        for f in sched["findings"]:
+            report.add(Finding(**f))
         # Flagged = any finding this schedule, new site or a repeat of one.
         if sum(report.occurrences.values()) > before:
             report.schedules_flagged += 1
-            if fail_fast:
-                break
     return report

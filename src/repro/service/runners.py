@@ -104,11 +104,17 @@ def validate_spec(spec: Any) -> Dict[str, Any]:
                 kind="spec",
             )
         # bool is an int subclass but never a valid count/seed here.
-        kind = allowed[key].type
-        if not isinstance(value, kind) or isinstance(value, bool):
+        param = allowed[key]
+        if not isinstance(value, param.type) or isinstance(value, bool):
             raise ServiceError(
                 f"parameter {key!r} of experiment {experiment!r} must be "
-                f"{kind.__name__}, got {value!r}",
+                f"{param.type.__name__}, got {value!r}",
+                kind="spec",
+            )
+        if param.minimum is not None and value < param.minimum:
+            raise ServiceError(
+                f"parameter {key!r} of experiment {experiment!r} must be "
+                f">= {param.minimum}, got {value!r}",
                 kind="spec",
             )
     return {"experiment": experiment, "params": dict(params)}

@@ -85,3 +85,15 @@ def test_report_flags_unverified_result_records():
     )
     assert not rep.clean
     assert "UNEXPLAINED" in rep.render()
+
+
+@pytest.mark.parametrize("strategy", ["gpu-lockfree", "gpu-simple"])
+def test_campaign_past_co_residency_is_reported_not_raised(strategy):
+    # 31 blocks exceed the paper card's 30-block limit: the cross-check
+    # replay (no recovery) is refused at launch with OccupancyError.
+    # That refusal fires no fault, so it must be consistent rather than
+    # escape the campaign.
+    rep = chaos_campaign(strategy, plans=5, num_blocks=31)
+    assert len(rep.records) == 5
+    assert rep.clean, rep.render()
+    assert rep.count("degraded") > 0

@@ -1,9 +1,12 @@
 """Parallel chaos/sanitize campaigns must match their serial runs."""
 
+import pytest
+
 from repro.faults.chaos import ChaosReport, chaos_campaign
 from repro.parallel import Executor, ResultCache
 from repro.sanitize.report import SanitizeReport
-from repro.sanitize.sanitizer import sanitize_run
+from repro.sanitize.sanitizer import SkewedMicrobench, sanitize_run
+from repro.sync.base import get_strategy
 
 
 def test_chaos_campaign_sharded_matches_serial():
@@ -52,3 +55,26 @@ def test_sanitize_report_roundtrip():
     again = SanitizeReport.from_json(report.to_json())
     assert again.to_json() == report.to_json()
     assert again.render() == report.render()
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [
+        "gpu-lockfree",
+        "broken-lockfree-noscatter",
+        "broken-simple-skipround",
+        "broken-simple-undercount",
+    ],
+)
+def test_sanitize_sources_give_one_report(strategy):
+    """The executor source (default workload, strategy name) and the
+    in-process source (instances) merge into the same report."""
+    from_executor = sanitize_run(strategy=strategy, num_blocks=8, schedules=5)
+    from_instances = sanitize_run(
+        SkewedMicrobench(rounds=4, num_blocks_hint=8, threads_per_block=64),
+        get_strategy(strategy),
+        8,
+        schedules=5,
+    )
+    assert from_instances.to_json() == from_executor.to_json()
+    assert from_instances.render() == from_executor.render()

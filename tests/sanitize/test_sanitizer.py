@@ -50,17 +50,6 @@ def test_finding_rejects_unknown_kind():
     assert "data-race" in BUG_CLASSES
 
 
-def test_fail_fast_stops_at_first_flagged_schedule():
-    report = sanitize_run(
-        strategy="broken-lockfree-noscatter",
-        num_blocks=6,
-        schedules=10,
-        fail_fast=True,
-    )
-    assert not report.clean
-    assert report.schedules_run == 1
-
-
 def test_verification_failure_becomes_finding():
     class LyingMicro(MeanMicrobench):
         name = "micro-lying"

@@ -14,6 +14,11 @@ def test_valid_specs_normalize():
     assert spec == {"experiment": "fig11", "params": {"rounds": 3}}
     # params is optional and defaults empty
     assert validate_spec({"experiment": "fig11"})["params"] == {}
+    # each count at its lower bound is accepted; there is no upper bound
+    spec = {"experiment": "chaos", "params": {"plans": 0, "blocks": 1}}
+    assert validate_spec(spec) == spec
+    spec = {"experiment": "fig11", "params": {"rounds": 10**300}}
+    assert validate_spec(spec) == spec
 
 
 @pytest.mark.parametrize(
@@ -31,6 +36,11 @@ def test_valid_specs_normalize():
         ({"experiment": []}, "unknown experiment"),
         ({"experiment": {}}, "unknown experiment"),
         ({"experiment": ["fig11"]}, "unknown experiment"),
+        ({"experiment": "chaos", "params": {"plans": -3}}, "'plans' .* >= 0, got -3"),
+        ({"experiment": "chaos", "params": {"blocks": 0}}, "'blocks' .* >= 1, got 0"),
+        ({"experiment": "sanitize", "params": {"schedules": -1}}, "'schedules' .* >= 0"),
+        ({"experiment": "fig11", "params": {"rounds": 0}}, "'rounds' .* >= 1"),
+        ({"experiment": "algorithm-sweep", "params": {"step": 0}}, "'step' .* >= 1"),
     ],
 )
 def test_bad_specs_are_typed_refusals(bad, match):

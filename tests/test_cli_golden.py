@@ -19,6 +19,8 @@ and the campaign, lint and paper verbs on the default preset:
 * CI's sanitizer and chaos smoke passes (``--strategy all``), and
   ``chaos --plans 25`` on every other registered strategy except the
   ``broken-*`` mutants and ``null``;
+* ``chaos --blocks 31 --plans 3``, a grid past the paper card's
+  co-residency limit;
 * ``sanitize --schedules 3`` on each ``broken-*`` mutant (exit 1);
 * ``lint src/repro examples --strict`` and ``lint --fix --check``;
 * ``fig11 --rounds 20`` and ``table1``;
@@ -62,6 +64,7 @@ def _invocations() -> List[List[str]]:
     argvs.append(["sanitize", "--strategy", "all", "--blocks", "8",
                   "--schedules", "25"])
     argvs.append(["chaos", "--strategy", "all", "--plans", "25"])
+    argvs.append(["chaos", "--blocks", "31", "--plans", "3"])
     mutants = [s for s in strategy_names() if s.startswith("broken-")]
     for strategy in strategy_names():
         if strategy not in mutants and strategy not in CHAOS_ALL + ("null",):
