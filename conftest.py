@@ -31,7 +31,15 @@ def pytest_addoption(parser):
         "--update-golden",
         action="store_true",
         default=False,
-        help="rewrite tests/golden/runs.json and tests/golden/cli.json from "
-        "the current code instead of checking against them "
-        "(tests/test_golden.py, tests/test_cli_golden.py)",
+        help="rewrite tests/golden/runs.json and tests/golden/cli.json (and, "
+        "with --paper-golden, tests/golden/paper.json) from the current "
+        "code instead of checking against them (tests/test_golden.py, "
+        "tests/test_cli_golden.py, tests/test_paper_golden.py)",
+    )
+    parser.addoption(
+        "--paper-golden",
+        action="store_true",
+        default=False,
+        help="run tests/test_paper_golden.py: `all` at the paper's settings "
+        "(about five minutes)",
     )
