@@ -87,6 +87,9 @@ class Device:
             faults.bind_clock(lambda: self.engine.now)
         #: kernels completed on this device (diagnostics).
         self.kernels_completed = 0
+        #: handles of the kernels a ``driver-kill`` fault aborted, in
+        #: kill order (the one way a kernel dies early).
+        self.killed: List["KernelHandle"] = []
 
     def notify_access(self, ctx, array, index, kind: str) -> None:
         """Forward one global-memory access to every registered probe.
@@ -175,14 +178,15 @@ class Device:
 
         Sleeps ``kill_at_ns`` past kernel start, then — if the kernel is
         still running — aborts it through :meth:`KernelHandle.kill`: the
-        handle is marked killed, the kernel manager and every block are
-        cancelled (freeing SM slots), and the host observes the failure
-        via ``Host.get_last_error()``.
+        handle is marked killed and recorded in :attr:`killed`, the
+        kernel manager and every block are cancelled (freeing SM slots),
+        and the host observes the failure via ``Host.get_last_error()``.
         """
         yield Delay(kill_at_ns)
         reason = f"injected driver-kill of {handle.spec.name} (fault plan)"
         # A kernel that finished first makes the kill dissipate.
         if handle.kill(self.engine, reason):
+            self.killed.append(handle)
             self.faults.note_driver_kill_fired()
 
     def _block_process(self, launch: "_Launch", block_id: int, name: str) -> Generator:

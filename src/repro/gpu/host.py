@@ -20,7 +20,7 @@ same engine, so host/device overlap falls out of the event ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Generator, List, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.errors import LaunchError
 from repro.gpu.kernel import KernelSpec
@@ -101,8 +101,6 @@ class Host:
         self.default_stream = Stream("default")
         #: tail of the device's issue-order FIFO (kernels + event markers).
         self._engine_tail: Optional[Process] = None
-        #: all launches in issue order (diagnostics).
-        self.launches: List[KernelHandle] = []
         #: sticky error from a killed kernel (cudaGetLastError).
         self.last_error: Optional[str] = None
 
@@ -142,7 +140,6 @@ class Host:
         handle.process = process
         self._engine_tail = process
         stream.last_process = process
-        self.launches.append(handle)
         return handle
 
     def synchronize(self) -> Generator:

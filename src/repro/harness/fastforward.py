@@ -27,7 +27,7 @@ A host-mode strategy launches one kernel per round, and a pipelined host
 runs ahead of the device: its launch calls all fall in the first rounds'
 time, not in the kernel's period.  In host mode the events of a round
 are therefore counted per launch, through the generators, rather than
-per period, and each round adds one launch.
+per period.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ class Period:
     events: int
     atomics: int
     kernels: int
-    launches: int
     counters: Tuple[Tuple[int, int, int], ...]
     slopes: Tuple[Optional[np.ndarray], ...]  #: per array; None = constant
     relabel: Optional[Relabel]  #: renames owners as rounds advance
@@ -172,9 +171,9 @@ class PeriodWatch:
             a, b = (self._launch_events[WINDOW - k] for k in (3, 2))
             if a != b:
                 raise NoPeriod(f"events per launch differ ({a} vs {b})")
-            events, launches = b, 1
+            events = b
         else:
-            events, launches = last.events - mid.events, 0
+            events = last.events - mid.events
         return Period(
             ns=ns,
             spans=last.spans - mid.spans,
@@ -182,7 +181,6 @@ class PeriodWatch:
             events=events,
             atomics=last.atomics - mid.atomics,
             kernels=last.kernels - mid.kernels,
-            launches=launches,
             counters=tuple(counters),
             slopes=slopes,
             relabel=self._relabel,

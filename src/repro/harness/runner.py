@@ -7,7 +7,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from numbers import Real
-from typing import Callable, Generator, List, Optional, Tuple, Union
+from typing import Callable, Generator, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -308,41 +308,57 @@ def run(
 
             jitter = lognormal
 
-        # Both programs below run a block's round the same way: the
-        # round's ctx.compute, taken in its two halves so no generator
-        # is built per round.  The race monitor records the round right
-        # after the work: in the same event, before anything else runs.
+        # One block program runs rounds [first, last): each round's cost,
+        # jitter and work, then ctx.compute in its two halves (so no
+        # generator is built per round), the race monitor's record in
+        # the same event, and the strategy's in-kernel barrier when it
+        # has one.  A device strategy launches it once for every round;
+        # a host strategy launches it once per round, and the kernel
+        # boundary is the barrier (paper Figs. 2 and 4).
         engine = device.engine
-        if strategy.mode == "device":
+        barrier = None
+        if not host_mode:
             strategy.prepare(device, num_blocks)
             barrier = strategy.barrier
 
-            def program(ctx: BlockCtx) -> Generator:
-                block_id = ctx.block_id
-                for r in range(rounds):
-                    if watch is not None and block_id == 0:
-                        watch.tick(r)
-                    cost = algorithm.round_cost(r, block_id, num_blocks)
-                    if jitter is not None:
-                        cost = jitter(cost)
-                    work = algorithm.round_work(r, block_id, num_blocks)
-                    start = engine.now
-                    delay = ctx.compute_effect(cost)
-                    if delay is not None:
-                        yield delay
-                    ctx.compute_done(start, work, {"round": r})
-                    if monitor is not None:
-                        monitor.record(r, block_id)
+        def program(ctx: BlockCtx, first: int, last: int) -> Generator:
+            block_id = ctx.block_id
+            for r in range(first, last):
+                if watch is not None and block_id == 0:
+                    watch.tick(r)
+                cost = algorithm.round_cost(r, block_id, num_blocks)
+                if jitter is not None:
+                    cost = jitter(cost)
+                work = algorithm.round_work(r, block_id, num_blocks)
+                start = engine.now
+                delay = ctx.compute_effect(cost)
+                if delay is not None:
+                    yield delay
+                ctx.compute_done(start, work, {"round": r})
+                if monitor is not None:
+                    monitor.record(r, block_id)
+                if barrier is not None:
                     yield from barrier(ctx, r)
 
-            spec = KernelSpec(
-                name=f"{algorithm.name}:{strategy.name}",
+        shared_mem = strategy.shared_mem_request(cfg)
+
+        def kernel(name: str, first: int, last: int) -> KernelSpec:
+            return KernelSpec(
+                name=name,
                 program=program,
                 grid_blocks=num_blocks,
                 block_threads=threads,
-                shared_mem_per_block=strategy.shared_mem_request(cfg),
+                shared_mem_per_block=shared_mem,
+                params={"first": first, "last": last},
             )
 
+        specs: Iterable[KernelSpec]
+        if host_mode:
+            specs = (
+                kernel(f"{algorithm.name}:r{r}", r, r + 1) for r in range(rounds)
+            )
+        else:
+            spec = kernel(f"{algorithm.name}:{strategy.name}", 0, rounds)
             # The cudaLaunchCooperativeKernel rule: under cooperative
             # co-residency the topology's ``max_co_resident_blocks`` is only
             # an upper bound, so validate against the *actual* capacity of
@@ -360,46 +376,18 @@ def run(
                         f"{capacity} blocks; a device-side barrier would "
                         "deadlock (non-preemptive blocks)"
                     )
+            specs = (spec,)
 
-            def host_program() -> Generator:
+        def host_program() -> Generator:
+            for r, spec in enumerate(specs):
+                if watch is not None and host_mode:
+                    watch.launch = r
                 yield from host.launch(spec)
-                yield from host.synchronize()
-
-        else:
-
-            def round_program(ctx: BlockCtx, round_idx: int) -> Generator:
-                block_id = ctx.block_id
-                if watch is not None and block_id == 0:
-                    watch.tick(round_idx)
-                cost = algorithm.round_cost(round_idx, block_id, num_blocks)
-                if jitter is not None:
-                    cost = jitter(cost)
-                work = algorithm.round_work(round_idx, block_id, num_blocks)
-                start = engine.now
-                delay = ctx.compute_effect(cost)
-                if delay is not None:
-                    yield delay
-                ctx.compute_done(start, work, {"round": round_idx})
-                if monitor is not None:
-                    monitor.record(round_idx, block_id)
-
-            def host_program() -> Generator:
-                for r in range(rounds):
-                    if watch is not None:
-                        watch.launch = r
-                    spec = KernelSpec(
-                        name=f"{algorithm.name}:r{r}",
-                        program=round_program,
-                        grid_blocks=num_blocks,
-                        block_threads=threads,
-                        params={"round_idx": r},
-                    )
-                    yield from host.launch(spec)
-                    if strategy.explicit:
-                        yield from host.synchronize()
-                if watch is not None:
-                    watch.launch = -1
-                yield from host.synchronize()
+                if strategy.explicit:
+                    yield from host.synchronize()
+            if watch is not None and host_mode:
+                watch.launch = -1
+            yield from host.synchronize()
 
         root = host_program()
         if watch is not None and host_mode:
@@ -417,7 +405,7 @@ def run(
             # Check the handles, not just the host's sticky error: in host
             # mode the final synchronize joins only the *last* kernel, so a
             # kill of an earlier launch never latches last_error.
-            killed = [h for h in host.launches if h.killed]
+            killed = device.killed
             if killed:
                 detail = host.get_last_error() or (
                     f"kernel {killed[0].spec.name!r} was killed"
@@ -433,7 +421,6 @@ def run(
                     faults=[f.description for f in faults.fired],
                 ) from stall
 
-        launches = len(host.launches)
         if watch is not None:
             if monitor is not None and not monitor.clean:
                 raise NoPeriod("race violation in the prefix")
@@ -444,7 +431,6 @@ def run(
             assert skip_rounds is not None  # only opted-in runs are steady
             skip_rounds(skipped)
             total_ns = device.engine.now
-            launches += skipped * period.launches
             if logger.isEnabledFor(logging.DEBUG):
                 logger.debug(
                     "fast-forward engaged for %s on %s (%d blocks, %d rounds): "
@@ -467,7 +453,7 @@ def run(
             threads_per_block=threads,
             rounds=total_rounds,
             total_ns=total_ns,
-            kernel_launches=launches,
+            kernel_launches=total_rounds if host_mode else 1,
             verified=verified,
             violations=len(monitor.violations) if monitor is not None else -1,
             atomic_ops=device.atomics.ops,

@@ -25,10 +25,14 @@ def make_spec(name="k", blocks=4, threads=64, shared=0, program=noop_program, **
     )
 
 
-def launch_and_run(device, host, specs, explicit=False):
+def launch_and_run(device, host, specs, explicit=False, handles=None):
+    """Launch ``specs`` in order and run; ``handles`` collects each launch's."""
+
     def host_program():
         for spec in specs:
-            yield from host.launch(spec)
+            handle = yield from host.launch(spec)
+            if handles is not None:
+                handles.append(handle)
             if explicit:
                 yield from host.synchronize()
         yield from host.synchronize()
@@ -86,8 +90,9 @@ class TestLaunchGeometry:
     def test_kernel_handles_record_times(self):
         device = Device()
         host = Host(device)
-        launch_and_run(device, host, [make_spec()])
-        (h,) = host.launches
+        handles = []
+        launch_and_run(device, host, [make_spec()], handles=handles)
+        (h,) = handles
         t = device.config.timings
         assert h.issued_ns == 0
         assert h.start_ns == t.host_launch_ns
@@ -202,7 +207,11 @@ class TestHandleHoldsOnlyWhatItNeeds:
     def test_block_processes_cleared_once_the_kernel_drains(self):
         device = Device()
         host = Host(device)
-        launch_and_run(device, host, [make_spec(name=f"k{i}") for i in range(3)])
-        assert [h.done for h in host.launches] == [True] * 3
-        assert all(h.block_processes == [] for h in host.launches)
+        handles = []
+        launch_and_run(
+            device, host, [make_spec(name=f"k{i}") for i in range(3)],
+            handles=handles,
+        )
+        assert [h.done for h in handles] == [True] * 3
+        assert all(h.block_processes == [] for h in handles)
         assert device.engine.live_processes == []

@@ -45,11 +45,11 @@ def test_two_devices_share_virtual_time():
         yield from host_b.synchronize()
         return ha, hb
 
-    engine.spawn(program(), "host")
+    proc = engine.spawn(program(), "host")
     engine.run()
     assert np.all(xa.data == 1.0) and np.all(xb.data == 1.0)
     # The two devices' kernels overlapped (separate kernel engines).
-    ha, hb = host_a.launches[0], host_b.launches[0]
+    ha, hb = proc.result
     assert ha.start_ns < hb.end_ns and hb.start_ns < ha.end_ns
 
 

@@ -68,12 +68,14 @@ class TestStreams:
     def test_default_stream_used_when_none_given(self, setup):
         device, host = setup
 
+        handles = []
+
         def program():
-            yield from host.launch(make_spec("k"))
+            handles.append((yield from host.launch(make_spec("k"))))
             yield from host.stream_synchronize(host.default_stream)
 
         run_host(device, program())
-        assert host.launches[0].done
+        assert handles[0].done
 
 
 class TestEvents:

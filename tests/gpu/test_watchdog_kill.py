@@ -43,14 +43,16 @@ def test_killed_kernel_surfaces_as_host_error_not_exception():
     spec = naive_oversubscribed_spec(device, n)
 
     def host_program():
-        yield from host.launch(spec)
+        handle = yield from host.launch(spec)
         yield from host.synchronize()
+        return handle
 
-    device.engine.spawn(host_program(), "host")
+    proc = device.engine.spawn(host_program(), "host")
     device.run()  # completes: the device recovered
     assert host.get_last_error() == "injected driver-kill of unsafe (fault plan)"
     assert host.get_last_error() is None  # sticky error cleared
-    (h,) = host.launches
+    h = proc.result
+    assert device.killed == [h]
     assert h.killed
     assert not h.done
     assert device.engine.live_processes == []

@@ -91,11 +91,11 @@ class TestStreamsAndEvents:
         cuda = CudaSession()
         d = cuda.cuda_malloc("x", 64)
         s = cuda.cuda_stream_create("s1")
-        cuda.launch_kernel(
+        handle = cuda.launch_kernel(
             scale_kernel, 2, 32, args=dict(data=d, factor=1.0), stream=s
         )
         cuda.cuda_stream_synchronize(s)
-        assert cuda.host.launches[-1].done
+        assert handle.done
 
 
 class TestGridSyncThroughCudaApi:
