@@ -31,7 +31,6 @@ class MeanMicrobench(RoundAlgorithm):
     """Weak-scaled mean-of-two-floats kernel (paper §5.4, Fig. 11)."""
 
     name = "micro"
-    default_threads = 256
 
     def __init__(
         self,
@@ -47,7 +46,8 @@ class MeanMicrobench(RoundAlgorithm):
         ):
             require_int(label, value, 1)
         self.rounds = rounds
-        self.threads_per_block = threads_per_block
+        # The grid is launched at the block size the elements are sized for.
+        self.threads_per_block = self.default_threads = threads_per_block
         # Weak scaling: one element per thread across the *largest* grid
         # we might run; per-block slices adjust with the actual grid.
         self.num_elements = num_blocks_hint * threads_per_block

@@ -7,6 +7,7 @@ from repro.algorithms.base import VerificationError
 from repro.gpu.device import Device
 from repro.gpu.host import Host
 from repro.gpu.kernel import KernelSpec
+from repro.harness.runner import run
 from repro.sanitize import (
     BUG_CLASSES,
     Finding,
@@ -138,3 +139,8 @@ def test_barrier_protocol_traffic_is_exempt_from_race_checks():
     )
     assert probe.accesses, "barrier traffic should be observed"
     assert race_findings(probe) == []
+
+
+def test_skewed_microbench_launches_at_its_own_block_size():
+    algorithm = SkewedMicrobench(rounds=2, num_blocks_hint=8, threads_per_block=64)
+    assert run(algorithm, "gpu-simple", 8).threads_per_block == 64
