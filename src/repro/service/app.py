@@ -55,12 +55,36 @@ __all__ = ["ServiceApp", "serve"]
 #: seconds a drain waits for workers to hand their jobs back.
 _DRAIN_GRACE_S = 30.0
 
+#: the largest request body ``POST /jobs`` reads; a job spec is a few
+#: hundred bytes, and a larger declared length is refused unread.
+_MAX_BODY_BYTES = 1 << 20
+
 
 def _error_body(exc: ServiceError) -> str:
     """A typed refusal as a ``service-error`` envelope."""
     return dump_result(
         "service-error", {"error": {"kind": exc.kind, "message": str(exc)}}
     )
+
+
+def _body_length(values: Optional[List[str]]) -> int:
+    """The body length ``Content-Length`` declares; no header declares 0.
+
+    Repeats must agree and the value must be an integer from 0 to
+    :data:`_MAX_BODY_BYTES`, or the typed ``spec`` refusal is raised.
+    """
+    raw = ", ".join(sorted({(value or "0").strip() for value in values or ["0"]}))
+    # Count digits before int(), which refuses a literal past its limit.
+    if not (
+        raw.isascii() and raw.isdigit()
+        and len(raw.lstrip("0")) <= len(str(_MAX_BODY_BYTES))
+        and int(raw) <= _MAX_BODY_BYTES
+    ):
+        raise ServiceError(
+            f"Content-Length must be one integer from 0 to {_MAX_BODY_BYTES}, "
+            f"got {raw!r}", kind="spec"
+        )
+    return int(raw)
 
 
 class ServiceApp:
@@ -326,19 +350,30 @@ def _make_handler(app: ServiceApp) -> type:
                     ServiceError(f"no route {path!r}", kind="not-found")
                 ))
                 return
-            raw = (self.headers.get("Content-Length", "0") or "0").strip()
-            if not (raw.isascii() and raw.isdigit()):
+            try:
+                length = _body_length(self.headers.get_all("Content-Length"))
+                body = self.rfile.read(length)
+                if len(body) < length:
+                    raise ServiceError(
+                        f"request body ended after {len(body)} of its "
+                        f"{length} bytes", kind="spec"
+                    )
+            except ServiceError as exc:
                 # The body's extent is unknown, so it cannot be skipped:
                 # answer, then close the connection.
                 self.close_connection = True
-                self._send(400, {}, _error_body(ServiceError(
-                    "Content-Length must be a non-negative integer, "
-                    f"got {raw!r}", kind="spec"
-                )))
+                self._send(400, {}, _error_body(exc))
                 return
-            length = int(raw)
-            body = self.rfile.read(length) if length else b""
             self._send(*app.handle_submit(body))
+
+        def send_error(self, code: int, message: Any = None, explain: Any = None):
+            # A request http.server cannot parse gets the typed refusal,
+            # with a status line even if it named no HTTP version.
+            self.request_version = self.protocol_version
+            self.close_connection = True
+            self._send(400, {}, _error_body(ServiceError(
+                f"malformed request ({code}): {message}", kind="spec"
+            )))
 
     return Handler
 
