@@ -49,6 +49,7 @@ from repro.serialization import (
     dump_result,
     parse_result,
     require,
+    shape_errors,
 )
 
 __all__ = ["ChaosReport", "ChaosRunRecord", "chaos_campaign"]
@@ -163,19 +164,20 @@ class ChaosReport:
         and ``quarantined`` then default to a clean campaign.
         """
         payload = parse_result(text, kind="chaos-report", source=source)
-        return cls(
-            strategy=require(payload, "strategy", source),
-            algorithm=require(payload, "algorithm", source),
-            num_blocks=require(payload, "num_blocks", source),
-            seed=require(payload, "seed", source),
-            plans=require(payload, "plans", source),
-            records=[
-                ChaosRunRecord(**r)
-                for r in require(payload, "records", source)
-            ],
-            retries=int(payload.get("retries", 0)),
-            quarantined=list(payload.get("quarantined", [])),
-        )
+        with shape_errors(source):
+            return cls(
+                strategy=require(payload, "strategy", source),
+                algorithm=require(payload, "algorithm", source),
+                num_blocks=require(payload, "num_blocks", source),
+                seed=require(payload, "seed", source),
+                plans=require(payload, "plans", source),
+                records=[
+                    ChaosRunRecord(**r)
+                    for r in require(payload, "records", source)
+                ],
+                retries=int(payload.get("retries", 0)),
+                quarantined=list(payload.get("quarantined", [])),
+            )
 
 
 def _algorithm(num_blocks: int) -> RoundAlgorithm:

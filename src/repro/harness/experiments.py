@@ -41,6 +41,7 @@ from repro.serialization import (
     dump_result,
     parse_result,
     require,
+    shape_errors,
 )
 
 __all__ = [
@@ -222,27 +223,28 @@ class SweepResult:
         payload = parse_result(
             text, kind="sweep", source=source, accept=(1, 2, 3)
         )
-        blocks = list(require(payload, "blocks", source))
-        nulls = list(require(payload, "nulls", source))
-        totals = {
-            k: list(v) for k, v in require(payload, "totals", source).items()
-        }
-        for name, series in totals.items():
-            if len(series) != len(blocks):
-                raise ExperimentError(
-                    f"{source}: series {name!r} length {len(series)} != "
-                    f"{len(blocks)} block counts"
-                )
-        if len(nulls) != len(blocks):
-            raise ExperimentError(f"{source}: nulls length mismatch")
-        return cls(
-            algorithm=require(payload, "algorithm", source),
-            blocks=blocks,
-            totals=totals,
-            nulls=nulls,
-            retries=int(payload.get("retries", 0)),
-            quarantined=list(payload.get("quarantined", [])),
-        )
+        with shape_errors(source):
+            blocks = list(require(payload, "blocks", source))
+            nulls = list(require(payload, "nulls", source))
+            totals = {
+                k: list(v) for k, v in require(payload, "totals", source).items()
+            }
+            for name, series in totals.items():
+                if len(series) != len(blocks):
+                    raise ExperimentError(
+                        f"{source}: series {name!r} length {len(series)} != "
+                        f"{len(blocks)} block counts"
+                    )
+            if len(nulls) != len(blocks):
+                raise ExperimentError(f"{source}: nulls length mismatch")
+            return cls(
+                algorithm=require(payload, "algorithm", source),
+                blocks=blocks,
+                totals=totals,
+                nulls=nulls,
+                retries=int(payload.get("retries", 0)),
+                quarantined=list(payload.get("quarantined", [])),
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ SCHEMA_VERSION = RESULT_SCHEMA_VERSION
 def _read(path: Path, what: str) -> str:
     try:
         return path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ExperimentError(f"cannot read {what} from {path}: {exc}") from exc
 
 
@@ -70,7 +70,7 @@ def load_result(path: Union[str, Path]):
     text = _read(path, "result")
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ExperimentError(f"cannot read result from {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ExperimentError(f"{path} does not contain a result envelope")

@@ -139,32 +139,33 @@ class SanitizeReport:
         cls, text: str, *, source: str = "<string>"
     ) -> "SanitizeReport":
         """Rebuild a report from :meth:`to_json` output (typed failures)."""
-        from repro.serialization import parse_result, require
+        from repro.serialization import parse_result, require, shape_errors
 
         payload = parse_result(text, kind="sanitize-report", source=source)
-        report = cls(
-            algorithm=require(payload, "algorithm", source),
-            strategy=require(payload, "strategy", source),
-            num_blocks=require(payload, "num_blocks", source),
-            seed=require(payload, "seed", source),
-            schedules_requested=require(payload, "schedules_requested", source),
-            schedules_run=require(payload, "schedules_run", source),
-            schedules_flagged=require(payload, "schedules_flagged", source),
-            barrier_events=require(payload, "barrier_events", source),
-            access_events=require(payload, "access_events", source),
-            retries=int(payload.get("retries", 0)),
-            quarantined=list(payload.get("quarantined", [])),
-        )
-        for entry in require(payload, "findings", source):
-            finding = Finding(
-                kind=entry["kind"],
-                message=entry["message"],
-                seed=entry["seed"],
-                details=entry["details"] or None,
+        with shape_errors(source):
+            report = cls(
+                algorithm=require(payload, "algorithm", source),
+                strategy=require(payload, "strategy", source),
+                num_blocks=require(payload, "num_blocks", source),
+                seed=require(payload, "seed", source),
+                schedules_requested=require(payload, "schedules_requested", source),
+                schedules_run=require(payload, "schedules_run", source),
+                schedules_flagged=require(payload, "schedules_flagged", source),
+                barrier_events=require(payload, "barrier_events", source),
+                access_events=require(payload, "access_events", source),
+                retries=int(payload.get("retries", 0)),
+                quarantined=list(payload.get("quarantined", [])),
             )
-            report.findings.append(finding)
-            report.occurrences[finding.fingerprint] = entry["occurrences"]
-        return report
+            for entry in require(payload, "findings", source):
+                finding = Finding(
+                    kind=entry["kind"],
+                    message=entry["message"],
+                    seed=entry["seed"],
+                    details=entry["details"] or None,
+                )
+                report.findings.append(finding)
+                report.occurrences[finding.fingerprint] = entry["occurrences"]
+            return report
 
     def render(self) -> str:
         """Deterministic plain-text report."""

@@ -21,8 +21,9 @@ so semantically equal payloads hash equal) and the
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import asdict
-from typing import Any, Dict, Iterable, Union
+from typing import Any, Dict, Iterable, Iterator, Union
 
 from repro.errors import ConfigError, ExperimentError
 from repro.gpu.config import DeviceConfig
@@ -45,6 +46,7 @@ __all__ = [
     "parse_result",
     "plain",
     "require",
+    "shape_errors",
 ]
 
 #: current schema of every serialized batch result.  Version 1 was the
@@ -147,7 +149,7 @@ def parse_result(
     """Parse and envelope-check serialized JSON text."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # too deep or too many digits too
         raise ExperimentError(f"{source} is not valid JSON: {exc}") from exc
     return check_envelope(payload, kind=kind, source=source, accept=accept)
 
@@ -161,6 +163,17 @@ def require(payload: Dict[str, Any], key: str, source: str = "<string>") -> Any:
             f"{source}: missing required field {key!r} "
             f"(schema {payload.get('schema')!r}, kind {payload.get('kind')!r})"
         ) from None
+
+
+@contextmanager
+def shape_errors(source: str = "<string>") -> Iterator[None]:
+    """Re-raise the error a field of the wrong shape causes, typed."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ExperimentError(
+            f"{source}: malformed field ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------

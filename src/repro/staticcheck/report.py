@@ -143,27 +143,28 @@ class LintReport:
     @classmethod
     def from_json(cls, text: str, *, source: str = "<string>") -> "LintReport":
         """Rebuild a report from :meth:`to_json` output (typed failures)."""
-        from repro.serialization import parse_result, require
+        from repro.serialization import parse_result, require, shape_errors
 
         payload = parse_result(text, kind="lint-report", source=source)
-        report = cls(
-            files=list(require(payload, "files", source)),
-            units_checked=require(payload, "units_checked", source),
-            suppressed=require(payload, "suppressed", source),
-            # Older stored reports predate the per-code breakdown.
-            suppressed_codes=dict(payload.get("suppressed_codes", {})),
-        )
-        for entry in require(payload, "findings", source):
-            report.findings.append(
-                StaticFinding(
-                    code=entry["code"],
-                    message=entry["message"],
-                    file=entry["file"],
-                    line=entry["line"],
-                    unit=entry.get("unit", "<module>"),
-                )
+        with shape_errors(source):
+            report = cls(
+                files=list(require(payload, "files", source)),
+                units_checked=require(payload, "units_checked", source),
+                suppressed=require(payload, "suppressed", source),
+                # Older stored reports predate the per-code breakdown.
+                suppressed_codes=dict(payload.get("suppressed_codes", {})),
             )
-        return report.normalize()
+            for entry in require(payload, "findings", source):
+                report.findings.append(
+                    StaticFinding(
+                        code=entry["code"],
+                        message=entry["message"],
+                        file=entry["file"],
+                        line=entry["line"],
+                        unit=entry.get("unit", "<module>"),
+                    )
+                )
+            return report.normalize()
 
     def render(self) -> str:
         """Deterministic plain-text report."""
