@@ -316,7 +316,7 @@ def run(
         # a host strategy launches it once per round, and the kernel
         # boundary is the barrier (paper Figs. 2 and 4).
         engine = device.engine
-        barrier = None
+        barrier: Optional[Callable[[BlockCtx, int], Generator]] = None
         if not host_mode:
             strategy.prepare(device, num_blocks)
             barrier = strategy.barrier
