@@ -29,13 +29,7 @@ LEASE_S = 0.3
 
 
 def _table(service_dir: Path) -> JobTable:
-    return JobTable(
-        service_dir / "jobs.sqlite3",
-        lease_s=LEASE_S,
-        retry_budget=3,
-        backoff_base_s=0.05,
-        backoff_cap_s=0.2,
-    )
+    return JobTable(service_dir / "jobs.sqlite3", lease_s=LEASE_S, retry_budget=3)
 
 
 def _run_job(service_dir: Path, *, crash_first_attempt: bool) -> dict:

@@ -294,13 +294,7 @@ def _wait(proc: "subprocess.Popen[bytes]", timeout_s: float) -> int:
 
 
 def _table(service_dir: Path, lease_s: float) -> JobTable:
-    return JobTable(
-        service_dir / "jobs.sqlite3",
-        lease_s=lease_s,
-        retry_budget=5,
-        backoff_base_s=0.05,
-        backoff_cap_s=0.2,
-    )
+    return JobTable(service_dir / "jobs.sqlite3", lease_s=lease_s, retry_budget=5)
 
 
 def _recover(

@@ -30,7 +30,8 @@ class SmPlacement:
     tracker adds the *which SM* bookkeeping on top: blocks are placed on
     the least-loaded SM (lowest index on ties), never exceeding the
     per-SM occupancy, and the assignment is recorded for introspection
-    (``placements``) and trace tagging.
+    (``placements``) and handed to the block as ``ctx.sm_id``; no
+    simulator code or trace span reads it.
 
     ``tiebreak`` overrides the lowest-index-on-ties rule: it is called
     with the list of equally-least-loaded SM ids and returns the chosen

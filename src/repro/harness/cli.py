@@ -383,9 +383,9 @@ def _tune(args: argparse.Namespace) -> Tuple[str, int]:
 
 
 def _serve(args: argparse.Namespace) -> Tuple[str, int]:
-    from repro.service.app import serve
+    from repro.service.app import ServiceApp, serve
 
-    return "", serve(
+    app = ServiceApp(
         args.service_dir,
         host=args.host,
         port=args.port,
@@ -396,6 +396,7 @@ def _serve(args: argparse.Namespace) -> Tuple[str, int]:
         worker_jobs=args.jobs,
         use_cache=args.cache,
     )
+    return "", serve(app)
 
 
 def _crashtest(args: argparse.Namespace) -> Tuple[str, int]:

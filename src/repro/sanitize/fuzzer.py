@@ -11,9 +11,10 @@ exactly the orderings hardware leaves unspecified:
   a seeded pseudo-random order (:meth:`queue_priority` feeds
   ``Engine(tiebreak=...)``);
 * **block placement** — ties between equally-loaded SMs are broken by
-  a seeded choice (:meth:`sm_tiebreak` feeds ``SmPlacement``), which
-  also permutes *which* blocks become resident when a grid exceeds
-  co-resident capacity.
+  a seeded choice (:meth:`sm_tiebreak` feeds ``SmPlacement``).  It
+  picks only the SM: a block takes its SM slot before it is placed, so
+  *which* blocks become resident when a grid exceeds co-resident
+  capacity follows the slot queue.
 
 Virtual timestamps are untouched, so fuzzed runs remain valid
 measurements.  Everything is a pure function of the seed: the same seed

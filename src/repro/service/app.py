@@ -105,7 +105,6 @@ class ServiceApp:
         lease_s: float = 30.0,
         retry_budget: int = 2,
         max_queued: Optional[int] = 256,
-        reap_interval_s: float = 1.0,
         worker_jobs: int = 1,
         worker_poll_s: float = 0.5,
         use_cache: bool = False,
@@ -118,17 +117,16 @@ class ServiceApp:
             retry_budget=retry_budget,
             max_queued=max_queued,
         )
-        self.reaper = Reaper(self.table, interval_s=reap_interval_s)
+        self.reaper = Reaper(self.table)
         self.workers = workers
         self.worker_jobs = worker_jobs
         self.worker_poll_s = worker_poll_s
         self.use_cache = use_cache
-        self.lease_s = lease_s
-        self.retry_budget = retry_budget
         self.draining = False
         self.started_at = time.time()
         self._procs: List[subprocess.Popen] = []
         self._supervisor: Optional[threading.Thread] = None
+        self._server_thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
         handler = _make_handler(self)
         self.server = ThreadingHTTPServer((host, port), handler)
@@ -151,8 +149,8 @@ class ServiceApp:
         cmd = [
             sys.executable, "-m", "repro.service.worker_main",
             "--service-dir", str(self.service_dir),
-            "--lease-s", str(self.lease_s),
-            "--retry-budget", str(self.retry_budget),
+            "--lease-s", str(self.table.lease_s),
+            "--retry-budget", str(self.table.retry_budget),
             "--jobs", str(self.worker_jobs),
             "--poll-s", str(self.worker_poll_s),
         ]
@@ -205,7 +203,8 @@ class ServiceApp:
         their jobs uncharged); after ``grace_s`` any straggler is
         killed — its lease then expires and the *next* service
         instance's reaper requeues it, so even an ungraceful drain
-        loses nothing.
+        loses nothing.  An app that was never started only closes its
+        socket and its table.
         """
         self.draining = True
         self._stop.set()
@@ -221,7 +220,12 @@ class ServiceApp:
                 proc.kill()
                 proc.wait()
         self.reaper.stop()
-        self.server.shutdown()
+        if self.reaper.is_alive():
+            # A sweep in flight hands its connection back before close.
+            self.reaper.join()
+        if self._server_thread is not None:
+            # shutdown() waits for a serve_forever loop only start() runs.
+            self.server.shutdown()
         self.server.server_close()
         self.table.close()
 
@@ -378,34 +382,12 @@ def _make_handler(app: ServiceApp) -> type:
     return Handler
 
 
-def serve(
-    service_dir: Union[str, Path],
-    *,
-    host: str = "127.0.0.1",
-    port: int = 8642,
-    workers: int = 1,
-    lease_s: float = 30.0,
-    retry_budget: int = 2,
-    max_queued: Optional[int] = 256,
-    worker_jobs: int = 1,
-    use_cache: bool = False,
-) -> int:
-    """Run the service until SIGTERM/SIGINT, then drain gracefully.
+def serve(app: ServiceApp) -> int:
+    """Run ``app`` until SIGTERM/SIGINT, then drain gracefully.
 
     The blocking entry point behind ``repro serve``.  Returns 0 after a
     clean drain.
     """
-    app = ServiceApp(
-        service_dir,
-        host=host,
-        port=port,
-        workers=workers,
-        lease_s=lease_s,
-        retry_budget=retry_budget,
-        max_queued=max_queued,
-        worker_jobs=worker_jobs,
-        use_cache=use_cache,
-    )
     stop = threading.Event()
 
     def _signal(signum: int, frame: object) -> None:
@@ -415,9 +397,10 @@ def serve(
     for sig in (signal.SIGINT, signal.SIGTERM):
         previous[sig] = signal.signal(sig, _signal)
     app.start()
+    max_queued = app.table.max_queued
     print(
         f"repro serve: listening on {app.url} "
-        f"({workers} worker(s), lease {lease_s}s, "
+        f"({app.workers} worker(s), lease {app.table.lease_s}s, "
         f"queue cap {max_queued if max_queued is not None else 'none'}) "
         f"— jobs under {app.service_dir}",
         flush=True,

@@ -31,14 +31,16 @@ Design rules (py_experimenter's DB-backed experiment rows, adapted):
   matrix can assert, not an inference.
 * **Bounded retries with exponential backoff.**  ``requeue_expired``
   (the reaper's engine) requeues an expired lease with an eligibility
-  delay of ``backoff_base_s * 2**(attempts-1)`` (capped), until the
-  job has used ``retry_budget`` re-executions — then it is marked
-  ``failed`` with a typed, serialized ``job-failure`` envelope.
+  delay worked out from the lease, ``lease_s / 30 * 2**(attempts-1)``
+  capped at ``2 * lease_s`` (1 s, 2 s, 4 s … 60 s at the default 30 s
+  lease), until the job has used ``retry_budget`` re-executions — then
+  it is marked ``failed`` with a typed, serialized ``job-failure``
+  envelope.
 * **Locked means retry, not crash.**  Under multi-host contention
   SQLite surfaces ``OperationalError: database is locked`` even with a
   busy timeout (WAL writers still serialize; a checkpoint can hold the
   lock past the timeout).  Every transaction here runs under a capped
-  exponential-backoff retry loop (``lock_retries``), so contention
+  exponential-backoff retry loop (:data:`LOCK_RETRIES`), so contention
   costs latency, never a worker crash.
 * **Connections outlive operations.**  Each table keeps a pool of idle
   connections (WAL mode, busy timeout, PRAGMAs set once when opened).
@@ -87,7 +89,14 @@ from repro.errors import ServiceError
 from repro.faults import crashpoints
 from repro.serialization import canonical_json, dump_job_failure
 
-__all__ = ["JOB_SCHEMA_VERSION", "JobTable", "job_id_for"]
+__all__ = [
+    "JOB_SCHEMA_VERSION",
+    "LOCK_RETRIES",
+    "LOCK_RETRY_BASE_S",
+    "LOCK_RETRY_CAP_S",
+    "JobTable",
+    "job_id_for",
+]
 
 #: bumped whenever the row format changes; stamped in a meta table so a
 #: service restarted on an old database fails loudly, not subtly.
@@ -97,6 +106,13 @@ JOB_SCHEMA_VERSION = 2
 #: job ids are the leading 16 hex chars of the sha256 — the same
 #: shape (and for the same reason) as the journal's run-ids.
 _JOB_ID_HEX_CHARS = 16
+
+#: a transaction that finds the database locked is retried this many
+#: times, sleeping ``LOCK_RETRY_BASE_S * 2**attempt`` (at most
+#: ``LOCK_RETRY_CAP_S``) before each retry.
+LOCK_RETRIES = 5
+LOCK_RETRY_BASE_S = 0.05
+LOCK_RETRY_CAP_S = 1.0
 
 _T = TypeVar("_T")
 
@@ -197,13 +213,8 @@ class JobTable:
         *,
         lease_s: float = 30.0,
         retry_budget: int = 2,
-        backoff_base_s: float = 1.0,
-        backoff_cap_s: float = 60.0,
         max_queued: Optional[int] = None,
         clock: Callable[[], float] = time.time,
-        lock_retries: int = 5,
-        lock_retry_base_s: float = 0.05,
-        lock_retry_cap_s: float = 1.0,
     ):
         if lease_s <= 0:
             raise ServiceError(f"lease_s must be positive, got {lease_s}", kind="spec")
@@ -215,20 +226,11 @@ class JobTable:
             raise ServiceError(
                 f"max_queued must be >= 1, got {max_queued}", kind="spec"
             )
-        if lock_retries < 0:
-            raise ServiceError(
-                f"lock_retries must be >= 0, got {lock_retries}", kind="spec"
-            )
         self.path = Path(path)
         self.lease_s = lease_s
         self.retry_budget = retry_budget
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
         self.max_queued = max_queued
         self.clock = crashpoints.skewed_clock(clock)
-        self.lock_retries = lock_retries
-        self.lock_retry_base_s = lock_retry_base_s
-        self.lock_retry_cap_s = lock_retry_cap_s
         self.path.parent.mkdir(parents=True, exist_ok=True)
         #: idle connections, owned by process ``_pool_pid``.
         self._idle: List[sqlite3.Connection] = []
@@ -319,8 +321,8 @@ class JobTable:
 
         ``OperationalError: database is locked`` rolls back and retries
         the whole transaction under capped exponential backoff
-        (``lock_retry_base_s * 2**attempt``, capped at
-        ``lock_retry_cap_s``, at most ``lock_retries`` retries) — the
+        (``LOCK_RETRY_BASE_S * 2**attempt``, capped at
+        ``LOCK_RETRY_CAP_S``, at most ``LOCK_RETRIES`` retries) — the
         multi-host contention path.  Any other error propagates after
         rollback.  The ``jobs.<op>.pre-commit`` crash point fires just
         before COMMIT (a crash there must make the operation
@@ -345,13 +347,10 @@ class JobTable:
                         raise
                 break
             except sqlite3.OperationalError as exc:
-                if not self._is_locked(exc) or attempt >= self.lock_retries:
+                if not self._is_locked(exc) or attempt >= LOCK_RETRIES:
                     raise
-                delay = min(
-                    self.lock_retry_base_s * 2**attempt, self.lock_retry_cap_s
-                )
+                time.sleep(min(LOCK_RETRY_BASE_S * 2**attempt, LOCK_RETRY_CAP_S))
                 attempt += 1
-                time.sleep(delay)
         if op is not None:
             crashpoints.fire(f"jobs.{op}.post-commit")
         return out
@@ -571,12 +570,12 @@ class JobTable:
 
         An expired lease means its worker died (SIGKILL, OOM) or hung
         past the heartbeat: the job goes back to ``queued`` with an
-        exponential-backoff eligibility delay —
-        ``backoff_base_s * 2**(attempts-1)``, capped at
-        ``backoff_cap_s`` — so a crash-looping spec cannot hot-spin a
-        worker.  Once ``attempts > retry_budget + 1`` executions would
-        be needed, the job is instead marked ``failed`` with a typed
-        ``job-failure`` envelope recording the attempt history.
+        exponential-backoff eligibility delay scaled to the lease —
+        ``lease_s / 30 * 2**(attempts-1)``, capped at ``2 * lease_s`` —
+        so a crash-looping spec cannot hot-spin a worker.  Once
+        ``attempts > retry_budget + 1`` executions would be needed, the
+        job is instead marked ``failed`` with a typed ``job-failure``
+        envelope recording the attempt history.
         """
         now = self.clock()
 
@@ -607,8 +606,8 @@ class JobTable:
                     failed.append(job_id)
                 else:
                     delay = min(
-                        self.backoff_base_s * 2 ** (attempts - 1),
-                        self.backoff_cap_s,
+                        self.lease_s / 30 * 2 ** (attempts - 1),
+                        2 * self.lease_s,
                     )
                     conn.execute(
                         "UPDATE jobs SET state='queued', lease_owner=NULL, "

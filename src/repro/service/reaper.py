@@ -1,6 +1,6 @@
 """The reaper: the only authority over expired leases.
 
-A background thread that periodically sweeps the job table for leases
+A background thread that sweeps the job table every second for leases
 whose deadline has passed and applies the recovery policy
 (:meth:`~repro.service.jobs.JobTable.requeue_expired`): requeue with
 exponential backoff while the retry budget lasts, then a terminal
@@ -13,7 +13,7 @@ transactional requeue means each expired lease is recovered exactly
 once.
 
 For the same reason a *failed* sweep is harmless: the periodic loop
-logs it, counts it and tries again next interval — a transient database
+logs it, counts it and tries again a second later — a transient database
 error (or an injected fault at the ``reaper.sweep`` crash point) must
 never take the recovery authority down with it.
 """
@@ -30,6 +30,9 @@ __all__ = ["Reaper"]
 
 logger = logging.getLogger(__name__)
 
+#: seconds between two background sweeps.
+_SWEEP_INTERVAL_S = 1.0
+
 _SWEEP_POINT = crashpoints.register_crashpoint(
     "reaper.sweep",
     "a recovery sweep is starting — a crash here must leave every "
@@ -42,26 +45,26 @@ _SWEEP_POINT = crashpoints.register_crashpoint(
 class Reaper(threading.Thread):
     """Periodically recover expired leases until stopped."""
 
-    def __init__(self, table: JobTable, *, interval_s: float = 1.0):
+    def __init__(self, table: JobTable):
         super().__init__(daemon=True, name="lease-reaper")
         self.table = table
-        self.interval_s = interval_s
         #: lifetime counters, surfaced by /readyz for observability.
         self.requeued = 0
         self.failed = 0
         #: sweeps that raised (transient database trouble); the loop
-        #: survives them and retries next interval.
+        #: survives them and retries at the next sweep.
         self.errors = 0
-        self._stop = threading.Event()
+        #: not ``_stop``, which would shadow the method join() calls.
+        self._halt = threading.Event()
 
     def run(self) -> None:
-        while not self._stop.wait(self.interval_s):
+        while not self._halt.wait(_SWEEP_INTERVAL_S):
             try:
                 self.sweep()
             except Exception:
                 self.errors += 1
                 logger.exception(
-                    "reaper sweep failed; retrying in %.1fs", self.interval_s
+                    "reaper sweep failed; retrying in %.1fs", _SWEEP_INTERVAL_S
                 )
 
     def sweep(self) -> None:
@@ -79,4 +82,4 @@ class Reaper(threading.Thread):
             )
 
     def stop(self) -> None:
-        self._stop.set()
+        self._halt.set()

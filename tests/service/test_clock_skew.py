@@ -18,6 +18,9 @@ SPEC = {"experiment": "fig11", "params": {"rounds": 5}}
 LEASE_S = 3.0
 #: more than LEASE_S / 3: the skew overwhelms a whole heartbeat period.
 SKEW_S = 1.2
+#: just past the first requeue delay (LEASE_S / 30): a job whose lease
+#: expired once is claimable again after this long.
+PAST_BACKOFF_S = LEASE_S / 30 + 0.01
 
 
 class FakeClock:
@@ -42,8 +45,6 @@ def make_table(path, clock, skew_s: float) -> JobTable:
         path,
         lease_s=LEASE_S,
         retry_budget=2,
-        backoff_base_s=0.0,
-        backoff_cap_s=0.0,
         clock=skewed_clock(clock, skew_s),
     )
 
@@ -87,6 +88,7 @@ def test_slow_worker_loses_the_lease_without_heartbeats(tables, clock):
     # The slow host, whose own clock shows time remaining, now tries to
     # finish: its lease is gone, the update must refuse.
     assert not slow.complete(job["id"], "worker-1@slow", "late-bytes")
+    clock.advance(PAST_BACKOFF_S)
     assert true.claim("worker-2@true") is not None
     assert true.complete(job["id"], "worker-2@true", "fresh-bytes")
     row = true.get(job["id"])
@@ -125,6 +127,7 @@ def test_never_both_owners_complete_under_skew(tables, clock):
     assert slow.claim("worker-1@slow") is not None
     clock.advance(LEASE_S)  # true expiry, slow host still confident
     assert true.requeue_expired() == ([job["id"]], [])
+    clock.advance(PAST_BACKOFF_S)
     assert fast.claim("worker-2@fast") is not None
     # Order A: the new owner completes first, the old one bounces.
     assert fast.complete(job["id"], "worker-2@fast", "new-bytes")
@@ -147,6 +150,7 @@ def test_never_both_owners_complete_old_owner_first(tables, clock):
     clock.advance(LEASE_S)
     assert true.requeue_expired() == ([job["id"]], [])
     assert not slow.complete(job["id"], "worker-1@slow", "old-bytes")
+    clock.advance(PAST_BACKOFF_S)
     assert fast.claim("worker-2@fast") is not None
     assert fast.complete(job["id"], "worker-2@fast", "new-bytes")
     row = true.get(job["id"])
@@ -168,7 +172,7 @@ def test_fast_reaper_reaps_early_but_never_double_completes(tables, clock):
     assert not true.complete(job["id"], "worker-1@true", "old-bytes")
     # The requeue stamped eligible_at from the fast clock; true time
     # must catch up to it before the honest host can claim.
-    clock.advance(SKEW_S)
+    clock.advance(SKEW_S + PAST_BACKOFF_S)
     assert true.claim("worker-2@true") is not None
     assert true.complete(job["id"], "worker-2@true", "bytes")
     assert true.get(job["id"])["completions"] == 1

@@ -75,11 +75,9 @@ def app(tmp_path_factory):
         port=0,
         workers=0,
         max_queued=4,
-        reap_interval_s=3600.0,
     )
     yield app
-    app.server.server_close()
-    app.table.close()
+    app.drain(grace_s=1.0)
 
 
 def exchange(app, request: bytes) -> bytes:

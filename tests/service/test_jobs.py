@@ -11,6 +11,7 @@ import pytest
 from repro.errors import ServiceError
 from repro.serialization import parse_job_failure
 from repro.service import JobTable, job_id_for
+from repro.service.jobs import LOCK_RETRIES, LOCK_RETRY_BASE_S
 
 SPEC = {"experiment": "fig11", "params": {"rounds": 5}}
 OTHER = {"experiment": "fig11", "params": {"rounds": 7}}
@@ -41,8 +42,6 @@ def table(tmp_path, clock):
         tmp_path / "jobs.sqlite3",
         lease_s=30.0,
         retry_budget=2,
-        backoff_base_s=1.0,
-        backoff_cap_s=60.0,
         clock=clock,
     )
 
@@ -128,7 +127,7 @@ def test_claim_respects_backoff_eligibility(table, clock):
     table.claim("w1")
     clock.advance(30.0)  # lease expires
     requeued, _ = table.requeue_expired()
-    # eligible_at = now + backoff_base_s * 2**0 = now + 1s
+    # eligible_at = now + lease_s / 30 = now + 1s
     assert table.claim("w2") is None
     clock.advance(1.0)
     job = table.claim("w2")
@@ -215,25 +214,40 @@ def test_completion_requires_the_current_owner(table, clock):
 # -- retry budget (satellite: lease lifecycle) ------------------------------
 
 
-def test_backoff_grows_exponentially_and_caps(tmp_path, clock):
+@pytest.mark.parametrize(
+    "lease_s, expected",
+    [
+        # The default lease: 1 s doubling, capped at 60 s from the 7th
+        # expiry on.
+        pytest.param(
+            30.0, [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 60.0, 60.0], id="lease-30s"
+        ),
+        # A short lease backs off in proportion: 1/30 s doubling,
+        # capped at two leases.
+        pytest.param(
+            1.0,
+            [1 / 30, 2 / 30, 4 / 30, 8 / 30, 16 / 30, 32 / 30, 2.0, 2.0],
+            id="lease-1s",
+        ),
+    ],
+)
+def test_backoff_grows_exponentially_and_caps(tmp_path, clock, lease_s, expected):
     table = JobTable(
         tmp_path / "jobs.sqlite3",
-        lease_s=10.0,
-        retry_budget=10,
-        backoff_base_s=1.0,
-        backoff_cap_s=4.0,
+        lease_s=lease_s,
+        retry_budget=len(expected),
         clock=clock,
     )
     job, _ = table.submit(SPEC)
     delays = []
-    for _ in range(5):
+    for _ in expected:
         eligible = table.get(job["id"])["eligible_at"]
         clock.now = max(clock.now, eligible)
         assert table.claim("w1") is not None
-        clock.advance(10.0)
+        clock.advance(lease_s)
         table.requeue_expired()
         delays.append(table.get(job["id"])["eligible_at"] - clock.now)
-    assert delays == [1.0, 2.0, 4.0, 4.0, 4.0]  # base * 2**(n-1), capped
+    assert delays == pytest.approx(expected)
 
 
 def test_retry_budget_exhaustion_yields_typed_failure(table, clock):
@@ -362,14 +376,14 @@ def test_locked_error_is_retried_with_backoff(table, monkeypatch):
     assert table.get(job["id"])["state"] == "done"
     # Capped exponential backoff: base * 2**attempt.
     assert sleeps == [
-        pytest.approx(table.lock_retry_base_s),
-        pytest.approx(table.lock_retry_base_s * 2),
+        pytest.approx(LOCK_RETRY_BASE_S),
+        pytest.approx(LOCK_RETRY_BASE_S * 2),
     ]
     _ = _time  # keep the import local to the test
 
 
 def test_locked_retries_are_capped(table, monkeypatch):
-    """Past lock_retries attempts the OperationalError propagates — a
+    """Past LOCK_RETRIES retries the OperationalError propagates — a
     permanently wedged database must not hang the worker forever."""
     import sqlite3
 
@@ -382,7 +396,7 @@ def test_locked_retries_are_capped(table, monkeypatch):
     plan = CrashPlan(
         [
             CrashSpec("jobs.complete.pre-commit", "raise-operational", hit=h)
-            for h in range(1, table.lock_retries + 2)
+            for h in range(1, LOCK_RETRIES + 2)
         ]
     )
     with crashpoints.armed(plan):

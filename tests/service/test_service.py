@@ -9,6 +9,7 @@ covers the real-SIGKILL variant.
 
 import http.client
 import json
+import threading
 
 import pytest
 
@@ -27,7 +28,6 @@ def app(tmp_path):
         workers=0,
         lease_s=30.0,
         max_queued=2,
-        reap_interval_s=3600.0,  # reaping is driven explicitly in tests
     )
     app.start()
     yield app
@@ -205,8 +205,12 @@ def test_requeued_job_reruns_byte_identical(app, client):
     job = app.table.claim(w1.owner)
     assert job["id"] == job_id
     # Reaper acts: force-expire by direct requeue (lease-conditional
-    # rejection is what we are testing, not the clock).
+    # rejection is what we are testing, not the clock).  The background
+    # reaper is stopped first so that this requeue is the one that acts.
     import sqlite3
+
+    app.reaper.stop()
+    app.reaper.join()
 
     conn = sqlite3.connect(app.table.path)
     conn.execute("UPDATE jobs SET lease_expires_at=0 WHERE id=?", (job_id,))
@@ -276,7 +280,7 @@ def test_cold_start_recovers_orphaned_leases(tmp_path):
 
     time.sleep(0.01)  # lease long expired; its owner no longer exists
 
-    app = ServiceApp(tmp_path / "svc", port=0, workers=0, reap_interval_s=3600.0)
+    app = ServiceApp(tmp_path / "svc", port=0, workers=0)
     app.start()
     try:
         row = app.table.get(job["id"])
@@ -284,3 +288,17 @@ def test_cold_start_recovers_orphaned_leases(tmp_path):
         assert app.reaper.requeued == 1
     finally:
         app.drain(grace_s=1.0)
+
+
+def test_drain_of_an_unstarted_app_returns(tmp_path):
+    """An app that was built but never started drains at once: no
+    serve_forever loop to wait for, yet its socket and table close."""
+    app = ServiceApp(tmp_path / "svc", port=0, workers=0)
+    drainer = threading.Thread(
+        target=app.drain, kwargs={"grace_s": 0.1}, daemon=True
+    )
+    drainer.start()
+    drainer.join(timeout=10.0)
+    assert not drainer.is_alive(), "drain of an unstarted app hung"
+    assert app.server.socket.fileno() == -1
+    assert app.table._idle == []

@@ -60,7 +60,6 @@ def app(tmp_path_factory):
         port=0,
         workers=0,
         max_queued=4,
-        reap_interval_s=3600.0,
     )
     app.start()
     yield app
